@@ -495,9 +495,6 @@ def run(config: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
-    if "LTS_THREADS" in os.environ:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, os.environ["LTS_THREADS"])
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,8 +18,16 @@ average rather than the sign-posterior one.  The two coincide whenever the
 sign posterior given the inputs is flat (in particular for a single hidden
 node), the chain identity with the fixed total holds for either choice,
 and the pi-weighted form is what makes the conditional sign MI split
-exactly across leaf groups.  Every estimator is deterministic given
-(seed, samples) and evaluates in fixed vectorised sample batches.
+exactly across leaf groups.
+
+One Monte Carlo core serves every mixture estimator.  It draws sign
+uniforms u, source values g and target noise in fixed batches; the targets
+see only g, so the density ratio of every relative sign flip is evaluated
+once per batch, independent of the prior.  A prior pi then sets the signs
+b = (u < pi) and reweights those ratios, one source at a time.  The
+estimates accumulate as running sums, so memory does not grow with
+``samples``, and a whole pi grid is evaluated on one draw.  Every estimator
+is deterministic given (seed, samples).
 """
 
 from __future__ import annotations
@@ -107,12 +115,6 @@ def _require_samples(samples: int):
         )
 
 
-def _result(values: np.ndarray, method: str = MONTE_CARLO) -> MIResult:
-    m = values.size
-    se = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return MIResult(float(values.mean()), se, method, m)
-
-
 def _chol(mat: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.cholesky(mat)
@@ -164,14 +166,6 @@ class _BlockModel:
         self.noise = _Gauss(resid, "conditional covariance")
 
     @property
-    def chol_t(self) -> np.ndarray:
-        return self.marg_t.chol
-
-    @property
-    def chol_s(self) -> np.ndarray:
-        return self.marg_s.chol
-
-    @property
     def chol_w(self) -> np.ndarray:
         return self.noise.chol
 
@@ -209,82 +203,120 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(tags)))
 
 
-SAMPLE_BATCH = 8192  # keeps the per-batch working set inside the CPU cache
+SAMPLE_BATCH = 8192    # samples drawn per batch; the draw order is part of the contract
+EVAL_CELLS = 2**20     # (sample, sign component) cells evaluated at once
+EXP_CEILING = 700.0    # log density ratios are shifted below this before exp()
 
 
-class _MixtureSamples:
-    """A deterministic draw from the joint (signs, sources, targets) model,
-    with the per-sample log densities needed by the MI estimators.
+class _Running:
+    """Count, mean and sum of squared deviations of a per-sample estimate,
+    merged chunk by chunk (Chan et al.), so no estimate keeps its samples."""
 
-    Draws and density evaluations run in fixed batches of SAMPLE_BATCH
-    samples off one generator stream; the batch plan is part of the
-    reported estimator contract.
+    def __init__(self):
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add(self, values: np.ndarray) -> "_Running":
+        m = values.size
+        mean = float(values.mean())
+        dev = values - mean
+        n = self.n + m
+        delta = mean - self.mean
+        self.mean += delta * (m / n)
+        self.m2 += float(dev @ dev) + delta * delta * (self.n * m / n)
+        self.n = n
+        return self
+
+    def result(self) -> MIResult:
+        se = math.sqrt(self.m2 / (self.n - 1) / self.n) if self.n > 1 else 0.0
+        return MIResult(self.mean, se, MONTE_CARLO, self.n)
+
+
+class _MixtureChunk:
+    """A slice of the mixture draw with its prior-free per-sample terms.
+
+    The draw is (u, g, noise): uniforms that set the sign inputs b = (u < pi)
+    for any prior pi, the source values g = b * y that the targets actually
+    see, and the target noise.  Since x = gain g + noise does not involve b,
+    neither does the density ratio of each relative flip c of the sources,
+    dens[c] = p(x | c o g) / p(x | g); row 0 is c = +1, the drawn component,
+    whose log density is ``log_cond``.  Sources and components index the
+    rows of ``u`` and ``dens`` and samples their columns, so the per-source
+    contractions run over contiguous rows.
     """
 
-    def __init__(self, model: _BlockModel, pi: BernoulliParams, samples: int, rng):
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
-        p = pi.vector_for(model.sources)
-        ks = len(model.sources)
-        nt = len(model.targets)
-        enum = _enumerate_signs(ks)
-        log_prior = _log_prior(enum, p)
-        gw = (model.noise.inv_chol @ model.gain).T        # (ks, nt) whitened gain
+    def __init__(self, model: _BlockModel, flips, gw, pair_gram, u, g, z, x):
+        self.u, self.g, self.x = np.ascontiguousarray(u.T), g, x
+        self.log_cond = -0.5 * np.einsum("ij,ij->i", z, z) + model.noise._const
+        self.log_marg = model.marg_t.logpdf(x)
+        # whitened, x - gain (c o g) = z + 2 (f o g) gw with f = (1 - c) / 2, so
+        # log dens = -2 [f . (g o (z gw^T)) + (f o g) gw gw^T (f o g)]
+        linear = g * (z @ gw.T)
+        quad = (g[:, :, None] * g[:, None, :]).reshape(len(g), -1)
+        log_dens = -2.0 * (flips @ linear.T + pair_gram @ quad.T)
+        self.shift = np.maximum(log_dens.max(axis=0) - EXP_CEILING, 0.0)
+        self.dens = np.exp(log_dens - self.shift)
 
-        parts: dict[str, list[np.ndarray]] = {k: [] for k in
-                                              ("b", "y", "x", "cond", "pred", "marg")}
-        for start in range(0, samples, SAMPLE_BATCH):
-            m = min(SAMPLE_BATCH, samples - start)
-            b = np.where(rng.random((m, ks)) < p, 1.0, -1.0)
-            y = b * (rng.standard_normal((m, ks)) @ model.chol_s.T)
-            noise = rng.standard_normal((m, nt)) @ model.chol_w.T
-            x = (b * y) @ model.gain.T + noise
+    def log_ratio(self, p: np.ndarray) -> np.ndarray:
+        """log sum_c pi(b o c) p(x | c o g) - log p(x | g) at sign prior ``p``.
 
-            # the numerator and every mixture component share one whitened
-            # expression, so a collapsed mixture cancels bit-exactly
-            xw = x @ model.noise.inv_chol.T               # whitened target part
-            dw = xw - (b * y) @ gw
-            log_cond = -0.5 * np.einsum("ij,ij->i", dw, dw) + model.noise._const
-            lse_pred = np.full(m, -np.inf)
-            chunk = max(1, int(2**20 // max(m * nt, 1)))
-            for estart in range(0, len(enum), chunk):
-                rows = enum[estart:estart + chunk]        # (E, ks)
-                lp = log_prior[estart:estart + chunk]
-                ym = (y[:, None, :] * rows[None, :, :]).reshape(-1, ks)
-                diff = xw[:, None, :] - (ym @ gw).reshape(m, len(rows), nt)
-                flat = diff.reshape(-1, nt)
-                quad = np.einsum("ij,ij->i", flat, flat).reshape(m, -1)
-                comp = -0.5 * quad + model.noise._const + lp[None, :]
-                mx = comp.max(axis=1)
-                with np.errstate(invalid="ignore"):
-                    lse = mx + np.log(np.exp(comp - mx[:, None]).sum(axis=1))
-                lse_pred = np.logaddexp(lse_pred, lse)
+        The prior is a product over sources, so the sum contracts one source
+        at a time, weighting the drawn sign by its prior r and the flipped
+        one by 1 - r.  A zero-prior component gets weight exactly 0, and at
+        p in {0, 1} the ratio is exactly 0."""
+        s = self.dens
+        for j in reversed(range(len(p))):
+            r = np.where(self.u[j] < p[j], p[j], 1.0 - p[j])
+            s = s.reshape(-1, 2, s.shape[-1])
+            s = s[:, 0] * r + s[:, 1] * (1.0 - r)
+        return np.log(s[0]) + self.shift
 
-            parts["b"].append(b)
-            parts["y"].append(y)
-            parts["x"].append(x)
-            parts["cond"].append(log_cond)
-            parts["pred"].append(lse_pred)
-            parts["marg"].append(model.marg_t.logpdf(x))
+    def signs(self, p: np.ndarray) -> np.ndarray:
+        """The +/-1 sign inputs drawn at prior ``p``."""
+        return np.where(self.u.T < p, 1.0, -1.0)
 
-        self.model = model
-        self.b = np.concatenate(parts["b"])
-        self.y = np.concatenate(parts["y"])
-        self.x = np.concatenate(parts["x"])
-        self.log_cond = np.concatenate(parts["cond"])
-        self.log_pred = np.concatenate(parts["pred"])   # log sum_b pi(b) p(x|y,b)
-        self.log_marg = np.concatenate(parts["marg"])   # log p(x)
-        self.enum = enum
-        self.log_prior_enum = log_prior
 
-    def sign_mi_given_sources(self) -> np.ndarray:
-        return self.log_cond - self.log_pred
+def _mixture_chunks(model: _BlockModel, samples: int, rng):
+    """Stream a deterministic draw of the (signs, sources, targets) model.
 
-    def source_mi(self) -> np.ndarray:
-        return self.log_pred - self.log_marg
+    Each batch of SAMPLE_BATCH samples draws the sign uniforms, the source
+    values and the target noise, in that order, off one generator; it is
+    evaluated in slices of at most EVAL_CELLS (sample, component) cells.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    ks, nt = len(model.sources), len(model.targets)
+    flips = (1.0 - _enumerate_signs(ks)) / 2.0           # 1 marks a flipped source
+    gw = (model.noise.inv_chol @ model.gain).T            # (ks, nt) whitened gain
+    pair_gram = (flips[:, :, None] * flips[:, None, :] * (gw @ gw.T)).reshape(len(flips), -1)
+    rows = max(1, EVAL_CELLS // len(flips))
+    for start in range(0, samples, SAMPLE_BATCH):
+        m = min(SAMPLE_BATCH, samples - start)
+        u = rng.random((m, ks))
+        g = rng.standard_normal((m, ks)) @ model.marg_s.chol.T
+        z = rng.standard_normal((m, nt))
+        x = g @ model.gain.T + z @ model.noise.chol.T
+        for lo in range(0, m, rows):
+            sl = slice(lo, lo + rows)
+            yield _MixtureChunk(model, flips, gw, pair_gram, u[sl], g[sl], z[sl], x[sl])
 
-    def total_mi(self) -> np.ndarray:
-        return self.log_cond - self.log_marg
+
+def _mixture_profiles(model: _BlockModel, priors, samples: int, rng) -> list[dict[str, MIResult]]:
+    """Gaussian-input MI, conditional sign MI and their total under each sign
+    prior vector in ``priors``, all from one draw."""
+    total = _Running()
+    sums = [(_Running(), _Running()) for _ in priors]
+    for chunk in _mixture_chunks(model, samples, rng):
+        tot = chunk.log_cond - chunk.log_marg
+        total.add(tot)
+        for p, (inputs, signs) in zip(priors, sums):
+            ratio = chunk.log_ratio(p)            # log_pred - log_cond
+            inputs.add(tot + ratio)
+            signs.add(0.0 - ratio)
+    total_mi = total.result()
+    return [
+        {"inputs": inputs.result(), "signs_given_inputs": signs.result(), "total": total_mi}
+        for inputs, signs in sums
+    ]
 
 
 def mixture_mi_profile(
@@ -295,12 +327,7 @@ def mixture_mi_profile(
     closed-form value)."""
     _require_samples(samples)
     model = _BlockModel(tree, tree.observed, tree.hidden)
-    draw = _MixtureSamples(model, pi, samples, _rng(seed, 0))
-    return {
-        "inputs": _result(draw.source_mi()),
-        "signs_given_inputs": _result(draw.sign_mi_given_sources()),
-        "total": _result(draw.total_mi()),
-    }
+    return _mixture_profiles(model, [pi.vector_for(model.sources)], samples, _rng(seed, 0))[0]
 
 
 def mi_direct(tree: GaussianTree) -> MIResult:
@@ -381,8 +408,7 @@ def mi_sign_marginal(
         if lp == -np.inf:
             continue
         lse = np.logaddexp(lse, lp + lp_x)
-    values = lp_x - lse
-    return _result(values)
+    return _Running().add(lp_x - lse).result()
 
 
 def mi_sign_conditional(
@@ -414,12 +440,7 @@ def block_mi_mixture(
     the source block only.  Used for the per-layer rate bounds."""
     _require_samples(samples)
     model = _BlockModel(tree, targets, sources)
-    draw = _MixtureSamples(model, pi, samples, _rng(seed, 2))
-    return {
-        "inputs": _result(draw.source_mi()),
-        "signs_given_inputs": _result(draw.sign_mi_given_sources()),
-        "total": _result(draw.total_mi()),
-    }
+    return _mixture_profiles(model, [pi.vector_for(model.sources)], samples, _rng(seed, 2))[0]
 
 
 def _dumbbell_groups(tree: GaussianTree) -> tuple[str, str, tuple, tuple]:
@@ -451,38 +472,35 @@ def decomposition_check(
     _require_samples(samples)
     h1, h2, g1, g2 = _dumbbell_groups(tree)
     model = _BlockModel(tree, tree.observed, tree.hidden)
-    draw = _MixtureSamples(model, pi, samples, _rng(seed, 3))
-    lhs = _result(draw.sign_mi_given_sources())
-
+    p = pi.vector_for(model.sources)
     obs_pos = {o: i for i, o in enumerate(tree.observed)}
     hid_pos = {h: i for i, h in enumerate(tree.hidden)}
-    p_table = pi.as_dict()
-    rhs_vals = np.zeros(samples)
-    for h, group in ((h1, g1), (h2, g2)):
-        cols = [obs_pos[o] for o in group]
-        hcol = hid_pos[h]
-        gains = np.array([tree.edge_rho(h, o) for o in group])
-        sd = np.sqrt(1.0 - gains**2)
-        xg = draw.x[:, cols]
-        yh = draw.y[:, hcol]
+    lhs, rhs = _Running(), _Running()
+    for chunk in _mixture_chunks(model, samples, _rng(seed, 3)):
+        lhs.add(0.0 - chunk.log_ratio(p))
+        y = chunk.signs(p) * chunk.g
+        rhs_vals = np.zeros(len(y))
+        for h, group in ((h1, g1), (h2, g2)):
+            xg = chunk.x[:, [obs_pos[o] for o in group]]
+            gains = np.array([tree.edge_rho(h, o) for o in group])
+            sd = np.sqrt(1.0 - gains**2)
 
-        def group_logpdf(sign_vals: np.ndarray) -> np.ndarray:
-            mean = (sign_vals * yh)[:, None] * gains[None, :]
-            z = (xg - mean) / sd[None, :]
-            return -0.5 * np.sum(z * z, axis=1) - np.sum(np.log(sd)) \
-                - 0.5 * len(cols) * math.log(2.0 * math.pi)
+            def group_logpdf(hidden_vals: np.ndarray) -> np.ndarray:
+                z = (xg - hidden_vals[:, None] * gains[None, :]) / sd[None, :]
+                return -0.5 * np.sum(z * z, axis=1) - np.sum(np.log(sd)) \
+                    - 0.5 * len(group) * math.log(2.0 * math.pi)
 
-        num = group_logpdf(draw.b[:, hcol])
-        lse_pred = np.full(samples, -np.inf)
-        p_h = p_table[h]
-        for sign, prob in ((1.0, p_h), (-1.0, 1.0 - p_h)):
-            if prob == 0.0:
-                continue
-            lp_xg = group_logpdf(np.full(samples, sign))
-            lse_pred = np.logaddexp(lse_pred, math.log(prob) + lp_xg)
-        rhs_vals += num - lse_pred
-    rhs = _result(rhs_vals)
-    return lhs, rhs
+            num = group_logpdf(chunk.g[:, hid_pos[h]])
+            lse_pred = np.full(len(y), -np.inf)
+            p_h = p[hid_pos[h]]
+            for sign, prob in ((1.0, p_h), (-1.0, 1.0 - p_h)):
+                if prob == 0.0:
+                    continue
+                lp_xg = group_logpdf(sign * y[:, hid_pos[h]])
+                lse_pred = np.logaddexp(lse_pred, math.log(prob) + lp_xg)
+            rhs_vals += num - lse_pred
+        rhs.add(rhs_vals)
+    return lhs.result(), rhs.result()
 
 
 def optimize_pi(
@@ -495,11 +513,15 @@ def optimize_pi(
 
     Sweeps a shared grid for one hidden node, a per-node grid for two, and a
     symmetric (all-equal) sweep beyond that.  The objective is a Monte Carlo
-    estimate, so the argmax is resolved to grid resolution only; each grid
-    point uses its own derived substream of the master seed.
+    estimate, so the argmax is resolved to grid resolution only.  The whole
+    sweep shares one draw of ``samples`` from the master seed, reweighted at
+    each grid point: every curve point equals
+    ``mixture_mi_profile(tree, pi, samples, seed)`` at that point, and
+    neighbouring points (mirror images too) carry correlated errors.
     """
     if not (0.0 < grid_step <= 0.25):
         raise ValueError("grid_step must lie in (0, 0.25]")
+    _require_samples(samples)
     steps = int(round(1.0 / grid_step))
     axis = [round(i * grid_step, 12) for i in range(steps + 1)]
     if axis[-1] != 1.0:
@@ -510,20 +532,16 @@ def optimize_pi(
     else:
         grid = [(a,) * tree.k for a in axis]
 
+    model = _BlockModel(tree, tree.observed, tree.hidden)
+    params = [BernoulliParams.make(dict(zip(tree.hidden, point))) for point in grid]
+    profiles = _mixture_profiles(
+        model, [pi.vector_for(model.sources) for pi in params], samples, _rng(seed, 0)
+    )
     curve = []
     best_idx = 0
-    for idx, point in enumerate(grid):
-        pi = BernoulliParams.make(dict(zip(tree.hidden, point)))
-        est = mixture_mi_profile(tree, pi, samples, _point_seed(seed, idx))[
-            "signs_given_inputs"
-        ]
+    for idx, (point, profile) in enumerate(zip(grid, profiles)):
+        est = profile["signs_given_inputs"]
         curve.append((point if tree.k == 2 else (point[0],), est))
         if est.value > curve[best_idx][1].value:
             best_idx = idx
-    best_point = grid[best_idx]
-    return BernoulliParams.make(dict(zip(tree.hidden, best_point))), curve
-
-
-def _point_seed(seed: int, idx: int) -> int:
-    # stable per-grid-point substream
-    return int(np.random.SeedSequence((int(seed), 17, idx)).generate_state(1)[0])
+    return params[best_idx], curve

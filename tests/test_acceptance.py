@@ -6,12 +6,14 @@ budget.  All Monte Carlo runs use pinned seeds and are deterministic.
 """
 
 import dataclasses
+import importlib.util
 import json
 import math
 import pathlib
 import subprocess
 import sys
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -26,6 +28,17 @@ STAR_MI = 0.7294309951122713   # frozen from the direct-determinant oracle
 FRONTIER_SEED = 5
 CODEBOOK_SEED = 11
 DIVERGENCE_SEED = 17
+THREE_SIGMA_MASS = 2.0 * NormalDist().cdf(-3.0)   # two-sided mass beyond 3 sigma
+
+
+def _oracles():
+    """The benchmark's Gauss-Hermite oracles, which read the tree files
+    themselves and share no code with lgtree."""
+    spec = importlib.util.spec_from_file_location("bench_oracles", PKG / "bench" / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def _finish(num: int, desc: str, t0: float, ok: bool, budget: float | None = None):
@@ -107,6 +120,7 @@ def test_criterion_4_sign_marginal_mi(star, dumbbell):
 
 
 def test_criterion_5_optimal_sign_bias(star, dumbbell):
+    oracles = _oracles()
     t0 = time.perf_counter()
     ok = True
     details = []
@@ -122,9 +136,29 @@ def test_criterion_5_optimal_sign_bias(star, dumbbell):
             if se > 0:
                 worst_z = max(worst_z, abs(est.value - mirror.value) / se)
         ok &= worst_z <= 3.0
-        details.append(f"{name} pi*={tuple(best.as_dict().values())} sym z={worst_z:.2f}")
-    _finish(5, "sign-bias argmax at 1/2 with symmetric curves: " + "; ".join(details),
-            t0, ok, 120.0)
+        # the sweep shares one draw, so mirror points are correlated and the
+        # symmetry test above loses power; every point must also match the
+        # quadrature oracle at a family-wise 3-sigma level over the grid
+        # (the oracle sums one term per hidden node, each zero at pi = 0, so
+        # every node's term is evaluated once per grid value)
+        tf = oracles.read_tree(PKG / "trees" / f"{name}.tree")
+        axis = {v for pt, _ in curve for v in pt}
+        term = {(h, v): oracles.sign_mi_quadrature(tf, {g: v if g == h else 0.0 for g in tree.hidden})
+                for h in tree.hidden for v in axis}
+        level = NormalDist().inv_cdf(1.0 - THREE_SIGMA_MASS / (2 * len(curve)))
+        worst_q = 0.0
+        for pt, est in curve:
+            probs = pt * tree.k if len(pt) == 1 else pt
+            diff = est.value - sum(term[h, v] for h, v in zip(tree.hidden, probs))
+            if est.std_error > 0:
+                worst_q = max(worst_q, abs(diff) / est.std_error)
+            else:
+                ok &= abs(diff) <= 1e-12
+        ok &= worst_q <= level
+        details.append(f"{name} pi*={tuple(best.as_dict().values())} sym z={worst_z:.2f} "
+                       f"quadrature z={worst_q:.2f}/{level:.2f}")
+    _finish(5, "sign-bias argmax at 1/2, symmetric curves matching quadrature: "
+               + "; ".join(details), t0, ok, 120.0)
 
 
 def test_criterion_6_chain_identity(star, dumbbell):

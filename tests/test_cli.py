@@ -103,6 +103,24 @@ def test_optimize_pi_csv(tmp_path):
     assert len(lines) == 6
 
 
+def test_optimize_pi_two_layer_strict_json():
+    # every sign row of a chunk can carry zero prior at pi in {0, 1}; the
+    # sweep must stay finite and find the peak, identically on a repeat
+    args = ("optimize-pi", "trees/two_layer.tree", "--grid", "0.25", "--samples", "2000",
+            "--seed", "1", "--deterministic")
+    proc = run_cli(*args)
+    assert proc.returncode == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    result = json.loads(proc.stdout, parse_constant=reject)["result"]
+    assert len(result["pi_star"]) == 6
+    for node, val in result["pi_star"].items():
+        assert abs(val - 0.5) <= 0.25
+    assert run_cli(*args).stdout == proc.stdout
+
+
 def test_rate_check_margins():
     proc = run_cli(
         "rate-check", "trees/star.tree", "--ry", "0.93", "--rb", "0.1",

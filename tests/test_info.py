@@ -197,3 +197,108 @@ def test_mc_sample_floor(star):
         lg.mi_sign_conditional(star, pi, 500, 1)
     with pytest.raises(ValidationError):
         lg.mi_sign_marginal(star, pi, 999, 1)
+
+
+HIGH_CORRELATION_TREE = """
+node x1 observed
+node x2 observed
+node x3 observed
+node x4 observed
+node y1 hidden
+node y2 hidden
+edge y1 y2 0.99
+edge y1 x1 0.99
+edge y1 x2 0.995
+edge y2 x3 0.99
+edge y2 x4 0.995
+"""
+
+
+@pytest.fixture(scope="module")
+def high_corr():
+    return lg.validate_tree(lg.parse_tree_text(HIGH_CORRELATION_TREE))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_sign_conditional_degenerate_pi_two_layer(two_layer, p):
+    # 64 sign rows: a zero-prior component must drop out, not turn into NaN
+    prof = lg.mixture_mi_profile(two_layer, BernoulliParams.uniform(two_layer, p), 2000, 1)
+    assert prof["signs_given_inputs"].value == 0.0
+    assert prof["signs_given_inputs"].std_error == 0.0
+    assert prof["inputs"] == prof["total"]
+
+
+@pytest.mark.parametrize("name", ["star", "dumbbell", "two_layer", "high_corr"])
+def test_optimize_pi_curve_matches_profile(request, name):
+    # one shared draw per sweep: each curve point is the single-pi profile at
+    # the same (samples, seed); 20000 samples span three draw batches
+    tree = request.getfixturevalue(name)
+    samples, seed = 20000, 3
+    best, curve = lg.optimize_pi(tree, 0.25, samples, seed)
+    coords = {c for pt, _ in curve for c in pt}
+    assert {0.0, 1.0} <= coords
+    for pt, est in curve:
+        probs = pt * tree.k if len(pt) == 1 else pt
+        ref = lg.mixture_mi_profile(
+            tree, BernoulliParams.make(dict(zip(tree.hidden, probs))), samples, seed
+        )["signs_given_inputs"]
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        assert abs(est.value - ref.value) <= 1e-12
+        assert abs(est.std_error - ref.std_error) <= 1e-9 * ref.std_error
+        assert est.samples_used == samples
+    for node, val in best.as_dict().items():
+        assert abs(val - 0.5) <= 0.25
+
+
+@pytest.mark.parametrize("name", ["two_layer", "high_corr"])
+def test_reweighted_mixture_matches_enumeration(request, name):
+    # reference: the log-sum-exp over every full sign vector, with the
+    # prior-weighted density of x given each signed copy of the inputs
+    from scipy.special import logsumexp
+
+    from lgtree import info
+
+    tree = request.getfixturevalue(name)
+    model = info._BlockModel(tree, tree.observed, tree.hidden)
+    rng = np.random.default_rng(8)
+    priors = [rng.uniform(0.05, 0.95, tree.k), np.r_[0.0, 1.0, rng.uniform(size=tree.k - 2)]]
+    enum = info._enumerate_signs(tree.k)
+    for chunk in info._mixture_chunks(model, 500, info._rng(4, 0)):
+        for p in priors:
+            y = chunk.signs(p) * chunk.g
+            with np.errstate(divide="ignore"):
+                log_prior = np.log(np.where(enum > 0, p, 1.0 - p)).sum(axis=1)
+            comp = np.stack(
+                [model.noise.logpdf(chunk.x - (s * y) @ model.gain.T) for s in enum], axis=1
+            )
+            expected = logsumexp(comp + log_prior, axis=1) - model.noise.logpdf(
+                chunk.x - chunk.g @ model.gain.T
+            )
+            got = chunk.log_ratio(p)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - expected)) <= 1e-9
+
+
+def test_zero_prior_component_drops_out(star):
+    # at pi in {0, 1} the flipped component has prior 0 and must contribute
+    # exactly nothing, however much likelier than the drawn one it is
+    from lgtree import info
+
+    model = info._BlockModel(star, star.observed, star.hidden)
+    chunk = next(info._mixture_chunks(model, 1000, info._rng(0, 0)))
+    chunk.dens[1] = 1e300
+    for p in (0.0, 1.0):
+        assert np.all(chunk.log_ratio(np.array([p])) == 0.0)
+
+
+def test_sliced_evaluation_matches_whole_batches(two_layer, monkeypatch):
+    # beyond 7 sources a draw batch is evaluated in slices of samples
+    from lgtree import info
+
+    pi = BernoulliParams.uniform(two_layer, 0.3)
+    whole = lg.mixture_mi_profile(two_layer, pi, 3000, 2)
+    monkeypatch.setattr(info, "EVAL_CELLS", 64 * 700)
+    sliced = lg.mixture_mi_profile(two_layer, pi, 3000, 2)
+    for key, est in whole.items():
+        assert abs(sliced[key].value - est.value) <= 1e-12
+        assert abs(sliced[key].std_error - est.std_error) <= 1e-9 * est.std_error
