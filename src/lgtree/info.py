@@ -388,27 +388,25 @@ def mi_sign_marginal(
 ) -> MIResult:
     """Monte Carlo estimate of the MI between the observed vector and the
     sign vector.  Sign flips leave the observed covariance untouched, so
-    every mixture component coincides and the estimate is exactly zero."""
+    every mixture component coincides and the estimate is exactly zero.
+    Samples are drawn and scored SAMPLE_BATCH at a time."""
     _require_samples(samples)
     p = pi.vector_for(tree.hidden)
-    cov = joint_covariance(tree)
-    marg = _Gauss(np.asarray(cov.observed_block), "observed covariance")
+    marg = _Gauss(np.asarray(joint_covariance(tree).observed_block), "observed covariance")
+    log_prior = _log_prior(_enumerate_signs(tree.k), p)
+    log_prior = log_prior[log_prior > -np.inf]
     rng = _rng(seed, 1)
-    ks = tree.k
-    b = np.where(rng.random((samples, ks)) < p, 1.0, -1.0)
-    x = rng.standard_normal((samples, tree.n)) @ marg.chol.T
-
-    enum = _enumerate_signs(ks)
-    log_prior = _log_prior(enum, p)
-    # observed-block conditional given any sign vector: identical by the
-    # sign-equivalence property, so evaluate the density once
-    lp_x = marg.logpdf(x)
-    lse = np.full(samples, -np.inf)
-    for lp in log_prior:
-        if lp == -np.inf:
-            continue
-        lse = np.logaddexp(lse, lp + lp_x)
-    return _Running().add(lp_x - lse).result()
+    total = _Running()
+    for start in range(0, samples, SAMPLE_BATCH):
+        m = min(SAMPLE_BATCH, samples - start)
+        lp_x = marg.logpdf(rng.standard_normal((m, tree.n)) @ marg.chol.T)
+        # observed-block conditional given any sign vector: identical by the
+        # sign-equivalence property, so evaluate the density once
+        lse = np.full(m, -np.inf)
+        for lp in log_prior:
+            lse = np.logaddexp(lse, lp + lp_x)
+        total.add(lp_x - lse)
+    return total.result()
 
 
 def mi_sign_conditional(

@@ -6,8 +6,10 @@ exists per (gaussian index, sign index) pair: at each channel use its
 symbol follows the Gaussian law fixed by the sign codeword's realisation
 there, so for every fixed sign codeword the Gaussian sub-codebook is an
 i.i.d. sample of the conditional input law.  Pair codewords are never
-stored; they regenerate deterministically from (seed, layer, pair), which
-also keeps desk-scale codebooks within memory.  Sub-blocks are keyed by
+stored.  Their white noise comes from a counter-based stream (Philox4x64-10)
+keyed by (seed, layer) and counted by (pair, block), so any set of pairs
+regenerates in one vectorised call with the same values as one pair at a
+time, and desk-scale codebooks stay within memory.  Sub-blocks are keyed by
 the realised covariance pattern (sign vectors up to a global flip), and
 their sizes follow the empirical sign-codeword realisations.
 
@@ -42,6 +44,7 @@ from .trees import GaussianTree, joint_covariance
 CODEBOOK_CAP = 2**16       # per-table codeword count cap
 MIXTURE_CAP = 2**14        # cap on exactly evaluated mixture components
 PATTERN_CAP = 2**12        # cap on per-layer covariance sign patterns
+CODEWORD_ROWS = 2**12      # pair codewords generated per slice
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,40 @@ class RateTuple:
         return out
 
 
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # key increments per round
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products of a constant m and x."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    mid_a, mid_b = m_lo * x_hi, m_hi * x_lo
+    carry = ((m_lo * x_lo) >> _SHIFT32) + (mid_a & _LOW32) + (mid_b & _LOW32)
+    hi = m_hi * x_hi + (mid_a >> _SHIFT32) + (mid_b >> _SHIFT32) + (carry >> _SHIFT32)
+    return hi, np.uint64(m) * x
+
+
+def philox4x64(counter, key) -> tuple[np.ndarray, ...]:
+    """Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
+    2, 3", SC'11) over arrays of counters.
+
+    ``counter`` holds four same-shape uint64 arrays, word 0 the lowest, and
+    ``key`` two 64-bit words; returns the four output words.  This is the
+    block that ``numpy.random.Philox(key=key, counter=c)`` yields first for
+    c = counter - 1, since numpy increments the counter before each block."""
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    k0, k1 = int(key[0]), int(key[1])
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = (k0 + PHILOX_W[0]) % 2**64, (k1 + PHILOX_W[1]) % 2**64
+        hi0, lo0 = _mulhilo(PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return c0, c1, c2, c3
+
+
 @dataclass(frozen=True)
 class LayerCodebook:
     depth: int
@@ -95,19 +132,58 @@ class LayerCodebook:
         counts = np.bincount(self.pattern_codes.ravel(), minlength=len(self.patterns))
         return [int(c) for c in counts]
 
-    def white_noise(self, gauss_index: int, sign_index: int) -> np.ndarray:
-        """The (N, k) white-noise source behind one pair codeword."""
-        rng = _rng(self.seed, 13, self.depth, int(gauss_index), int(sign_index))
-        return rng.standard_normal(self.signs.shape[1:])
+    def white_noise(self, gauss_index, sign_index) -> np.ndarray:
+        """The (..., N, k) white-noise sources behind the pair codewords of
+        broadcast index arrays; a scalar pair gives one (N, k) source.
 
-    def gaussian_codeword(self, gauss_index: int, sign_index: int) -> np.ndarray:
-        """One pair codeword: at each channel use the symbol is coloured by
-        the Cholesky factor matching the sign codeword's realisation."""
-        if not (0 <= gauss_index < self.gauss_count):
-            raise ValidationError(f"gaussian index {gauss_index} out of range")
-        xi = self.white_noise(gauss_index, sign_index)
-        codes = self.pattern_codes[sign_index]
-        return np.einsum("tij,tj->ti", self.pattern_chols[codes], xi)
+        Pair (g, s) reads Philox4x64-10 keyed by (seed, layer) at counters
+        (j, g M_B + s, 0, 0) for blocks j = 0, 1, ...; each output word w
+        becomes the uniform ((w >> 11) + 1/2) 2^-53 and then a normal through
+        ndtri.  A pair's noise is a pure function of its indices, so one pair
+        and a batch holding it give the same values."""
+        g, s = self._pairs(gauss_index, sign_index)
+        n_uses, k = self.signs.shape[1:]
+        size = n_uses * k
+        blocks = -(-size // 4)
+        pair = g.astype(np.uint64).ravel() * np.uint64(self.sign_count) + s.astype(np.uint64).ravel()
+        shape = (pair.size, blocks)
+        zero = np.zeros(shape, dtype=np.uint64)
+        counter = (np.broadcast_to(np.arange(blocks, dtype=np.uint64), shape),
+                   np.broadcast_to(pair[:, None], shape), zero, zero)
+        key = np.random.SeedSequence((self.seed, 13, self.depth)).generate_state(2, np.uint64)
+        words = np.stack(philox4x64(counter, key), axis=-1).reshape(pair.size, 4 * blocks)
+        uniform = ((words[:, :size] >> np.uint64(11)) + 0.5) * 2.0**-53
+        return ndtri(uniform).reshape(g.shape + (n_uses, k))
+
+    def gaussian_codeword(self, gauss_index, sign_index) -> np.ndarray:
+        """Pair codewords (..., N, k) for broadcast index arrays; a scalar
+        pair gives one (N, k) codeword.  At each channel use the symbol is
+        coloured by the Cholesky factor matching the sign codeword's
+        realisation.  Evaluated CODEWORD_ROWS pairs at a time, so transient
+        memory does not grow with the number of pairs."""
+        g, s = self._pairs(gauss_index, sign_index)
+        shape = self.signs.shape[1:]
+        out = np.empty(g.shape + shape)
+        g, s, rows = g.ravel(), s.ravel(), out.reshape((-1,) + shape)
+        for lo in range(0, len(rows), CODEWORD_ROWS):
+            sl = slice(lo, lo + CODEWORD_ROWS)
+            chols = self.pattern_chols[self.pattern_codes[s[sl]]]
+            rows[sl] = np.einsum("rtij,rtj->rti", chols, self.white_noise(g[sl], s[sl]))
+        return out
+
+    def _pairs(self, gauss_index, sign_index) -> tuple[np.ndarray, ...]:
+        """Both pair indices, range-checked and broadcast together."""
+        checked = []
+        for index, count, what in ((gauss_index, self.gauss_count, "gaussian"),
+                                   (sign_index, self.sign_count, "sign")):
+            idx = np.asarray(index)
+            if idx.dtype.kind not in "iu":
+                raise ValidationError(f"{what} index must be an integer, got {idx.dtype}")
+            bad = idx[(idx < 0) | (idx >= count)]
+            if bad.size:
+                raise ValidationError(f"{what} index {bad.flat[0]} out of range [0, {count})")
+            checked.append(idx)
+        return np.broadcast_arrays(*checked)
 
 
 @dataclass(frozen=True)
@@ -201,8 +277,10 @@ def build_codebooks(
     tree: GaussianTree, rates: RateTuple, pi: BernoulliParams, seed: int
 ) -> Codebook:
     """Draw the per-layer sign codeword tables and pin the Gaussian pair
-    ensembles.  Deterministic given the seed: each layer consumes its own
-    substreams, and pair codewords regenerate from (seed, layer, pair).
+    ensembles.  Deterministic given the seed: each layer draws its sign
+    codewords from its own substream, and the white noise of pair codeword
+    (g, s) is block j of a Philox4x64-10 stream keyed by (seed, layer) at
+    counter (j, g M_B + s, 0, 0); see :meth:`LayerCodebook.white_noise`.
     Raises CapExceeded when a table would exceed 2^16 codewords.
     """
     depth_count = tree.num_layers
@@ -270,20 +348,6 @@ def emit_observed(tree: GaussianTree, y: np.ndarray, b: np.ndarray, noise=None) 
     return x
 
 
-def _top_codewords(top: LayerCodebook, gauss_index: np.ndarray, sign_index: np.ndarray):
-    """Gaussian pair codewords and sign symbols for an index batch."""
-    pairs = {}
-    n_uses, k = top.signs.shape[1:]
-    y = np.empty((len(gauss_index), n_uses, k))
-    for r, (gi, si) in enumerate(zip(gauss_index, sign_index)):
-        key = (int(gi), int(si))
-        if key not in pairs:
-            pairs[key] = top.gaussian_codeword(*key)
-        y[r] = pairs[key]
-    b = top.signs[sign_index]
-    return y, b
-
-
 def synthesize(
     tree: GaussianTree,
     codebook: Codebook,
@@ -311,7 +375,8 @@ def synthesize(
         for d in range(1, depth_count + 1)
     }
 
-    y, cur_b = _top_codewords(top, gauss_index, sign_index[depth_count])
+    y = top.gaussian_codeword(gauss_index, sign_index[depth_count])
+    cur_b = top.signs[sign_index[depth_count]]
     internals = {"gauss_index": gauss_index, "sign_index": sign_index,
                  "y": {depth_count: y}, "b": {depth_count: cur_b}}
 
@@ -360,11 +425,9 @@ def _mixture_components(tree: GaussianTree, codebook: Codebook):
         cov = cov + chain @ model.resid @ chain.T
         chain = chain @ model.gain
 
-    gi, si = np.meshgrid(np.arange(my), np.arange(mb), indexing="ij")
-    gi, si = gi.ravel(), si.ravel()
-    y, b = _top_codewords(top, gi, si)
-    means = np.einsum("ij,ctj->cti", chain, b * y)               # (C, N, n)
-    return means, cov
+    y = top.gaussian_codeword(np.arange(my)[:, None], np.arange(mb))  # (M_Y, M_B, N, k)
+    means = np.einsum("ij,gstj->gsti", chain, top.signs * y)
+    return means.reshape((my * mb,) + means.shape[2:]), cov     # (C, N, n)
 
 
 def _block_log_density(x: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -635,10 +698,19 @@ def verify_encoding_constraints(
     n_uses = x.shape[1]
     n_dim = x.shape[-1]
     if n_uses >= 2:
-        # average lag-1 products within each independent run first
+        # average lag-1 products within each run first; runs that drew the
+        # same top-layer pair share its codeword, so the standard error is
+        # cluster-robust over those pairs rather than over runs
         prods = np.einsum("rti,rtj->rij", x[:, :-1, :], x[:, 1:, :]) / (n_uses - 1)
         mean = prods.mean(axis=0)
-        se_mat = prods.std(axis=0, ddof=1) / math.sqrt(len(prods))
+        top = codebook.layer(tree.num_layers)
+        pair = internals["gauss_index"] * top.sign_count + internals["sign_index"][tree.num_layers]
+        clusters, cluster = np.unique(pair, return_inverse=True)
+        groups = len(clusters)
+        dev = np.zeros((groups,) + mean.shape)
+        np.add.at(dev, cluster, prods - mean)
+        var = np.einsum("gij,gij->ij", dev, dev) * groups / max(groups - 1, 1)
+        se_mat = np.sqrt(var) / len(prods)
         z_lag = float(np.max(np.abs(mean) / np.maximum(se_mat, 1e-300)))
     else:
         z_lag = 0.0

@@ -5,7 +5,7 @@ import pytest
 
 import lgtree as lg
 from lgtree.errors import InconsistentCovariance, NotLeafOnly, WrongShape
-from lgtree.info import BernoulliParams
+from lgtree.info import SAMPLE_BATCH, BernoulliParams
 from lgtree.trees import random_tree
 
 STAR_MI = 0.7294309951122713  # frozen from the direct-determinant oracle
@@ -83,6 +83,15 @@ def test_cross_method_random_leaf_trees():
 def test_sign_marginal_mi_is_zero(star, p):
     res = lg.mi_sign_marginal(star, BernoulliParams.uniform(star, p), 20000, 3)
     assert abs(res.value) <= max(3 * res.std_error, 1e-12)
+
+
+@pytest.mark.parametrize("name", ["star", "dumbbell", "two_layer"])
+def test_sign_marginal_mi_streams_exact_zero(request, name):
+    tree = request.getfixturevalue(name)
+    pi = BernoulliParams.make({h: 0.2 + 0.1 * i for i, h in enumerate(tree.hidden)})
+    res = lg.mi_sign_marginal(tree, pi, 3 * SAMPLE_BATCH + 17, 5)
+    assert res.samples_used == 3 * SAMPLE_BATCH + 17
+    assert abs(res.value) <= 1e-12 and res.std_error <= 1e-12
 
 
 def test_sign_marginal_mi_degenerate(star):

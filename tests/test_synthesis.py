@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import lgtree as lg
+from lgtree import synthesis
 from lgtree.errors import CapExceeded, MixtureTooLarge, ValidationError
 from lgtree.info import BernoulliParams
 from lgtree.synthesis import RateTuple, _mixture_components
@@ -257,3 +259,125 @@ def test_independence_stat_null_for_skewed_pi(star):
     cb = lg.build_codebooks(star, RateTuple.make([(0.55, 0.6)], 6), pi, 11)
     rep = lg.estimate_divergence(star, cb, 1200, 5)
     assert abs(rep.independence_stat) <= 3 * rep.independence_se
+
+
+def _words(value: int) -> np.ndarray:
+    return np.array([(value >> (64 * i)) % 2**64 for i in range(4)], dtype=np.uint64)
+
+
+def test_philox_matches_numpy():
+    rng = np.random.default_rng(5)
+    counters = [int.from_bytes(rng.bytes(32), "little") for _ in range(40)]
+    counters += [0, 2**64 - 1, 2**128 - 1, 2**256 - 1, 3 << 192]
+    for counter in counters:
+        key = rng.integers(0, 2**64, size=2, dtype=np.uint64)
+        want = np.random.Philox(key=key, counter=_words(counter)).random_raw(4)
+        got = synthesis.philox4x64(_words((counter + 1) % 2**256)[:, None], key)
+        assert np.array_equal(np.concatenate(got), want)
+
+
+def test_white_noise_is_the_documented_stream(two_layer):
+    pi = BernoulliParams.uniform(two_layer, 0.5)
+    cb = lg.build_codebooks(two_layer, RateTuple.make([(0.5, 0.5), (0.6, 0.4)], 3), pi, 7)
+    for lay in cb.layers:
+        n_uses, k = lay.signs.shape[1:]
+        key = np.random.SeedSequence((7, 13, lay.depth)).generate_state(2, np.uint64)
+        for g, s in [(0, 0), (lay.gauss_count - 1, lay.sign_count - 1), (1, 2)]:
+            pair = g * lay.sign_count + s
+            # numpy's Philox steps the counter before each block: start one below (0, pair, 0, 0)
+            start = _words((pair << 64) - 1 + 2**256)
+            raw = np.random.Philox(key=key, counter=start).random_raw(4 * -(-n_uses * k // 4))
+            uniform = ((raw[:n_uses * k] >> np.uint64(11)) + 0.5) * 2.0**-53
+            want = ndtri(uniform).reshape(n_uses, k)
+            assert np.array_equal(lay.white_noise(g, s), want)
+
+
+def test_codeword_batch_matches_single(two_layer, monkeypatch):
+    pi = BernoulliParams.uniform(two_layer, 0.5)
+    cb = lg.build_codebooks(two_layer, RateTuple.make([(0.5, 0.5), (0.6, 0.4)], 3), pi, 7)
+    lay = cb.layer(1)                     # four nodes: eight covariance patterns
+    g = np.arange(lay.gauss_count)[:, None]
+    s = np.arange(lay.sign_count)
+    batch = lay.gaussian_codeword(g, s)
+    assert batch.shape == (lay.gauss_count, lay.sign_count) + lay.signs.shape[1:]
+    for gi in range(lay.gauss_count):
+        for si in range(lay.sign_count):
+            assert np.array_equal(lay.gaussian_codeword(gi, si), batch[gi, si])
+    monkeypatch.setattr(synthesis, "CODEWORD_ROWS", 3)
+    assert np.array_equal(lay.gaussian_codeword(g, s), batch)
+
+
+def test_mixture_means_are_codewords_through_the_chain(two_layer):
+    pi = BernoulliParams.uniform(two_layer, 0.5)
+    cb = lg.build_codebooks(two_layer, RateTuple.make([(0.5, 0.5), (0.6, 0.4)], 3), pi, 7)
+    means, _ = _mixture_components(two_layer, cb)
+    top = cb.layer(2)
+    assert len(means) == top.gauss_count * top.sign_count
+    x, internals = lg.synthesize(two_layer, cb, 60, 4, noise=False, return_internals=True)
+    comp = internals["gauss_index"] * top.sign_count + internals["sign_index"][2]
+    assert np.allclose(x, means[comp], rtol=0, atol=1e-12)
+
+
+def test_white_noise_is_standard_normal(star_codebook):
+    from scipy.stats import kstest
+
+    cb, _, _ = star_codebook
+    lay = cb.layer(1)
+    xi = lay.white_noise(np.arange(lay.gauss_count)[:, None], np.arange(lay.sign_count))
+    assert xi.size == lay.gauss_count * lay.sign_count * 6
+    assert kstest(xi.ravel(), "norm").pvalue > 0.01
+
+
+@pytest.mark.parametrize("which", ["gauss", "sign"])
+def test_codeword_index_validation(star_codebook, which):
+    cb, _, _ = star_codebook
+    lay = cb.layer(1)
+    count = lay.gauss_count if which == "gauss" else lay.sign_count
+    for bad in (-1, count, np.array([0, -1]), np.array([[count]]), 1.0):
+        pair = (bad, 0) if which == "gauss" else (0, bad)
+        with pytest.raises(ValidationError):
+            lay.gaussian_codeword(*pair)
+
+
+def _lagged(real, rho):
+    """Wrap ``synthesize`` so consecutive emitted symbols correlate by ``rho``."""
+    c = (1.0 - math.sqrt(1.0 - 4.0 * rho * rho)) / (2.0 * rho)   # c / (1 + c^2) = rho
+
+    def synthesize(*args, **kwargs):
+        x, internals = real(*args, **kwargs)
+        mixed = x.copy()
+        mixed[:, 1:] = (x[:, 1:] + c * x[:, :-1]) / math.hypot(1.0, c)
+        return mixed, internals
+    return synthesize
+
+
+@pytest.fixture(scope="module")
+def iid_setup(star):
+    # the 10 x 12 codebook of the verify-constraints CLI test
+    pi = BernoulliParams.uniform(star, 0.5)
+    rates = RateTuple.make([(0.55, 0.6)], 4)
+    cb = lg.build_codebooks(star, rates, pi, 11)
+    return pi, rates, lg.estimate_divergence(star, cb, 500, 11, rate_margin_samples=1000)
+
+
+def _iid_check(star, cb, report, seed):
+    checks = lg.verify_encoding_constraints(star, cb, report, runs=2000, seed=seed)
+    return {c.name: c for c in checks}["iid_across_channel_uses"]
+
+
+def test_iid_check_false_alarms(star, iid_setup):
+    # runs share few pair codewords; a standard error that treats the runs
+    # as independent fails on 20 of these 60 codebook seeds
+    pi, rates, report = iid_setup
+    failed = [s for s in range(60)
+              if not _iid_check(star, lg.build_codebooks(star, rates, pi, s), report, s).passed]
+    assert len(failed) <= 1, failed
+
+
+def test_iid_check_detects_lag_correlation(star, iid_setup, monkeypatch):
+    pi, rates, report = iid_setup
+    cb = lg.build_codebooks(star, rates, pi, 11)
+    assert _iid_check(star, cb, report, 11).passed
+    monkeypatch.setattr(synthesis, "synthesize", _lagged(synthesis.synthesize, 0.2))
+    check = _iid_check(star, cb, report, 11)
+    assert not check.passed and check.observed > 2 * check.threshold
