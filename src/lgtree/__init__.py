@@ -58,8 +58,6 @@ from .info import (
     decomposition_check,
     mi_closed_form,
     mi_direct,
-    mi_inputs_mixture,
-    mi_sign_conditional,
     mi_sign_marginal,
     mixture_mi_profile,
     optimize_pi,
@@ -70,7 +68,6 @@ from .synthesis import (
     RateTuple,
     SynthesisReport,
     build_codebooks,
-    emit_observed,
     estimate_divergence,
     frontier_rates,
     rate_region_check,

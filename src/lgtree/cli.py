@@ -56,6 +56,10 @@ class ExperimentConfig:
             raise ValidationError("cli: field 'units' must be 'nats' or 'bits'")
         if not (0.0 < self.grid_step <= 0.25):
             raise ValidationError("cli: field 'grid' must lie in (0, 0.25]")
+        # echoed in every report, so they must be finite even where unused
+        for name in ("tv_threshold", "margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"cli: field {name!r} must be a finite number")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,24 +134,21 @@ def _parse_pi(spec: str, tree) -> "BernoulliParams":
     from .info import BernoulliParams
 
     spec = spec.strip()
-    if "=" in spec:
+    try:
+        if "=" not in spec:
+            return BernoulliParams.uniform(tree, float(spec))
         table = {}
         for part in spec.split(","):
             node, _, val = part.partition("=")
             if not val:
                 raise ValidationError(f"cli: field 'pi' entry {part!r} is not node=value")
             table[node.strip()] = float(val)
-        missing = [h for h in tree.hidden if h not in table]
-        if missing:
-            raise ValidationError(f"cli: field 'pi' misses hidden node(s) {missing}")
-        return BernoulliParams.make(table)
-    try:
-        shared = float(spec)
     except ValueError:
         raise ValidationError(f"cli: field 'pi' value {spec!r} is not a number")
-    if not (0.0 <= shared <= 1.0):
-        raise ValidationError("cli: field 'pi' must lie in [0, 1]")
-    return BernoulliParams.uniform(tree, shared)
+    missing = [h for h in tree.hidden if h not in table]
+    if missing:
+        raise ValidationError(f"cli: field 'pi' misses hidden node(s) {missing}")
+    return BernoulliParams.make(table)
 
 
 def _parse_rates(config: ExperimentConfig, tree) -> "RateTuple":
@@ -155,8 +156,11 @@ def _parse_rates(config: ExperimentConfig, tree) -> "RateTuple":
 
     if config.ry is None or config.rb is None:
         raise ValidationError("cli: fields 'ry' and 'rb' are required for this command")
-    ry = [_to_nats(float(v), config.units) for v in str(config.ry).split(",")]
-    rb = [_to_nats(float(v), config.units) for v in str(config.rb).split(",")]
+    try:
+        ry = [_to_nats(float(v), config.units) for v in str(config.ry).split(",")]
+        rb = [_to_nats(float(v), config.units) for v in str(config.rb).split(",")]
+    except ValueError:
+        raise ValidationError("cli: fields 'ry' and 'rb' must be comma-separated numbers")
     depth = tree.num_layers
     if len(ry) == 1:
         ry = ry * depth
@@ -202,7 +206,7 @@ def _emit(config: ExperimentConfig, result: dict) -> None:
         import datetime
 
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if config.out:
         _atomic_write(config.out, text)
     else:
@@ -226,8 +230,7 @@ def _load(config: ExperimentConfig):
 
 # -- command implementations --------------------------------------------------
 
-def _cmd_validate(config: ExperimentConfig) -> dict:
-    tree = _load(config)
+def _cmd_validate(config: ExperimentConfig, tree) -> dict:
     return {
         "valid": True,
         "observed": tree.n,
@@ -237,10 +240,9 @@ def _cmd_validate(config: ExperimentConfig) -> dict:
     }
 
 
-def _cmd_covariance(config: ExperimentConfig) -> dict:
+def _cmd_covariance(config: ExperimentConfig, tree) -> dict:
     from .trees import joint_covariance, tree_determinant
 
-    tree = _load(config)
     model = joint_covariance(tree)
     import numpy as np
 
@@ -256,14 +258,13 @@ def _cmd_covariance(config: ExperimentConfig) -> dict:
     }
 
 
-def _cmd_enumerate(config: ExperimentConfig) -> dict:
+def _cmd_enumerate(config: ExperimentConfig, tree) -> dict:
     from .signs import enumerate_equivalent_trees, verify_equivalence
     from .trees import format_tree
 
-    tree = _load(config)
     variants = enumerate_equivalent_trees(tree)
     equivalent = verify_equivalence(variants)
-    sign_report = _cmd_sign_report(config)
+    sign_report = _cmd_sign_report(config, tree)
     docs = [format_tree(t) for t in variants]
     written = None
     if config.out:
@@ -285,10 +286,9 @@ def _cmd_enumerate(config: ExperimentConfig) -> dict:
     }
 
 
-def _cmd_sign_report(config: ExperimentConfig) -> dict:
+def _cmd_sign_report(config: ExperimentConfig, tree) -> dict:
     from .signs import sign_class_report
 
-    tree = _load(config)
     report = sign_class_report(tree)
     return {
         "edge_sign_variables": report.edge_sign_variables,
@@ -304,11 +304,10 @@ def _cmd_sign_report(config: ExperimentConfig) -> dict:
     }
 
 
-def _cmd_mi(config: ExperimentConfig) -> dict:
+def _cmd_mi(config: ExperimentConfig, tree) -> dict:
     from .info import mi_closed_form, mi_direct
     from .trees import joint_covariance
 
-    tree = _load(config)
     out: dict = {"seed": config.seed}
     if config.method in ("both", "direct"):
         out["direct"] = _mi_json(mi_direct(tree), config.units)
@@ -322,10 +321,9 @@ def _cmd_mi(config: ExperimentConfig) -> dict:
     return out
 
 
-def _cmd_mi_conditional(config: ExperimentConfig) -> dict:
+def _cmd_mi_conditional(config: ExperimentConfig, tree) -> dict:
     from .info import mixture_mi_profile, mi_direct, mi_sign_marginal
 
-    tree = _load(config)
     pi = _parse_pi(config.pi, tree)
     profile = mixture_mi_profile(tree, pi, config.samples, config.seed)
     marginal = mi_sign_marginal(tree, pi, config.samples, config.seed)
@@ -343,10 +341,9 @@ def _cmd_mi_conditional(config: ExperimentConfig) -> dict:
     }
 
 
-def _cmd_optimize_pi(config: ExperimentConfig) -> dict:
+def _cmd_optimize_pi(config: ExperimentConfig, tree) -> dict:
     from .info import optimize_pi
 
-    tree = _load(config)
     best, curve = optimize_pi(tree, config.grid_step, config.samples, config.seed)
     if config.csv:
         rows = []
@@ -365,33 +362,31 @@ def _cmd_optimize_pi(config: ExperimentConfig) -> dict:
     }
 
 
-def _cmd_rate_check(config: ExperimentConfig) -> dict:
+def _cmd_rate_check(config: ExperimentConfig, tree) -> dict:
     from .synthesis import rate_region_check
 
-    tree = _load(config)
     pi = _parse_pi(config.pi, tree)
     rates = _parse_rates(config, tree)
     margins = rate_region_check(tree, rates, pi, samples=config.samples, seed=config.seed)
     return {"seed": config.seed, "pi": pi.as_dict(), "margins": margins}
 
 
-def _run_synthesis(config: ExperimentConfig):
+def _run_synthesis(config: ExperimentConfig, tree):
     from .synthesis import build_codebooks, estimate_divergence
 
-    tree = _load(config)
     pi = _parse_pi(config.pi, tree)
     rates = _parse_rates(config, tree)
     codebook = build_codebooks(tree, rates, pi, config.seed)
     report = estimate_divergence(
         tree, codebook, config.samples, config.seed, tv_threshold=config.tv_threshold
     )
-    return tree, codebook, report
+    return codebook, report
 
 
-def _cmd_synthesize(config: ExperimentConfig) -> dict:
+def _cmd_synthesize(config: ExperimentConfig, tree) -> dict:
     from .synthesis import synthesize
 
-    tree, codebook, report = _run_synthesis(config)
+    codebook, report = _run_synthesis(config, tree)
     if config.dump_csv:
         blocks = synthesize(tree, codebook, min(config.samples, 200), config.seed)
         rows = []
@@ -403,10 +398,10 @@ def _cmd_synthesize(config: ExperimentConfig) -> dict:
     return report.as_dict()
 
 
-def _cmd_verify(config: ExperimentConfig) -> dict:
+def _cmd_verify(config: ExperimentConfig, tree) -> dict:
     from .synthesis import verify_encoding_constraints
 
-    tree, codebook, report = _run_synthesis(config)
+    codebook, report = _run_synthesis(config, tree)
     checks = verify_encoding_constraints(tree, codebook, report, seed=config.seed)
     return {
         "report": report.as_dict(),
@@ -415,9 +410,9 @@ def _cmd_verify(config: ExperimentConfig) -> dict:
     }
 
 
-def _cmd_report_all(config: ExperimentConfig) -> dict:
+def _cmd_report_all(config: ExperimentConfig, tree) -> dict:
     from .info import mixture_mi_profile, mi_closed_form, mi_direct
-    from .signs import enumerate_equivalent_trees, sign_class_report, verify_equivalence
+    from .signs import enumerate_equivalent_trees, verify_equivalence
     from .synthesis import (
         build_codebooks,
         estimate_divergence,
@@ -426,10 +421,9 @@ def _cmd_report_all(config: ExperimentConfig) -> dict:
     )
     from .trees import joint_covariance
 
-    tree = _load(config)
-    summary = _cmd_validate(config)
-    out: dict = {"validate": summary, "covariance": _cmd_covariance(config)}
-    out["sign_report"] = _cmd_sign_report(config)
+    out: dict = {"validate": _cmd_validate(config, tree),
+                 "covariance": _cmd_covariance(config, tree),
+                 "sign_report": _cmd_sign_report(config, tree)}
     if tree.k <= 12:
         variants = enumerate_equivalent_trees(tree)
         out["enumeration"] = {
@@ -489,7 +483,7 @@ def run(config: ExperimentConfig) -> int:
     handler = _COMMANDS.get(config.command)
     if handler is None:
         raise ValidationError(f"cli: unknown command {config.command!r}")
-    result = handler(config)
+    result = handler(config, _load(config))
     _emit(config, result)
     return 0
 

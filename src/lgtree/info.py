@@ -52,6 +52,7 @@ from .trees import (
     GaussianTree,
     PD_EIG_FLOOR,
     TRIPLE_RTOL,
+    _consistent_ratio,
     joint_covariance,
     squared_gain_ratios,
 )
@@ -88,9 +89,10 @@ class BernoulliParams:
 
     @staticmethod
     def make(mapping) -> "BernoulliParams":
-        items = tuple(
-            (str(h), min(1.0, max(0.0, float(p)))) for h, p in dict(mapping).items()
-        )
+        items = tuple((str(h), float(p)) for h, p in dict(mapping).items())
+        bad = [h for h, p in items if not 0.0 <= p <= 1.0]
+        if bad:
+            raise ValidationError(f"sign bias of {bad} must lie in [0, 1]")
         return BernoulliParams(items)
 
     @staticmethod
@@ -133,6 +135,8 @@ class _Gauss:
         )
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
         self._const = -0.5 * (self.logdet + len(self.cov) * math.log(2.0 * math.pi))
+        for arr in (self.cov, self.chol, self.inv_chol):
+            arr.setflags(write=False)   # memoised blocks share them with every caller
 
     def logpdf(self, z: np.ndarray) -> np.ndarray:
         w = z @ self.inv_chol.T
@@ -145,6 +149,7 @@ class _BlockModel:
     Built from the marginal path-product covariance over the union; the
     sign flips of the source nodes enter as a diagonal +/-1 conjugation of
     the cross block, so the regression gain for flips b is G0 @ diag(b).
+    Build it through :func:`_block`, once per tree.
     """
 
     def __init__(self, tree: GaussianTree, targets, sources):
@@ -165,14 +170,6 @@ class _BlockModel:
             raise IllConditioned("conditional covariance of the target block is singular")
         self.noise = _Gauss(resid, "conditional covariance")
 
-    @property
-    def chol_w(self) -> np.ndarray:
-        return self.noise.chol
-
-    @property
-    def resid(self) -> np.ndarray:
-        return self.noise.cov
-
     def gaussian_mi(self) -> float:
         """MI between the blocks with signs held fixed (they drop out)."""
         sign_t, ld_t = np.linalg.slogdet(self.sigma_t)
@@ -182,6 +179,14 @@ class _BlockModel:
         if min(sign_t, sign_s, sign_j) <= 0:
             raise IllConditioned("block covariances are not positive definite")
         return 0.5 * (ld_t + ld_s - ld_j)
+
+
+def _block(tree: GaussianTree, targets, sources) -> _BlockModel:
+    """The regression of ``targets`` on ``sources``, built once per tree."""
+    key = (tuple(targets), tuple(sources))
+    if key not in tree._blocks:
+        tree._blocks[key] = _BlockModel(tree, *key)
+    return tree._blocks[key]
 
 
 def _enumerate_signs(count: int) -> np.ndarray:
@@ -326,7 +331,7 @@ def mixture_mi_profile(
     MI, the conditional sign MI, and their total (which has a fixed
     closed-form value)."""
     _require_samples(samples)
-    model = _BlockModel(tree, tree.observed, tree.hidden)
+    model = _block(tree, tree.observed, tree.hidden)
     return _mixture_profiles(model, [pi.vector_for(model.sources)], samples, _rng(seed, 0))[0]
 
 
@@ -334,8 +339,7 @@ def mi_direct(tree: GaussianTree) -> MIResult:
     """MI between observed and hidden blocks from the three determinants."""
     if tree.k == 0:
         return MIResult(0.0, 0.0, DIRECT_GAUSSIAN, 0)
-    model = _BlockModel(tree, tree.observed, tree.hidden)
-    return MIResult(model.gaussian_mi(), 0.0, DIRECT_GAUSSIAN, 0)
+    return block_mi_fixed(tree, tree.observed, tree.hidden)
 
 
 def mi_closed_form(
@@ -365,17 +369,7 @@ def mi_closed_form(
         ratios = squared_gain_ratios(sigma_x, structure, o, h)
         if not ratios:
             raise InconsistentCovariance(f"no witness triple for observed {o!r}")
-        value = ratios[0]
-        for r in ratios[1:]:
-            if abs(r - value) > rtol * max(abs(value), 1e-30):
-                raise InconsistentCovariance(
-                    f"triple ratios for {o!r} disagree: {value!r} vs {r!r}"
-                )
-        if not (0.0 < value < 1.0):
-            raise InconsistentCovariance(
-                f"squared gain for {o!r} is {value!r}, outside (0, 1)"
-            )
-        log_den += math.log1p(-value)
+        log_den += math.log1p(-_consistent_ratio(ratios, repr(o), rtol))
 
     sign, logdet = np.linalg.slogdet(sigma_x)
     if sign <= 0:
@@ -409,26 +403,9 @@ def mi_sign_marginal(
     return total.result()
 
 
-def mi_sign_conditional(
-    tree: GaussianTree, pi: BernoulliParams, samples: int, seed: int
-) -> MIResult:
-    """Monte Carlo estimate of the MI between the observed vector and the
-    sign vector conditioned on the Gaussian inputs."""
-    return mixture_mi_profile(tree, pi, samples, seed)["signs_given_inputs"]
-
-
-def mi_inputs_mixture(
-    tree: GaussianTree, pi: BernoulliParams, samples: int, seed: int
-) -> MIResult:
-    """Monte Carlo estimate of the MI between the observed vector and the
-    Gaussian inputs when the signs are random."""
-    return mixture_mi_profile(tree, pi, samples, seed)["inputs"]
-
-
 def block_mi_fixed(tree: GaussianTree, targets, sources) -> MIResult:
     """Gaussian MI between two node blocks with signs held fixed."""
-    model = _BlockModel(tree, targets, sources)
-    return MIResult(model.gaussian_mi(), 0.0, DIRECT_GAUSSIAN, 0)
+    return MIResult(_block(tree, targets, sources).gaussian_mi(), 0.0, DIRECT_GAUSSIAN, 0)
 
 
 def block_mi_mixture(
@@ -437,7 +414,7 @@ def block_mi_mixture(
     """Mixture MI profile between arbitrary node blocks, with sign inputs on
     the source block only.  Used for the per-layer rate bounds."""
     _require_samples(samples)
-    model = _BlockModel(tree, targets, sources)
+    model = _block(tree, targets, sources)
     return _mixture_profiles(model, [pi.vector_for(model.sources)], samples, _rng(seed, 2))[0]
 
 
@@ -469,7 +446,7 @@ def decomposition_check(
     """
     _require_samples(samples)
     h1, h2, g1, g2 = _dumbbell_groups(tree)
-    model = _BlockModel(tree, tree.observed, tree.hidden)
+    model = _block(tree, tree.observed, tree.hidden)
     p = pi.vector_for(model.sources)
     obs_pos = {o: i for i, o in enumerate(tree.observed)}
     hid_pos = {h: i for i, h in enumerate(tree.hidden)}
@@ -530,7 +507,7 @@ def optimize_pi(
     else:
         grid = [(a,) * tree.k for a in axis]
 
-    model = _BlockModel(tree, tree.observed, tree.hidden)
+    model = _block(tree, tree.observed, tree.hidden)
     params = [BernoulliParams.make(dict(zip(tree.hidden, point))) for point in grid]
     profiles = _mixture_profiles(
         model, [pi.vector_for(model.sources) for pi in params], samples, _rng(seed, 0)

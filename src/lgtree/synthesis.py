@@ -9,14 +9,19 @@ i.i.d. sample of the conditional input law.  Pair codewords are never
 stored.  Their white noise comes from a counter-based stream (Philox4x64-10)
 keyed by (seed, layer) and counted by (pair, block), so any set of pairs
 regenerates in one vectorised call with the same values as one pair at a
-time, and desk-scale codebooks stay within memory.  Sub-blocks are keyed by
-the realised covariance pattern (sign vectors up to a global flip), and
-their sizes follow the empirical sign-codeword realisations.
+time, and desk-scale codebooks stay within memory.  A symbol with sign
+realisation b is coloured by D L D, where L is the Cholesky factor of the
+layer covariance and D = diag(b b_1) the canonical pattern (b up to a global
+flip); D L D is the Cholesky factor of D Sigma D.  Sub-blocks are keyed by
+that pattern, and their sizes follow the empirical sign-codeword
+realisations.
 
 Emission walks the layers top-down: the deepest layer is read from its
 codebook, every lower layer is the sign-modulated regression of the layer
 above plus fresh Gaussian innovation noise, and the observed vector is the
-final regression step.  Flipping a middle layer's signs flips both its
+final regression step.  These regressions (observed | layer 1, layer 1 |
+layer 2, ...) are built once per tree and also give the codeword colouring
+and the per-layer rate bounds.  Flipping a middle layer's signs flips both its
 incoming and outgoing edge groups, so only the deepest layer's codewords
 shape the emitted law; lower sign codebooks are still drawn, sized, and
 checked, as the scheme prescribes.
@@ -38,19 +43,21 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from .errors import CapExceeded, MixtureTooLarge, ValidationError
-from .info import BernoulliParams, _BlockModel, _Gauss, _chol, _rng, block_mi_mixture
+from .info import BernoulliParams, _BlockModel, _Gauss, _block, _chol, _rng, block_mi_mixture
 from .trees import GaussianTree, joint_covariance
 
 CODEBOOK_CAP = 2**16       # per-table codeword count cap
 MIXTURE_CAP = 2**14        # cap on exactly evaluated mixture components
 PATTERN_CAP = 2**12        # cap on per-layer covariance sign patterns
 CODEWORD_ROWS = 2**12      # pair codewords generated per slice
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest N R with a finite exp(N R)
 
 
 @dataclass(frozen=True)
 class RateTuple:
     """Per-layer (gaussian_rate, sign_rate) in nats per channel use, plus the
-    block length.  Codebook sizes are ceil(exp(N * R))."""
+    block length.  Codebook sizes are ceil(exp(N * R)), so N * R may not
+    exceed the log of the largest float."""
 
     layers: tuple[tuple[float, float], ...]
     block_length: int
@@ -60,9 +67,11 @@ class RateTuple:
         layers = tuple((float(ry), float(rb)) for ry, rb in layers)
         if block_length < 1:
             raise ValidationError("block length must be a positive integer")
-        for ry, rb in layers:
-            if ry < 0 or rb < 0:
-                raise ValidationError("rates must be non-negative")
+        for rate in itertools.chain.from_iterable(layers):
+            if not 0.0 <= rate * block_length <= LOG_FLOAT_MAX:
+                raise ValidationError(
+                    f"rate {rate} must be non-negative with N R at most {LOG_FLOAT_MAX:.2f}"
+                )
         return RateTuple(layers, int(block_length))
 
     def codeword_counts(self) -> list[tuple[int, int]]:
@@ -115,10 +124,8 @@ class LayerCodebook:
     seed: int
     gauss_count: int           # number of Gaussian codewords per sign codeword
     signs: np.ndarray          # (M_B, N, k) +/-1 sign codewords
-    patterns: np.ndarray       # (P, k) canonical sign patterns (first entry +1)
-    pattern_chols: np.ndarray  # (P, k, k) Cholesky of the conjugated covariance
-    pattern_codes: np.ndarray  # (M_B, N) pattern index per sign symbol
-    base_cov: np.ndarray       # (k, k) layer marginal covariance
+    pattern_codes: np.ndarray  # (M_B, N) canonical pattern index per sign symbol
+    chol: np.ndarray           # (k, k) Cholesky factor L of the layer covariance
 
     @property
     def sign_count(self) -> int:
@@ -126,10 +133,10 @@ class LayerCodebook:
 
     @property
     def sub_block_count(self) -> int:
-        return len(self.patterns)
+        return 2 ** max(len(self.nodes) - 1, 0)
 
     def realized_sub_block_sizes(self) -> list[int]:
-        counts = np.bincount(self.pattern_codes.ravel(), minlength=len(self.patterns))
+        counts = np.bincount(self.pattern_codes.ravel(), minlength=self.sub_block_count)
         return [int(c) for c in counts]
 
     def white_noise(self, gauss_index, sign_index) -> np.ndarray:
@@ -157,18 +164,22 @@ class LayerCodebook:
 
     def gaussian_codeword(self, gauss_index, sign_index) -> np.ndarray:
         """Pair codewords (..., N, k) for broadcast index arrays; a scalar
-        pair gives one (N, k) codeword.  At each channel use the symbol is
-        coloured by the Cholesky factor matching the sign codeword's
-        realisation.  Evaluated CODEWORD_ROWS pairs at a time, so transient
-        memory does not grow with the number of pairs."""
+        pair gives one (N, k) codeword.  At each channel use the white noise
+        is coloured by D L D, the Cholesky factor of D Sigma D, where D is
+        the sign codeword's canonical pattern there (its realisation times
+        its first entry) and L the Cholesky factor of the layer covariance
+        Sigma.  Evaluated CODEWORD_ROWS pairs at a time, so transient memory
+        does not grow with the number of pairs."""
         g, s = self._pairs(gauss_index, sign_index)
         shape = self.signs.shape[1:]
         out = np.empty(g.shape + shape)
         g, s, rows = g.ravel(), s.ravel(), out.reshape((-1,) + shape)
         for lo in range(0, len(rows), CODEWORD_ROWS):
             sl = slice(lo, lo + CODEWORD_ROWS)
-            chols = self.pattern_chols[self.pattern_codes[s[sl]]]
-            rows[sl] = np.einsum("rtij,rtj->rti", chols, self.white_noise(g[sl], s[sl]))
+            signs = self.signs[s[sl]]
+            canon = signs * signs[..., :1]
+            w = self.white_noise(g[sl], s[sl])
+            rows[sl] = canon * np.einsum("ij,rtj->rti", self.chol, canon * w)
         return out
 
     def _pairs(self, gauss_index, sign_index) -> tuple[np.ndarray, ...]:
@@ -247,15 +258,6 @@ class SynthesisReport:
 
 # -- codebook construction ---------------------------------------------------
 
-def _canonical_patterns(k: int) -> np.ndarray:
-    if 2 ** max(k - 1, 0) > PATTERN_CAP:
-        raise CapExceeded(f"layer with {k} nodes needs too many covariance patterns")
-    if k == 0:
-        return np.ones((1, 0))
-    tail = list(itertools.product((1.0, -1.0), repeat=k - 1))
-    return np.array([[1.0, *t] for t in tail])
-
-
 def _pattern_codes(signs: np.ndarray) -> np.ndarray:
     """Index of the canonical pattern (sign vector modulo global flip)."""
     canon = signs * signs[..., :1]
@@ -267,10 +269,11 @@ def _pattern_codes(signs: np.ndarray) -> np.ndarray:
     return bits @ weights
 
 
-def _layer_cov(tree: GaussianTree, nodes) -> np.ndarray:
-    cov = joint_covariance(tree).joint
-    idx = [tree.node_order[n] for n in nodes]
-    return cov[np.ix_(idx, idx)]
+def _layer_blocks(tree: GaussianTree) -> list[_BlockModel]:
+    """The regression of each layer's targets on the layer, from the bottom:
+    observed | layer 1, layer 1 | layer 2, ..., layer L-1 | layer L."""
+    below = [tree.observed] + [tree.layer_nodes(d) for d in range(1, tree.num_layers)]
+    return [_block(tree, t, tree.layer_nodes(d)) for d, t in enumerate(below, start=1)]
 
 
 def build_codebooks(
@@ -293,8 +296,8 @@ def build_codebooks(
     n_uses = rates.block_length
     counts = rates.codeword_counts()
     layers = []
-    for depth in range(1, depth_count + 1):
-        nodes = tree.layer_nodes(depth)
+    for depth, block in enumerate(_layer_blocks(tree), start=1):
+        nodes = block.sources
         k = len(nodes)
         my, mb = counts[depth - 1]
         if my > CODEBOOK_CAP or mb > CODEBOOK_CAP:
@@ -302,13 +305,10 @@ def build_codebooks(
                 f"layer {depth} codebook sizes ({my}, {mb}) exceed the cap {CODEBOOK_CAP}"
             )
         p = pi.vector_for(nodes)
+        if 2 ** (k - 1) > PATTERN_CAP:
+            raise CapExceeded(f"layer with {k} nodes needs too many covariance patterns")
         sign_rng = _rng(seed, 11, depth)
         signs = np.where(sign_rng.random((mb, n_uses, k)) < p, 1.0, -1.0)
-        patterns = _canonical_patterns(k)
-        base = _layer_cov(tree, nodes)
-        chols = np.stack(
-            [_chol(np.outer(pat, pat) * base, f"layer {depth} covariance") for pat in patterns]
-        )
         layers.append(
             LayerCodebook(
                 depth=depth,
@@ -316,37 +316,14 @@ def build_codebooks(
                 seed=int(seed),
                 gauss_count=my,
                 signs=signs,
-                patterns=patterns,
-                pattern_chols=chols,
                 pattern_codes=_pattern_codes(signs),
-                base_cov=base,
+                chol=block.marg_s.chol,
             )
         )
     return Codebook(rates=rates, pi=pi, seed=int(seed), layers=tuple(layers))
 
 
 # -- emission ----------------------------------------------------------------
-
-def _descent_models(tree: GaussianTree) -> list[_BlockModel]:
-    """Regression models top-down: layer L -> L-1 -> ... -> 1 -> observed."""
-    models = []
-    for depth in range(tree.num_layers - 1, 0, -1):
-        models.append(
-            _BlockModel(tree, tree.layer_nodes(depth), tree.layer_nodes(depth + 1))
-        )
-    models.append(_BlockModel(tree, tree.observed, tree.layer_nodes(1)))
-    return models
-
-
-def emit_observed(tree: GaussianTree, y: np.ndarray, b: np.ndarray, noise=None) -> np.ndarray:
-    """Observed vector from layer-1 inputs: the sign-modulated regression of
-    the signal model.  ``noise=None`` disables the additive term."""
-    model = _BlockModel(tree, tree.observed, tree.layer_nodes(1))
-    x = (np.asarray(b) * np.asarray(y)) @ model.gain.T
-    if noise is not None:
-        x = x + noise
-    return x
-
 
 def synthesize(
     tree: GaussianTree,
@@ -380,21 +357,19 @@ def synthesize(
     internals = {"gauss_index": gauss_index, "sign_index": sign_index,
                  "y": {depth_count: y}, "b": {depth_count: cur_b}}
 
-    models = _descent_models(tree)
-    for step, depth in enumerate(range(depth_count - 1, 0, -1)):
-        model = models[step]
-        mean = np.einsum("ij,rtj->rti", model.gain, cur_b * y)
+    blocks = _layer_blocks(tree)
+    for depth in range(depth_count - 1, 0, -1):
+        mean = np.einsum("ij,rtj->rti", blocks[depth].gain, cur_b * y)
         if noise:
-            mean = mean + noise_rng.standard_normal(mean.shape) @ model.chol_w.T
+            mean = mean + noise_rng.standard_normal(mean.shape) @ blocks[depth].noise.chol.T
         cur_b = codebook.layer(depth).signs[sign_index[depth]]
         y = cur_b * mean
         internals["y"][depth] = y
         internals["b"][depth] = cur_b
 
-    obs_model = models[-1]
-    x = np.einsum("ij,rtj->rti", obs_model.gain, cur_b * y)
+    x = np.einsum("ij,rtj->rti", blocks[0].gain, cur_b * y)
     if noise:
-        x = x + noise_rng.standard_normal(x.shape) @ obs_model.chol_w.T
+        x = x + noise_rng.standard_normal(x.shape) @ blocks[0].noise.chol.T
 
     if return_internals:
         return x, internals
@@ -418,11 +393,10 @@ def _mixture_components(tree: GaussianTree, codebook: Codebook):
             f"{my} x {mb} mixture components exceed the cap {MIXTURE_CAP}"
         )
     # accumulate covariance and mean chain from the observed side upwards
-    models = _descent_models(tree)
-    chain = models[-1].gain
-    cov = models[-1].resid.copy()
-    for model in models[-2::-1]:
-        cov = cov + chain @ model.resid @ chain.T
+    blocks = _layer_blocks(tree)
+    chain, cov = blocks[0].gain, blocks[0].noise.cov
+    for model in blocks[1:]:
+        cov = cov + chain @ model.noise.cov @ chain.T
         chain = chain @ model.gain
 
     y = top.gaussian_codeword(np.arange(my)[:, None], np.arange(mb))  # (M_Y, M_B, N, k)
@@ -518,15 +492,13 @@ def rate_region_check(
             f"rates cover {len(rates.layers)} layers but the tree has {depth_count}"
         )
     out = []
-    for depth in range(1, depth_count + 1):
-        targets = tree.observed if depth == 1 else tree.layer_nodes(depth - 1)
-        sources = tree.layer_nodes(depth)
+    for depth, block in enumerate(_layer_blocks(tree), start=1):
         profile = block_mi_mixture(
-            tree, targets, sources, pi, samples, _point_seed(seed, depth)
+            tree, block.targets, block.sources, pi, samples, _point_seed(seed, depth)
         )
         mix = profile["inputs"]
         ry, rb = rates.layers[depth - 1]
-        fixed = _fixed_block_mi(tree, targets, sources)
+        fixed = block.gaussian_mi()
         out.append({
             "layer": depth,
             "gaussian_rate": ry,
@@ -538,10 +510,6 @@ def rate_region_check(
             "sum_rate_margin": ry + rb - fixed,
         })
     return out
-
-
-def _fixed_block_mi(tree: GaussianTree, targets, sources) -> float:
-    return _BlockModel(tree, targets, sources).gaussian_mi()
 
 
 def _family_z(comparisons: int) -> float:
@@ -564,18 +532,16 @@ def frontier_rates(
 ) -> RateTuple:
     """Rates sitting ``margin`` nats above the per-layer frontier.
 
-    Uses the same per-layer substreams as :func:`rate_region_check`, so
-    checking the returned rates with matching (pi, samples, seed) reports
-    margins of exactly ``margin``.
+    The frontier is :func:`rate_region_check` at zero rates, so checking the
+    returned rates with matching (pi, samples, seed) reports margins of
+    exactly ``margin``.
     """
+    if not math.isfinite(margin):
+        raise ValidationError(f"margin must be a finite number, got {margin}")
+    zero = RateTuple.make([(0.0, 0.0)] * tree.num_layers, block_length)
     layers = []
-    for depth in range(1, tree.num_layers + 1):
-        targets = tree.observed if depth == 1 else tree.layer_nodes(depth - 1)
-        sources = tree.layer_nodes(depth)
-        mix = block_mi_mixture(
-            tree, targets, sources, pi, samples, _point_seed(seed, depth)
-        )["inputs"].value
-        fixed = _fixed_block_mi(tree, targets, sources)
+    for bound in rate_region_check(tree, zero, pi, samples, seed):
+        mix, fixed = bound["gaussian_mi"], bound["total_mi"]
         layers.append((max(mix, 0.0) + margin, max(fixed - mix, 0.0) + margin))
     return RateTuple.make(layers, block_length)
 
@@ -595,6 +561,8 @@ def estimate_divergence(
     reports the Frobenius error of the pooled empirical covariance, the
     per-symbol sign-independence statistic, and the rate margins.
     """
+    if not math.isfinite(tv_threshold):
+        raise ValidationError(f"tv_threshold must be a finite number, got {tv_threshold}")
     x, internals = synthesize(
         tree, codebook, samples_count, _point_seed(seed, 1), return_internals=True
     )
@@ -666,12 +634,12 @@ def verify_encoding_constraints(
     x, internals = synthesize(
         tree, codebook, runs, _point_seed(seed, 3), return_internals=True
     )
-    obs_model = _BlockModel(tree, tree.observed, tree.layer_nodes(1))
+    obs_model = _layer_blocks(tree)[0]
     resid = x - np.einsum(
         "ij,rtj->rti", obs_model.gain, internals["b"][1] * internals["y"][1]
     )
     flat = resid.reshape(-1, resid.shape[-1])
-    white = solve_triangular(obs_model.chol_w, flat.T, lower=True, check_finite=False).T
+    white = solve_triangular(obs_model.noise.chol, flat.T, lower=True, check_finite=False).T
     m = len(white)
     corr = np.corrcoef(white.T)
     off = corr[np.triu_indices_from(corr, k=1)]

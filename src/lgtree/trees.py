@@ -66,7 +66,9 @@ class GaussianTree:
     """A validated latent Gaussian tree.
 
     Immutable after construction; all operations on it are pure functions,
-    so instances are safe to share across threads.
+    so instances are safe to share across threads.  ``_blocks`` memoises the
+    block regressions built on the tree (``info._block``); two threads that
+    race on a block build the same values.
     """
 
     spec: TreeSpec
@@ -75,6 +77,7 @@ class GaussianTree:
     hidden: tuple[str, ...]
     adjacency: dict[str, tuple[tuple[str, float], ...]] = field(repr=False)
     layer: dict[str, int]
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -124,8 +127,6 @@ class CovarianceModel:
     joint: np.ndarray
     observed_block: np.ndarray
     node_order: dict[str, int]
-    observed_index: tuple[int, ...]
-    hidden_index: tuple[int, ...]
 
 
 def validate_tree(spec: TreeSpec) -> GaussianTree:
@@ -256,15 +257,12 @@ def joint_covariance(tree: GaussianTree) -> CovarianceModel:
         raise IllConditioned("joint covariance is not numerically positive definite")
     cov.setflags(write=False)
     obs_idx = tuple(tree.node_order[o] for o in tree.observed)
-    hid_idx = tuple(tree.node_order[h] for h in tree.hidden)
     obs = cov[np.ix_(obs_idx, obs_idx)].copy()
     obs.setflags(write=False)
     return CovarianceModel(
         joint=cov,
         observed_block=obs,
         node_order=dict(tree.node_order),
-        observed_index=obs_idx,
-        hidden_index=hid_idx,
     )
 
 

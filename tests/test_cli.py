@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import pathlib
@@ -5,8 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import lgtree as lg
+import lgtree.cli
 
 PKG = pathlib.Path(__file__).resolve().parent.parent
 
@@ -250,3 +255,90 @@ def test_enumerate_embeds_sign_report():
     result = load_result(proc)
     assert result["sign_report"]["free_variables"] == 2
     assert len(result["variants"]) == 4
+
+
+def run_in_process(*args):
+    """Exit code, stdout and stderr of ``lgtree.cli.main`` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = lgtree.cli.main([str(a) for a in args])
+    return code, out.getvalue(), err.getvalue()
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("rate-check", ["--pi", "y=1.5"]),
+    ("rate-check", ["--pi", "y=nan"]),
+    ("rate-check", ["--pi", "y=abc"]),
+    ("rate-check", ["--ry", "nan"]),
+    ("rate-check", ["--ry", "inf"]),
+    ("rate-check", ["--ry", "1e308", "--rb", "1e308"]),
+    ("rate-check", ["--ry", "abc"]),
+    ("synthesize", ["--tv-threshold", "nan"]),
+    ("synthesize", ["--margin", "nan"]),
+    ("synthesize", ["--ry", "1e5"]),
+    ("report-all", ["--margin", "nan"]),
+])
+def test_non_finite_or_out_of_range_fields_exit_1(command, flags):
+    code, out, err = run_in_process(
+        command, PKG / "trees" / "star.tree", "--ry", "0.5", "--rb", "0.5",
+        "--samples", "1000", "--deterministic", *flags,
+    )
+    assert code == 1 and out == ""
+    assert "ValidationError" in err
+
+
+NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, 1e5, -0.5, 1.5, 0.0, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 1.0),
+)
+VALID = {"ry": 0.3, "rb": 0.3, "pi": 0.5, "tv-threshold": 0.5, "margin": 0.2, "grid": 0.05,
+         "blocklen": 4, "seed": 7, "samples": 1000}
+FIELD_VALUES = st.one_of(
+    st.tuples(st.sampled_from(["ry", "rb", "pi", "tv-threshold", "margin", "grid"]), NUMBERS),
+    st.tuples(st.sampled_from(["blocklen", "seed", "samples"]), st.integers(-3, 6)),
+)
+
+
+
+def test_every_non_finite_numeric_field_exits_1():
+    floats = ["ry", "rb", "pi", "tv-threshold", "margin", "grid"]
+    for command, name, value in itertools.product(
+        ["rate-check", "synthesize"], floats, [math.nan, math.inf, -math.inf]
+    ):
+        flags = {**VALID, name: value}
+        code, out, err = run_in_process(
+            command, PKG / "trees" / "star.tree", *(f"--{k}={v!r}" for k, v in flags.items()),
+        )
+        assert (code, out) == (1, ""), (command, name, value, err)
+        assert "ValidationError" in err
+
+
+@seed(20161018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    command=st.sampled_from(["rate-check", "synthesize"]),
+    field_value=FIELD_VALUES,
+    per_node_pi=st.booleans(),
+)
+def test_numeric_fields_exit_0_or_1_with_strict_json(command, field_value, per_node_pi):
+    # one field takes any value at all, the others keep valid ones
+    name, value = field_value
+    flags = {**{k: repr(v) for k, v in VALID.items()}, name: repr(value)}
+    if per_node_pi:
+        flags["pi"] = "y=" + flags["pi"]
+    code, out, err = run_in_process(
+        command, PKG / "trees" / "star.tree", *(f"--{k}={v}" for k, v in flags.items()),
+        "--deterministic",
+    )
+    assert code in (0, 1), err
+    if code == 0:
+        strict_json(out)
+    else:
+        assert out == ""

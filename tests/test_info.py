@@ -100,7 +100,9 @@ def test_sign_marginal_mi_degenerate(star):
 
 
 def test_sign_conditional_degenerate_pi(star):
-    res = lg.mi_sign_conditional(star, BernoulliParams.uniform(star, 1.0), 2000, 3)
+    res = lg.mixture_mi_profile(star, BernoulliParams.uniform(star, 1.0), 2000, 3)[
+        "signs_given_inputs"
+    ]
     assert res.value == 0.0
 
 
@@ -121,8 +123,8 @@ def test_chain_identity_every_pi_on_grid(star):
 
 def test_estimator_determinism(star):
     pi = BernoulliParams.uniform(star, 0.5)
-    a = lg.mi_sign_conditional(star, pi, 5000, 17)
-    b = lg.mi_sign_conditional(star, pi, 5000, 17)
+    a = lg.mixture_mi_profile(star, pi, 5000, 17)["signs_given_inputs"]
+    b = lg.mixture_mi_profile(star, pi, 5000, 17)["signs_given_inputs"]
     assert a == b
 
 
@@ -131,7 +133,7 @@ def test_std_error_scaling(star):
     ses = []
     for samples in (20000, 40000):
         reps = [
-            lg.mi_sign_conditional(star, pi, samples, 1000 + 7 * r).std_error
+            lg.mixture_mi_profile(star, pi, samples, 1000 + 7 * r)["signs_given_inputs"].std_error
             for r in range(4)
         ]
         ses.append(np.mean(reps))
@@ -203,7 +205,7 @@ def test_mc_sample_floor(star):
 
     pi = BernoulliParams.uniform(star, 0.5)
     with pytest.raises(ValidationError):
-        lg.mi_sign_conditional(star, pi, 500, 1)
+        lg.mixture_mi_profile(star, pi, 500, 1)
     with pytest.raises(ValidationError):
         lg.mi_sign_marginal(star, pi, 999, 1)
 
@@ -311,3 +313,13 @@ def test_sliced_evaluation_matches_whole_batches(two_layer, monkeypatch):
     for key, est in whole.items():
         assert abs(sliced[key].value - est.value) <= 1e-12
         assert abs(sliced[key].std_error - est.std_error) <= 1e-9 * est.std_error
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1, math.nan, math.inf])
+def test_sign_bias_outside_unit_interval_is_rejected(star, p):
+    from lgtree.errors import ValidationError
+
+    with pytest.raises(ValidationError):
+        BernoulliParams.make({"y": p})
+    with pytest.raises(ValidationError):
+        BernoulliParams.uniform(star, p)

@@ -9,7 +9,7 @@ import lgtree as lg
 from lgtree import synthesis
 from lgtree.errors import CapExceeded, MixtureTooLarge, ValidationError
 from lgtree.info import BernoulliParams
-from lgtree.synthesis import RateTuple, _mixture_components
+from lgtree.synthesis import RateTuple, _layer_blocks, _mixture_components
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ def test_synthesize_determinism(star_codebook, star):
 def test_zero_noise_identity(star):
     y = np.array([[1.3], [0.4]])
     b = np.array([[1.0], [-1.0]])
-    x = lg.emit_observed(star, y, b)
+    x = (b * y) @ _layer_blocks(star)[0].gain.T
     want = np.array([[0.6 * 1.3, 0.7 * 1.3, 0.8 * 1.3],
                      [-0.6 * 0.4, -0.7 * 0.4, -0.8 * 0.4]])
     assert np.allclose(x, want, atol=1e-15)
@@ -90,7 +90,7 @@ def test_zero_noise_identity(star):
 def test_synthesize_noise_free_matches_signal_model(star, star_codebook):
     cb, _, _ = star_codebook
     x, internals = lg.synthesize(star, cb, 25, 3, noise=False, return_internals=True)
-    want = lg.emit_observed(star, internals["y"][1], internals["b"][1])
+    want = (internals["b"][1] * internals["y"][1]) @ _layer_blocks(star)[0].gain.T
     assert np.allclose(x, want, atol=1e-14)
 
 
@@ -101,6 +101,18 @@ def test_emitted_variance(star, star_codebook):
     assert np.all(np.abs(var - 1.0) < 0.05)
 
 
+def _layer_cov(tree, nodes):
+    idx = [tree.node_order[n] for n in nodes]
+    return lg.joint_covariance(tree).joint[np.ix_(idx, idx)]
+
+
+def _canonical_pattern(code, k):
+    """The sign pattern (first entry +1) with index ``code``; the second
+    entry is the most significant bit, and a set bit means -1."""
+    bits = [(code >> (k - 2 - i)) & 1 for i in range(k - 1)]
+    return np.array([1.0] + [-1.0 if bit else 1.0 for bit in bits])
+
+
 def test_sub_block_law_dumbbell(dumbbell):
     pi = BernoulliParams.uniform(dumbbell, 0.5)
     cb = lg.build_codebooks(dumbbell, RateTuple.make([(0.8, 0.8)], 6), pi, 3)
@@ -108,8 +120,10 @@ def test_sub_block_law_dumbbell(dumbbell):
     _, internals = lg.synthesize(dumbbell, cb, 4000, 5, return_internals=True)
     y = internals["y"][1]
     codes = lay.pattern_codes[internals["sign_index"][1]]        # (runs, N)
+    base = _layer_cov(dumbbell, lay.nodes)
     for code in range(lay.sub_block_count):
-        want = (np.outer(lay.patterns[code], lay.patterns[code]) * lay.base_cov)[0, 1]
+        pattern = _canonical_pattern(code, len(lay.nodes))
+        want = (np.outer(pattern, pattern) * base)[0, 1]
         # average within each run first: runs are independent, symbols are not
         sel = np.where((codes == code).all(axis=1))[0]
         per_run = (y[sel, :, 0] * y[sel, :, 1]).mean(axis=1)
@@ -381,3 +395,71 @@ def test_iid_check_detects_lag_correlation(star, iid_setup, monkeypatch):
     monkeypatch.setattr(synthesis, "synthesize", _lagged(synthesis.synthesize, 0.2))
     check = _iid_check(star, cb, report, 11)
     assert not check.passed and check.observed > 2 * check.threshold
+
+
+@pytest.mark.parametrize("name, rates", [
+    ("dumbbell", [(0.5, 1.0)]),
+    ("two_layer", [(0.5, 1.0), (0.5, 0.5)]),
+])
+def test_codewords_equal_per_pattern_cholesky_colouring(tree_dir, name, rates):
+    # the reference colours each symbol with cholesky(outer(p, p) * Sigma),
+    # one factor per canonical pattern p of the layer
+    tree = lg.load_tree(tree_dir / f"{name}.tree")
+    pi = BernoulliParams.uniform(tree, 0.5)
+    cb = lg.build_codebooks(tree, RateTuple.make(rates, 4), pi, 5)
+    for lay in cb.layers:
+        k = len(lay.nodes)
+        base = _layer_cov(tree, lay.nodes)
+        chols = np.stack([np.linalg.cholesky(np.outer(p, p) * base)
+                          for p in (_canonical_pattern(c, k) for c in range(lay.sub_block_count))])
+        assert set(np.unique(lay.pattern_codes)) == set(range(lay.sub_block_count))
+        g = np.arange(lay.gauss_count)[:, None]
+        s = np.arange(lay.sign_count)
+        want = np.einsum("gstij,gstj->gsti", chols[lay.pattern_codes[s]][None],
+                         lay.white_noise(g, s))
+        assert np.array_equal(lay.gaussian_codeword(g, s), want)
+
+
+def test_each_regression_is_built_once_per_tree(tree_dir, monkeypatch):
+    from lgtree import info
+
+    built = {}
+
+    class CountingBlock(info._BlockModel):
+        def __init__(self, tree, targets, sources):
+            key = (tuple(targets), tuple(sources))
+            built[key] = built.get(key, 0) + 1
+            super().__init__(tree, targets, sources)
+
+    monkeypatch.setattr(info, "_BlockModel", CountingBlock)
+    tree = lg.load_tree(tree_dir / "two_layer.tree")
+    pi = BernoulliParams.uniform(tree, 0.5)
+    rates = lg.frontier_rates(tree, pi, 0.2, 2, samples=1000, seed=1)
+    cb = lg.build_codebooks(tree, rates, pi, 1)
+    report = lg.estimate_divergence(tree, cb, 200, 2, rate_margin_samples=1000)
+    lg.verify_encoding_constraints(tree, cb, report, runs=200, seed=3)
+    layers = [tree.observed] + [tree.layer_nodes(d) for d in range(1, tree.num_layers + 1)]
+    assert built == {(t, s): 1 for t, s in zip(layers, layers[1:])}
+    assert not any(lay.chol.flags.writeable for lay in cb.layers)   # shared with the memo
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 1e308, 1e5])
+def test_rates_without_finite_codebook_sizes_are_rejected(rate):
+    with pytest.raises(ValidationError):
+        RateTuple.make([(rate, 0.5)], 8)
+    with pytest.raises(ValidationError):
+        RateTuple.make([(0.5, rate)], 8)
+
+
+def test_largest_rate_has_finite_codebook_sizes():
+    rate = synthesis.LOG_FLOAT_MAX / 8
+    counts = RateTuple.make([(rate, rate)], 8).codeword_counts()
+    assert all(math.isfinite(c) for pair in counts for c in pair)
+
+
+def test_non_finite_margin_and_tv_threshold_are_rejected(star, star_codebook):
+    cb, _, pi = star_codebook
+    with pytest.raises(ValidationError):
+        lg.frontier_rates(star, pi, math.nan, 4, samples=1000)
+    with pytest.raises(ValidationError):
+        lg.estimate_divergence(star, cb, 100, 1, tv_threshold=math.nan)
