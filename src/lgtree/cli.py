@@ -4,8 +4,12 @@ Subcommands mirror the library operations; every run writes a JSON report
 (stdout by default, ``--out`` for a file) embedding the configuration echo
 and library version.  Exit codes: 0 success, 1 validation error, 2 runtime
 error.  ``--deterministic`` drops the timestamp so identical configurations
-produce byte-identical reports.  Configuration may come from ``--config``
-(a JSON file of flag values); explicit flags override it.
+produce byte-identical reports.  Each subcommand takes only the flags its
+handler reads, plus ``--config``, ``--out`` and ``--deterministic``.
+``--config`` names a JSON object keyed by that subcommand's configuration
+field names (``grid_step`` for ``--grid``, ``block_length`` for
+``--blocklen``, else the flag with ``_`` for ``-``), each value of its
+field's JSON type; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -62,6 +66,29 @@ class ExperimentConfig:
                 raise ValidationError(f"cli: field {name!r} must be a finite number")
 
 
+# config field -> (flag, argparse keywords, JSON types a --config value may
+# have); the defaults are those of ExperimentConfig
+_NUMBER = (int, float)
+_OPTIONS = {
+    "seed": ("--seed", {"type": int}, (int,)),
+    "samples": ("--samples", {"type": int}, (int,)),
+    "grid_step": ("--grid", {"type": float}, _NUMBER),
+    "ry": ("--ry", {}, (str, *_NUMBER)),
+    "rb": ("--rb", {}, (str, *_NUMBER)),
+    "pi": ("--pi", {}, (str, *_NUMBER)),
+    "block_length": ("--blocklen", {"type": int}, (int,)),
+    "units": ("--units", {"choices": ("nats", "bits")}, (str,)),
+    "out": ("--out", {}, (str,)),
+    "deterministic": ("--deterministic", {"action": "store_true"}, (bool,)),
+    "method": ("--method", {"choices": ("both", "closed", "direct")}, (str,)),
+    "tv_threshold": ("--tv-threshold", {"type": float}, _NUMBER),
+    "margin": ("--margin", {"type": float}, _NUMBER),
+    "csv": ("--csv", {}, (str,)),
+    "dump_csv": ("--dump-csv", {}, (str,)),
+}
+_COMMON = ("out", "deterministic")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParseError(message)
@@ -71,30 +98,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="lgtree", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-    commands = [
-        "validate", "covariance", "enumerate-signs", "sign-report", "mi",
-        "mi-conditional", "optimize-pi", "rate-check", "synthesize",
-        "verify-constraints", "report-all",
-    ]
-    for name in commands:
+    for name, (_, fields) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("tree_path")
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--grid", dest="grid_step", type=float, default=None)
-        p.add_argument("--ry", default=None)
-        p.add_argument("--rb", default=None)
-        p.add_argument("--pi", default=None)
-        p.add_argument("--blocklen", dest="block_length", type=int, default=None)
-        p.add_argument("--units", choices=("nats", "bits"), default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--deterministic", action="store_true", default=None)
-        p.add_argument("--method", choices=("both", "closed", "direct"), default=None)
-        p.add_argument("--tv-threshold", dest="tv_threshold", type=float, default=None)
-        p.add_argument("--margin", type=float, default=None)
-        p.add_argument("--csv", default=None)
-        p.add_argument("--dump-csv", dest="dump_csv", default=None)
+        for field in fields + _COMMON:
+            flag, keywords, _ = _OPTIONS[field]
+            p.add_argument(flag, dest=field, default=None, **keywords)
     return parser
 
 
@@ -112,12 +122,16 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValidationError(f"cli: config file {args.config!r} does not exist")
         except json.JSONDecodeError as exc:
             raise ParseError(f"cli: config file is not valid JSON: {exc}")
-    merged = {**base, **provided}
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(merged) - known
-    if unknown:
-        raise ValidationError(f"cli: unknown configuration field(s) {sorted(unknown)}")
-    config = ExperimentConfig(**merged)
+        if not isinstance(base, dict):
+            raise ValidationError("cli: config file must hold a JSON object")
+    for name, value in base.items():
+        if name not in _COMMANDS[args.command][1] + _COMMON:
+            raise ValidationError(f"cli: {args.command} reads no configuration field {name!r}")
+        kinds = _OPTIONS[name][2]
+        if type(value) not in kinds:   # exact types: a JSON true is no integer
+            raise ValidationError(f"cli: configuration field {name!r} must be JSON "
+                                  f"{'/'.join(t.__name__ for t in kinds)}, got {value!r}")
+    config = ExperimentConfig(**{**base, **provided})
     config.validate()
     return config
 
@@ -133,7 +147,7 @@ def _from_nats(value: float, units: str) -> float:
 def _parse_pi(spec: str, tree) -> "BernoulliParams":
     from .info import BernoulliParams
 
-    spec = spec.strip()
+    spec = str(spec).strip()
     try:
         if "=" not in spec:
             return BernoulliParams.uniform(tree, float(spec))
@@ -464,26 +478,28 @@ def _cmd_report_all(config: ExperimentConfig, tree) -> dict:
     return out
 
 
+_RATE_FIELDS = ("pi", "ry", "rb", "units", "block_length", "samples", "seed")
+# subcommand -> (handler, the config fields it reads besides _COMMON)
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "covariance": _cmd_covariance,
-    "enumerate-signs": _cmd_enumerate,
-    "sign-report": _cmd_sign_report,
-    "mi": _cmd_mi,
-    "mi-conditional": _cmd_mi_conditional,
-    "optimize-pi": _cmd_optimize_pi,
-    "rate-check": _cmd_rate_check,
-    "synthesize": _cmd_synthesize,
-    "verify-constraints": _cmd_verify,
-    "report-all": _cmd_report_all,
+    "validate": (_cmd_validate, ()),
+    "covariance": (_cmd_covariance, ()),
+    "enumerate-signs": (_cmd_enumerate, ()),
+    "sign-report": (_cmd_sign_report, ()),
+    "mi": (_cmd_mi, ("seed", "method", "units")),
+    "mi-conditional": (_cmd_mi_conditional, ("pi", "samples", "seed", "units")),
+    "optimize-pi": (_cmd_optimize_pi, ("grid_step", "samples", "seed", "csv")),
+    "rate-check": (_cmd_rate_check, _RATE_FIELDS),
+    "synthesize": (_cmd_synthesize, _RATE_FIELDS + ("tv_threshold", "dump_csv")),
+    "verify-constraints": (_cmd_verify, _RATE_FIELDS + ("tv_threshold",)),
+    "report-all": (_cmd_report_all, ("pi", "units", "block_length", "samples", "seed",
+                                     "tv_threshold", "margin")),
 }
 
 
 def run(config: ExperimentConfig) -> int:
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
+    if config.command not in _COMMANDS:
         raise ValidationError(f"cli: unknown command {config.command!r}")
-    result = handler(config, _load(config))
+    result = _COMMANDS[config.command][0](config, _load(config))
     _emit(config, result)
     return 0
 

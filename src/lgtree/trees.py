@@ -95,12 +95,6 @@ class GaussianTree:
     def num_layers(self) -> int:
         return max(self.layer.values()) if self.layer else 0
 
-    def kind(self, node: str) -> str:
-        for n, k in self.spec.nodes:
-            if n == node:
-                return k
-        raise UnknownNode(f"node {node!r} is not part of the tree")
-
     def layer_nodes(self, depth: int) -> tuple[str, ...]:
         """Hidden nodes at a given distance from the observed boundary."""
         return tuple(h for h in self.hidden if self.layer[h] == depth)

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -55,9 +57,9 @@ def test_unknown_command_exit_1():
 
 
 def test_bad_flag_value_exit_1():
-    proc = run_cli("mi", "trees/star.tree", "--samples", "0")
+    proc = run_cli("mi-conditional", "trees/star.tree", "--samples", "0")
     assert proc.returncode == 1
-    assert "samples" in proc.stderr
+    assert "ValidationError: cli: field 'samples'" in proc.stderr
 
 
 def test_mi_cross_method():
@@ -271,6 +273,84 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+# the flags each subcommand takes, besides COMMON_FLAGS
+COMMON_FLAGS = ("--config", "--out", "--deterministic")
+RATE_FLAGS = ("--pi", "--ry", "--rb", "--units", "--blocklen", "--samples", "--seed")
+OWN_FLAGS = {
+    "validate": (),
+    "covariance": (),
+    "enumerate-signs": (),
+    "sign-report": (),
+    "mi": ("--seed", "--method", "--units"),
+    "mi-conditional": ("--pi", "--samples", "--seed", "--units"),
+    "optimize-pi": ("--grid", "--samples", "--seed", "--csv"),
+    "rate-check": RATE_FLAGS,
+    "synthesize": RATE_FLAGS + ("--tv-threshold", "--dump-csv"),
+    "verify-constraints": RATE_FLAGS + ("--tv-threshold",),
+    "report-all": ("--pi", "--units", "--blocklen", "--samples", "--seed", "--tv-threshold",
+                   "--margin"),
+}
+ALL_FLAGS = sorted({f for flags in OWN_FLAGS.values() for f in flags}.union(COMMON_FLAGS))
+
+
+def flag_values(tmp_path):
+    """A valid, cheap value for every flag."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"deterministic": True}))
+    return {"--config": config, "--out": tmp_path / "out", "--deterministic": None,
+            "--seed": 7, "--method": "both", "--units": "bits", "--pi": 0.5, "--samples": 1000,
+            "--grid": 0.25, "--csv": tmp_path / "curve.csv", "--ry": 0.3, "--rb": 0.3,
+            "--blocklen": 2, "--tv-threshold": 0.5, "--dump-csv": tmp_path / "dump.csv",
+            "--margin": 0.2}
+
+
+def test_help_lists_exactly_the_command_flags():
+    pairs = 0
+    for command, own in OWN_FLAGS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            lgtree.cli.main([command, "--help"])
+        listed = set(re.findall(r"--[a-z][a-z-]*", out.getvalue())) - {"--help"}
+        assert listed == set(own + COMMON_FLAGS), command
+        pairs += len(listed)
+    assert pairs == 75
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_each_command_accepts_its_full_flag_set(command, tmp_path):
+    values = flag_values(tmp_path)
+    argv = [command, PKG / "trees" / "star.tree"]
+    for flag in OWN_FLAGS[command] + COMMON_FLAGS:
+        argv += [flag] if values[flag] is None else [flag, values[flag]]
+    code, out, err = run_in_process(*argv)
+    assert (code, out) == (0, ""), err
+    report = tmp_path / "out" / "report.json" if command == "enumerate-signs" else tmp_path / "out"
+    strict_json(report.read_text())
+
+
+def test_every_foreign_flag_is_a_parse_error(tmp_path):
+    values = flag_values(tmp_path)
+    foreign = [(command, flag) for command, own in OWN_FLAGS.items()
+               for flag in ALL_FLAGS if flag not in own + COMMON_FLAGS]
+    assert len(foreign) == 176 - 75
+    for command, flag in foreign:
+        code, out, err = run_in_process(command, PKG / "trees" / "star.tree", flag, values[flag])
+        assert (code, out) == (1, ""), (command, flag)
+        assert "ParseError: unrecognized arguments: " + flag in err, (command, flag)
+
+
+def test_readme_commands_parse():
+    readme = (PKG / "README.md").read_text(encoding="utf-8")
+    lines = []
+    for section in ("## CLI", "## Experiments"):
+        block = readme.split(section, 1)[1].split("```", 2)[1]
+        lines += [line for line in block.splitlines() if line.startswith("lgtree ")]
+    assert len(lines) >= 12
+    parser = lgtree.cli._build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+
+
 @pytest.mark.parametrize("command, flags", [
     ("rate-check", ["--pi", "y=1.5"]),
     ("rate-check", ["--pi", "y=nan"]),
@@ -285,12 +365,55 @@ def strict_json(text):
     ("report-all", ["--margin", "nan"]),
 ])
 def test_non_finite_or_out_of_range_fields_exit_1(command, flags):
+    rates = ["--ry", "0.5", "--rb", "0.5"] if "--ry" in OWN_FLAGS[command] else []
     code, out, err = run_in_process(
-        command, PKG / "trees" / "star.tree", "--ry", "0.5", "--rb", "0.5",
-        "--samples", "1000", "--deterministic", *flags,
+        command, PKG / "trees" / "star.tree", *rates, "--samples", "1000", "--deterministic",
+        *flags,
     )
     assert code == 1 and out == ""
-    assert "ValidationError" in err
+    # synthesize reads no margin, so its --margin stops at the parser
+    assert ("ValidationError" if flags[0] in OWN_FLAGS[command] else "ParseError") in err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("report-all", {"margin": "x"}),
+    ("mi", {"seed": "7"}),
+    ("optimize-pi", {"grid_step": "0.1"}),
+    ("mi-conditional", {"samples": 2000.5}),
+    ("mi-conditional", {"seed": 1.5, "samples": 2000}),
+    ("mi-conditional", {"seed": True, "samples": 2000}),
+    ("rate-check", {"block_length": 2.5, "ry": 0.5, "rb": 0.5, "samples": 2000}),
+    ("rate-check", {"ry": [0.5], "rb": 0.5, "samples": 2000}),
+    ("optimize-pi", {"csv": None}),
+    ("validate", {"deterministic": "yes"}),
+    ("validate", {"deterministic": 1}),
+    ("mi", {"ry": 0.5}),
+    ("synthesize", {"margin": 0.2, "ry": 0.5, "rb": 0.5, "samples": 2000}),
+    ("validate", {"command": "mi"}),
+    ("validate", [1, 2]),
+])
+def test_mistyped_or_foreign_config_fields_exit_1(command, config, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_in_process(command, PKG / "trees" / "star.tree", "--config", path)
+    assert (code, out) == (1, "")
+    assert "ValidationError: cli: " in err
+
+
+def test_numeric_rates_and_pi_in_config(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"ry": 0.5, "rb": 0.5, "samples": 2000}))
+    code, out, err = run_in_process("rate-check", PKG / "trees" / "star.tree", "--config", path)
+    assert code == 0, err
+    assert json.loads(out)["config"]["ry"] == 0.5
+
+    path.write_text(json.dumps({"pi": 0.25, "samples": 2000, "deterministic": True}))
+    from_file = run_in_process("mi-conditional", PKG / "trees" / "star.tree", "--config", path)
+    from_flag = run_in_process("mi-conditional", PKG / "trees" / "star.tree", "--pi", "0.25",
+                               "--samples", 2000, "--deterministic")
+    assert from_file[0] == from_flag[0] == 0, from_file[2]
+    assert json.loads(from_file[1])["result"] == json.loads(from_flag[1])["result"]
+    assert json.loads(from_file[1])["result"]["pi"] == {"y": 0.25}
 
 
 NUMBERS = st.one_of(
@@ -300,45 +423,88 @@ NUMBERS = st.one_of(
 )
 VALID = {"ry": 0.3, "rb": 0.3, "pi": 0.5, "tv-threshold": 0.5, "margin": 0.2, "grid": 0.05,
          "blocklen": 4, "seed": 7, "samples": 1000}
-FIELD_VALUES = st.one_of(
-    st.tuples(st.sampled_from(["ry", "rb", "pi", "tv-threshold", "margin", "grid"]), NUMBERS),
-    st.tuples(st.sampled_from(["blocklen", "seed", "samples"]), st.integers(-3, 6)),
-)
+FLOAT_FLAGS = ["ry", "rb", "pi", "tv-threshold", "margin", "grid"]
+INT_FLAGS = ["blocklen", "seed", "samples"]
+FIELDS = {"ry": "ry", "rb": "rb", "pi": "pi", "tv-threshold": "tv_threshold",
+          "margin": "margin", "grid": "grid_step", "blocklen": "block_length", "seed": "seed",
+          "samples": "samples"}
+# JSON types a --config file may give each field
+JSON_TYPES = {**{f: (int, float) for f in FLOAT_FLAGS}, **{f: (int,) for f in INT_FLAGS},
+              "ry": (str, int, float), "rb": (str, int, float), "pi": (str, int, float)}
 
+
+def own_valid(command):
+    return {k: v for k, v in VALID.items() if f"--{k}" in OWN_FLAGS[command]}
 
 
 def test_every_non_finite_numeric_field_exits_1():
-    floats = ["ry", "rb", "pi", "tv-threshold", "margin", "grid"]
-    for command, name, value in itertools.product(
-        ["rate-check", "synthesize"], floats, [math.nan, math.inf, -math.inf]
-    ):
-        flags = {**VALID, name: value}
-        code, out, err = run_in_process(
-            command, PKG / "trees" / "star.tree", *(f"--{k}={v!r}" for k, v in flags.items()),
-        )
-        assert (code, out) == (1, ""), (command, name, value, err)
-        assert "ValidationError" in err
+    commands = ["rate-check", "synthesize", "optimize-pi", "report-all"]
+    checked = set()
+    for command in commands:
+        names = [k for k in FLOAT_FLAGS if f"--{k}" in OWN_FLAGS[command]]
+        for name, value in itertools.product(names, [math.nan, math.inf, -math.inf]):
+            flags = {**own_valid(command), name: value}
+            code, out, err = run_in_process(
+                command, PKG / "trees" / "star.tree",
+                *(f"--{k}={v!r}" for k, v in flags.items()),
+            )
+            assert (code, out) == (1, ""), (command, name, value, err)
+            assert "ValidationError" in err
+            checked.add(name)
+    assert checked == set(FLOAT_FLAGS)
+
+
+def field_cases(command):
+    floats = [k for k in FLOAT_FLAGS if f"--{k}" in OWN_FLAGS[command]]
+    ints = [k for k in INT_FLAGS if f"--{k}" in OWN_FLAGS[command]]
+    return st.tuples(st.just(command), st.one_of(
+        st.tuples(st.sampled_from(floats), NUMBERS),
+        st.tuples(st.sampled_from(ints), st.integers(-3, 6)),
+    ))
+
+
+# any JSON value a config file could hold for one field
+JSON_VALUES = st.one_of(NUMBERS, st.integers(-3, 6), st.text(max_size=4), st.booleans(),
+                        st.none(), st.just([0.5]))
 
 
 @seed(20161018)
 @settings(max_examples=100, deadline=None, database=None)
 @given(
-    command=st.sampled_from(["rate-check", "synthesize"]),
-    field_value=FIELD_VALUES,
+    case=st.sampled_from(["rate-check", "synthesize", "report-all"]).flatmap(field_cases),
     per_node_pi=st.booleans(),
+    config_value=st.one_of(st.none(), st.tuples(JSON_VALUES)),
 )
-def test_numeric_fields_exit_0_or_1_with_strict_json(command, field_value, per_node_pi):
-    # one field takes any value at all, the others keep valid ones
-    name, value = field_value
-    flags = {**{k: repr(v) for k, v in VALID.items()}, name: repr(value)}
-    if per_node_pi:
-        flags["pi"] = "y=" + flags["pi"]
-    code, out, err = run_in_process(
-        command, PKG / "trees" / "star.tree", *(f"--{k}={v}" for k, v in flags.items()),
-        "--deterministic",
-    )
-    assert code in (0, 1), err
-    if code == 0:
-        strict_json(out)
-    else:
-        assert out == ""
+def test_numeric_fields_exit_0_or_1_with_strict_json(case, per_node_pi, config_value,
+                                                     tmp_path_factory):
+    # one field takes any value at all, the others keep valid ones; with a
+    # config_value, every field comes from a config file and that field takes
+    # any JSON value
+    command, (name, value) = case
+    fields = {**own_valid(command), name: value}
+    if config_value is not None:
+        fields[name] = config_value[0]
+    if per_node_pi and type(fields["pi"]) in (str, int, float):
+        fields["pi"] = "y=" + (fields["pi"] if type(fields["pi"]) is str else repr(fields["pi"]))
+    tree = PKG / "trees" / "star.tree"
+    by_flag = run_in_process(command, tree, *(f"--{k}={v if type(v) is str else repr(v)}"
+                                               for k, v in fields.items()), "--deterministic")
+    runs = [by_flag]
+    if config_value is not None:
+        path = tmp_path_factory.mktemp("config") / "config.json"
+        path.write_text(json.dumps({FIELDS[k]: v for k, v in fields.items()}))
+        by_file = run_in_process(command, tree, "--config", path, "--deterministic")
+        if type(fields[name]) not in JSON_TYPES[name]:
+            assert by_file[0] == 1 and "ValidationError: cli: " in by_file[2], by_file[2]
+        else:
+            # a config value behaves like the same value given as a flag
+            assert by_file[0] == by_flag[0], (by_file[2], by_flag[2])
+            if by_flag[0] == 0:
+                assert strict_json(by_file[1])["result"] == strict_json(by_flag[1])["result"]
+        runs.append(by_file)
+    for code, out, err in runs:
+        assert code in (0, 1), err
+        if code == 0:
+            strict_json(out)
+        else:
+            assert out == ""
