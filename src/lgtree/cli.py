@@ -95,11 +95,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="lgtree", description=__doc__)
+    parser = _Parser(prog="lgtree", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
     for name, (_, fields) in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("tree_path")
         p.add_argument("--config", default=None)
         for field in fields + _COMMON:
@@ -391,10 +391,7 @@ def _run_synthesis(config: ExperimentConfig, tree):
     pi = _parse_pi(config.pi, tree)
     rates = _parse_rates(config, tree)
     codebook = build_codebooks(tree, rates, pi, config.seed)
-    report = estimate_divergence(
-        tree, codebook, config.samples, config.seed, tv_threshold=config.tv_threshold
-    )
-    return codebook, report
+    return codebook, estimate_divergence(tree, codebook, config.samples, config.seed)
 
 
 def _cmd_synthesize(config: ExperimentConfig, tree) -> dict:
@@ -409,16 +406,17 @@ def _cmd_synthesize(config: ExperimentConfig, tree) -> dict:
                 for node, value in zip(tree.observed, symbol):
                     rows.append([r, t, node, float(value)])
         _write_csv(config.dump_csv, ["run", "t", "node", "value"], rows)
-    return report.as_dict()
+    return dataclasses.asdict(report)
 
 
 def _cmd_verify(config: ExperimentConfig, tree) -> dict:
     from .synthesis import verify_encoding_constraints
 
     codebook, report = _run_synthesis(config, tree)
-    checks = verify_encoding_constraints(tree, codebook, report, seed=config.seed)
+    checks = verify_encoding_constraints(tree, codebook, report, seed=config.seed,
+                                         tv_threshold=config.tv_threshold)
     return {
-        "report": report.as_dict(),
+        "report": dataclasses.asdict(report),
         "checks": [dataclasses.asdict(c) for c in checks],
         "all_passed": all(c.passed for c in checks),
     }
@@ -466,11 +464,10 @@ def _cmd_report_all(config: ExperimentConfig, tree) -> dict:
         samples=samples, seed=config.seed,
     )
     codebook = build_codebooks(tree, rates, pi, config.seed)
-    report = estimate_divergence(
-        tree, codebook, min(samples, 1500), config.seed, tv_threshold=config.tv_threshold
-    )
-    checks = verify_encoding_constraints(tree, codebook, report, runs=1500, seed=config.seed)
-    out["synthesis"] = report.as_dict()
+    report = estimate_divergence(tree, codebook, min(samples, 1500), config.seed)
+    checks = verify_encoding_constraints(tree, codebook, report, runs=1500, seed=config.seed,
+                                         tv_threshold=config.tv_threshold)
+    out["synthesis"] = dataclasses.asdict(report)
     out["constraints"] = {
         "checks": [dataclasses.asdict(c) for c in checks],
         "all_passed": all(c.passed for c in checks),
@@ -489,7 +486,7 @@ _COMMANDS = {
     "mi-conditional": (_cmd_mi_conditional, ("pi", "samples", "seed", "units")),
     "optimize-pi": (_cmd_optimize_pi, ("grid_step", "samples", "seed", "csv")),
     "rate-check": (_cmd_rate_check, _RATE_FIELDS),
-    "synthesize": (_cmd_synthesize, _RATE_FIELDS + ("tv_threshold", "dump_csv")),
+    "synthesize": (_cmd_synthesize, _RATE_FIELDS + ("dump_csv",)),
     "verify-constraints": (_cmd_verify, _RATE_FIELDS + ("tv_threshold",)),
     "report-all": (_cmd_report_all, ("pi", "units", "block_length", "samples", "seed",
                                      "tv_threshold", "margin")),

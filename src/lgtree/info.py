@@ -63,6 +63,7 @@ MONTE_CARLO = "monte_carlo"
 
 MIXTURE_ENUM_CAP = 12   # exact mixtures enumerate 2^k sign vectors
 MIN_MC_SAMPLES = 1000   # below this the error bars are not worth reporting
+GRID_CAP = 2**12        # cap on optimize_pi grid points
 
 
 @dataclass(frozen=True)
@@ -487,7 +488,8 @@ def optimize_pi(
     """Grid search for the sign bias maximising the conditional sign MI.
 
     Sweeps a shared grid for one hidden node, a per-node grid for two, and a
-    symmetric (all-equal) sweep beyond that.  The objective is a Monte Carlo
+    symmetric (all-equal) sweep beyond that; a grid of more than GRID_CAP
+    points is refused before it is built.  The objective is a Monte Carlo
     estimate, so the argmax is resolved to grid resolution only.  The whole
     sweep shares one draw of ``samples`` from the master seed, reweighted at
     each grid point: every curve point equals
@@ -495,9 +497,11 @@ def optimize_pi(
     neighbouring points (mirror images too) carry correlated errors.
     """
     if not (0.0 < grid_step <= 0.25):
-        raise ValueError("grid_step must lie in (0, 0.25]")
+        raise ValidationError(f"grid_step must lie in (0, 0.25], got {grid_step}")
     _require_samples(samples)
-    steps = int(round(1.0 / grid_step))
+    steps = int(round(min(1.0 / grid_step, GRID_CAP)))   # 1 / 5e-324 is inf
+    if (steps + 1) ** (2 if tree.k == 2 else 1) > GRID_CAP:
+        raise ValidationError(f"grid_step {grid_step} gives more than {GRID_CAP} grid points")
     axis = [round(i * grid_step, 12) for i in range(steps + 1)]
     if axis[-1] != 1.0:
         axis.append(1.0)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -285,7 +286,7 @@ OWN_FLAGS = {
     "mi-conditional": ("--pi", "--samples", "--seed", "--units"),
     "optimize-pi": ("--grid", "--samples", "--seed", "--csv"),
     "rate-check": RATE_FLAGS,
-    "synthesize": RATE_FLAGS + ("--tv-threshold", "--dump-csv"),
+    "synthesize": RATE_FLAGS + ("--dump-csv",),
     "verify-constraints": RATE_FLAGS + ("--tv-threshold",),
     "report-all": ("--pi", "--units", "--blocklen", "--samples", "--seed", "--tv-threshold",
                    "--margin"),
@@ -313,7 +314,7 @@ def test_help_lists_exactly_the_command_flags():
         listed = set(re.findall(r"--[a-z][a-z-]*", out.getvalue())) - {"--help"}
         assert listed == set(own + COMMON_FLAGS), command
         pairs += len(listed)
-    assert pairs == 75
+    assert pairs == 74
 
 
 @pytest.mark.parametrize("command", OWN_FLAGS)
@@ -332,11 +333,31 @@ def test_every_foreign_flag_is_a_parse_error(tmp_path):
     values = flag_values(tmp_path)
     foreign = [(command, flag) for command, own in OWN_FLAGS.items()
                for flag in ALL_FLAGS if flag not in own + COMMON_FLAGS]
-    assert len(foreign) == 176 - 75
+    assert len(foreign) == 176 - 74
     for command, flag in foreign:
         code, out, err = run_in_process(command, PKG / "trees" / "star.tree", flag, values[flag])
         assert (code, out) == (1, ""), (command, flag)
         assert "ParseError: unrecognized arguments: " + flag in err, (command, flag)
+
+
+@pytest.mark.parametrize("command, flags, prefixes", [
+    ("rate-check", ["--ry", "0.3", "--rb", "0.3"], ["--bl", "2", "--sa", "1000"]),
+    ("mi", [], ["--s", "3"]),
+])
+def test_flag_abbreviations_are_parse_errors(command, flags, prefixes):
+    # each prefix is unambiguous: --blocklen, --samples, --seed
+    code, out, err = run_in_process(command, PKG / "trees" / "star.tree", *flags, *prefixes)
+    assert (code, out) == (1, "")
+    assert "ParseError: unrecognized arguments: " + " ".join(prefixes) in err
+
+
+def test_synthesize_result_keys_are_the_report_fields():
+    code, out, err = run_in_process("synthesize", PKG / "trees" / "star.tree", "--ry", "0.3",
+                                    "--rb", "0.3", "--blocklen", "2", "--samples", "200",
+                                    "--deterministic")
+    assert code == 0, err
+    fields = [f.name for f in dataclasses.fields(lg.synthesis.SynthesisReport)]
+    assert sorted(strict_json(out)["result"]) == sorted(fields)
 
 
 def test_readme_commands_parse():
@@ -363,6 +384,9 @@ def test_readme_commands_parse():
     ("synthesize", ["--margin", "nan"]),
     ("synthesize", ["--ry", "1e5"]),
     ("report-all", ["--margin", "nan"]),
+    ("synthesize", ["--samples", "1"]),          # one sample has no standard error
+    ("verify-constraints", ["--samples", "1"]),
+    ("optimize-pi", ["--grid", "1e-5"]),         # 100,001 grid points
 ])
 def test_non_finite_or_out_of_range_fields_exit_1(command, flags):
     rates = ["--ry", "0.5", "--rb", "0.5"] if "--ry" in OWN_FLAGS[command] else []
@@ -371,7 +395,7 @@ def test_non_finite_or_out_of_range_fields_exit_1(command, flags):
         *flags,
     )
     assert code == 1 and out == ""
-    # synthesize reads no margin, so its --margin stops at the parser
+    # synthesize reads no margin or TV threshold, so those flags stop at the parser
     assert ("ValidationError" if flags[0] in OWN_FLAGS[command] else "ParseError") in err
 
 

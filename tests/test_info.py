@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import lgtree as lg
-from lgtree.errors import InconsistentCovariance, NotLeafOnly, WrongShape
+from lgtree import info
+from lgtree.errors import InconsistentCovariance, NotLeafOnly, ValidationError, WrongShape
 from lgtree.info import SAMPLE_BATCH, BernoulliParams
 from lgtree.trees import random_tree
 
@@ -187,6 +188,25 @@ def test_optimize_pi_coarse(star):
     for p in (0.0, 0.25):
         a, b = values[p], values[round(1 - p, 12)]
         assert abs(a.value - b.value) <= 3 * combined_sigma(a, b) + 1e-12
+
+
+@pytest.mark.parametrize("name, step, message", [
+    ("star", 0.0, "must lie in"), ("star", -0.1, "must lie in"), ("star", 0.5, "must lie in"),
+    ("star", math.nan, "must lie in"), ("star", 1e-4, "grid points"),
+    ("star", 1e-9, "grid points"), ("star", 5e-324, "grid points"),
+    ("dumbbell", 1 / 64, "grid points"),   # 65^2 points for two hidden nodes
+])
+def test_optimize_pi_rejects_bad_grids_before_building_them(request, monkeypatch, name, step,
+                                                             message):
+    # a range longer than the cap would mean the grid axis is being listed;
+    # at 1e-9 that is 1e9 points
+    def short_range(*args):
+        assert len(range(*args)) <= info.GRID_CAP, "grid built before the cap check"
+        return range(*args)
+
+    monkeypatch.setattr(info, "range", short_range, raising=False)
+    with pytest.raises(ValidationError, match=message):
+        lg.optimize_pi(request.getfixturevalue(name), step, 1000, 1)
 
 
 def test_block_mi_matches_tree_level(star):

@@ -1,0 +1,20 @@
+import math
+import pathlib
+import subprocess
+import sys
+
+PKG = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_divergence_trend_script_writes_a_finite_csv_row():
+    proc = subprocess.run(
+        [sys.executable, "scripts/divergence_trend.py", "trees/star.tree", "--lengths", "2",
+         "--samples", "200", "--frontier-samples", "1000"],
+        capture_output=True, text=True, cwd=PKG,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header == "block_length,kl_estimate,kl_std_error,tv_upper_bound,components"
+    assert len(rows) == 1
+    values = [float(v) for v in rows[0].split(",")]
+    assert values[0] == 2 and all(math.isfinite(v) for v in values)

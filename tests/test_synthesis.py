@@ -272,7 +272,8 @@ def test_independence_stat_null_for_skewed_pi(star):
     pi = BernoulliParams.uniform(star, 0.3)
     cb = lg.build_codebooks(star, RateTuple.make([(0.55, 0.6)], 6), pi, 11)
     rep = lg.estimate_divergence(star, cb, 1200, 5)
-    assert abs(rep.independence_stat) <= 3 * rep.independence_se
+    checks = {c.name: c for c in lg.verify_encoding_constraints(star, cb, rep, runs=1200, seed=5)}
+    assert checks["output_independent_of_signs"].passed
 
 
 def _words(value: int) -> np.ndarray:
@@ -461,5 +462,45 @@ def test_non_finite_margin_and_tv_threshold_are_rejected(star, star_codebook):
     cb, _, pi = star_codebook
     with pytest.raises(ValidationError):
         lg.frontier_rates(star, pi, math.nan, 4, samples=1000)
+    report = lg.estimate_divergence(star, cb, 100, 1, rate_margin_samples=1000)
     with pytest.raises(ValidationError):
-        lg.estimate_divergence(star, cb, 100, 1, tv_threshold=math.nan)
+        lg.verify_encoding_constraints(star, cb, report, runs=100, tv_threshold=math.nan)
+
+
+def test_independence_statistic_is_computed_only_by_the_check(star, iid_setup, monkeypatch):
+    calls = []
+    real = synthesis._independence_stat
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(synthesis, "_independence_stat", counting)
+    pi, rates, _ = iid_setup
+    cb = lg.build_codebooks(star, rates, pi, 11)
+    report = lg.estimate_divergence(star, cb, 200, 11, rate_margin_samples=1000)
+    assert len(calls) == 0
+    lg.verify_encoding_constraints(star, cb, report, runs=200, seed=21)
+    assert len(calls) == 1
+
+
+def _sign_leak(real, c):
+    """synthesize, with c times the first layer-1 sign added to every output."""
+    def synthesize(*args, **kwargs):
+        x, internals = real(*args, **kwargs)
+        return x + c * internals["b"][1][..., :1], internals
+    return synthesize
+
+
+def test_sign_independence_check_detects_a_sign_leak(star, iid_setup, monkeypatch):
+    pi, rates, report = iid_setup
+    cb = lg.build_codebooks(star, rates, pi, 11)
+
+    def check():
+        checks = lg.verify_encoding_constraints(star, cb, report, runs=1500, seed=21)
+        return {c.name: c for c in checks}["output_independent_of_signs"]
+
+    assert check().passed
+    monkeypatch.setattr(synthesis, "synthesize", _sign_leak(synthesis.synthesize, 0.1))
+    leaked = check()
+    assert not leaked.passed and leaked.observed > 2 * leaked.threshold
