@@ -499,12 +499,14 @@ def optimize_pi(
     if not (0.0 < grid_step <= 0.25):
         raise ValidationError(f"grid_step must lie in (0, 0.25], got {grid_step}")
     _require_samples(samples)
+    # the axis is every multiple of the step below 1, then 1 itself; as
+    # 1 / grid_step may round either way, the last multiple may lie past 1
     steps = int(round(min(1.0 / grid_step, GRID_CAP)))   # 1 / 5e-324 is inf
-    if (steps + 1) ** (2 if tree.k == 2 else 1) > GRID_CAP:
+    points = steps + 1 + (round(steps * grid_step, 12) < 1.0)
+    if points ** (2 if tree.k == 2 else 1) > GRID_CAP:
         raise ValidationError(f"grid_step {grid_step} gives more than {GRID_CAP} grid points")
-    axis = [round(i * grid_step, 12) for i in range(steps + 1)]
-    if axis[-1] != 1.0:
-        axis.append(1.0)
+    axis = [a for a in (round(i * grid_step, 12) for i in range(steps + 1)) if a < 1.0]
+    axis.append(1.0)
 
     if tree.k == 2:
         grid = [(a, b) for a in axis for b in axis]

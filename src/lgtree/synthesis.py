@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from .errors import CapExceeded, MixtureTooLarge, ValidationError
-from .info import BernoulliParams, _BlockModel, _Gauss, _block, _rng, block_mi_mixture
+from .info import EVAL_CELLS, BernoulliParams, _BlockModel, _Gauss, _block, _rng, block_mi_mixture
 from .trees import GaussianTree, joint_covariance  # noqa: F401 (bench's tracer test asserts it)
 
 CODEBOOK_CAP = 2**16       # per-table codeword count cap
@@ -65,8 +66,9 @@ class RateTuple:
     @staticmethod
     def make(layers, block_length: int) -> "RateTuple":
         layers = tuple((float(ry), float(rb)) for ry, rb in layers)
-        if block_length < 1:
-            raise ValidationError("block length must be a positive integer")
+        if (not isinstance(block_length, numbers.Integral) or isinstance(block_length, bool)
+                or block_length < 1):
+            raise ValidationError(f"block length must be a positive integer, got {block_length!r}")
         for rate in itertools.chain.from_iterable(layers):
             if not 0.0 <= rate * block_length <= LOG_FLOAT_MAX:
                 raise ValidationError(
@@ -380,31 +382,36 @@ def _mixture_components(tree: GaussianTree, codebook: Codebook):
 
 
 def _block_log_density(x: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """log q for each sample block in x: (S, N, n) against (C, N, n) means."""
+    """log q for each sample block in x: (S, N, n) against (C, N, n) means.
+
+    With whitened x_w and m_w, log N(x; m) = x_w.m_w - |m_w|^2/2 - |x_w|^2/2 +
+    const, and only the first two terms depend on the component.  One GEMM
+    of [x_w, 1] against [m_w, -|m_w|^2/2] fills a slab of at most EVAL_CELLS
+    (sample, component) cells, the log-sum-exp runs in place on it, and the
+    per-sample terms are added afterwards, so memory does not grow with S.
+    """
     comp = _Gauss(cov, "component covariance")
-    inv_chol, logdet = comp.inv_chol, comp.logdet
-    n_dim = cov.shape[0]
-    n_uses = x.shape[1]
+    s_count, n_uses, n_dim = x.shape
     comp_count = means.shape[0]
-    const = -0.5 * n_uses * (logdet + n_dim * math.log(2.0 * math.pi))
+    const = -0.5 * n_uses * (comp.logdet + n_dim * math.log(2.0 * math.pi)) - math.log(comp_count)
 
-    xw = x @ inv_chol.T                                          # (S, N, n)
-    mw = means @ inv_chol.T                                      # (C, N, n)
-    m_flat = mw.reshape(comp_count, -1)
-    m_sq = np.einsum("ij,ij->i", m_flat, m_flat)
+    xw = (x @ comp.inv_chol.T).reshape(s_count, -1)                 # (S, N n)
+    mw = (means @ comp.inv_chol.T).reshape(comp_count, -1)          # (C, N n)
+    m_aug = np.vstack([mw.T, -0.5 * np.einsum("ij,ij->i", mw, mw)])  # (N n + 1, C)
+    x_aug = np.hstack([xw, np.ones((s_count, 1))])                  # (S, N n + 1)
 
-    out = np.empty(len(x))
-    batch = max(1, int(2**20 // max(comp_count, 1)))
-    for start in range(0, len(x), batch):
-        xb = xw[start:start + batch].reshape(len(xw[start:start + batch]), -1)
-        x_sq = np.einsum("ij,ij->i", xb, xb)
-        quad = x_sq[:, None] - 2.0 * xb @ m_flat.T + m_sq[None, :]
-        logcomp = -0.5 * quad + const
-        mx = logcomp.max(axis=1)
-        out[start:start + batch] = mx + np.log(
-            np.exp(logcomp - mx[:, None]).sum(axis=1)
-        ) - math.log(comp_count)
-    return out
+    rows = max(1, EVAL_CELLS // comp_count)
+    slab = np.empty((min(rows, s_count), comp_count))
+    out = np.empty(s_count)
+    for start in range(0, s_count, rows):
+        xb = x_aug[start:start + rows]
+        part = slab[:len(xb)]
+        np.matmul(xb, m_aug, out=part)
+        mx = part.max(axis=1)
+        part -= mx[:, None]
+        np.exp(part, out=part)
+        out[start:start + len(part)] = mx + np.log(part.sum(axis=1))
+    return out + const - 0.5 * np.einsum("ij,ij->i", xw, xw)
 
 
 def _gaussian_label_mi(z: np.ndarray, labels: np.ndarray) -> float:

@@ -111,6 +111,15 @@ def test_optimize_pi_csv(tmp_path):
     assert len(lines) == 6
 
 
+def test_optimize_pi_grid_past_one_is_clipped_to_one():
+    # 1 / 0.15 rounds up to 7 steps, so the lattice alone would end on 1.05
+    proc = run_cli("optimize-pi", "trees/star.tree", "--grid", "0.15", "--samples", "1000",
+                   "--deterministic")
+    assert proc.returncode == 0, proc.stderr
+    points = [pt["pi"][0] for pt in load_result(proc)["curve"]]
+    assert points == [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 1.0]
+
+
 def test_optimize_pi_two_layer_strict_json():
     # every sign row of a chunk can carry zero prior at pi in {0, 1}; the
     # sweep must stay finite and find the peak, identically on a repeat

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -195,6 +196,7 @@ def test_optimize_pi_coarse(star):
     ("star", math.nan, "must lie in"), ("star", 1e-4, "grid points"),
     ("star", 1e-9, "grid points"), ("star", 5e-324, "grid points"),
     ("dumbbell", 1 / 64, "grid points"),   # 65^2 points for two hidden nodes
+    ("dumbbell", 1 / 63.4, "grid points"),  # 63 steps end on 0.994, so 1.0 makes 65^2
 ])
 def test_optimize_pi_rejects_bad_grids_before_building_them(request, monkeypatch, name, step,
                                                              message):
@@ -207,6 +209,16 @@ def test_optimize_pi_rejects_bad_grids_before_building_them(request, monkeypatch
     monkeypatch.setattr(info, "range", short_range, raising=False)
     with pytest.raises(ValidationError, match=message):
         lg.optimize_pi(request.getfixturevalue(name), step, 1000, 1)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.07, 0.1, 0.125, 0.13, 0.15, 0.2, 0.22, 0.24, 0.25])
+def test_optimize_pi_axis_is_the_step_lattice_below_one_then_one(star, step):
+    # 1 / step rounds up for 0.13, 0.15 and 0.22, so the last of their
+    # round(1 / step) multiples lies past 1 and must not be swept
+    _, curve = lg.optimize_pi(star, step, info.MIN_MC_SAMPLES, 1)
+    assert len(curve) <= info.GRID_CAP
+    below = itertools.takewhile(lambda a: a < 1.0, (round(i * step, 12) for i in itertools.count()))
+    assert [pt[0] for pt, _ in curve] == [*below, 1.0]
 
 
 def test_block_mi_matches_tree_level(star):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.special import ndtri
 import lgtree as lg
 from lgtree import synthesis
 from lgtree.errors import CapExceeded, MixtureTooLarge, ValidationError
-from lgtree.info import BernoulliParams
+from lgtree.info import EVAL_CELLS, BernoulliParams, _Gauss
 from lgtree.synthesis import RateTuple, _layer_blocks, _mixture_components
 
 
@@ -29,6 +30,17 @@ def test_rate_validation():
         RateTuple.make([(1.0, -0.1)], 8)
     with pytest.raises(ValidationError):
         RateTuple.make([(1.0, 0.5)], 0)
+
+
+@pytest.mark.parametrize("block_length", [2.5, 2.0, True, "2", None])
+def test_non_integer_block_length_is_rejected(block_length):
+    # int() would truncate 2.5 to 2 and count True as 1
+    with pytest.raises(ValidationError, match="block length must be a positive integer"):
+        RateTuple.make([(0.1, 0.1)], block_length)
+
+
+def test_integer_types_are_accepted_as_block_length():
+    assert RateTuple.make([(0.1, 0.1)], np.int64(3)).block_length == 3
 
 
 def test_codebook_cap(star):
@@ -153,6 +165,77 @@ def test_mixture_density_matches_bruteforce(star):
         mx = max(comps)
         want = mx + math.log(sum(math.exp(v - mx) for v in comps)) - math.log(len(comps))
         assert got[s] == pytest.approx(want, abs=1e-9)
+
+
+def _two_pass_log_density(x, means, cov):
+    """Reference for ``_block_log_density``: every cell's
+    -|x_w - m_w|^2 / 2 + const is expanded by broadcast adds, then
+    log-sum-exp'd through freshly allocated arrays."""
+    comp = _Gauss(cov, "component covariance")
+    comp_count = means.shape[0]
+    const = -0.5 * x.shape[1] * (comp.logdet + cov.shape[0] * math.log(2.0 * math.pi))
+    xw = (x @ comp.inv_chol.T).reshape(len(x), -1)
+    mw = (means @ comp.inv_chol.T).reshape(comp_count, -1)
+    m_sq = np.einsum("ij,ij->i", mw, mw)
+    out = np.empty(len(x))
+    batch = max(1, 2**20 // comp_count)
+    for start in range(0, len(x), batch):
+        xb = xw[start:start + batch]
+        x_sq = np.einsum("ij,ij->i", xb, xb)
+        logcomp = -0.5 * (x_sq[:, None] - 2.0 * xb @ mw.T + m_sq[None, :]) + const
+        mx = logcomp.max(axis=1)
+        out[start:start + batch] = mx + np.log(
+            np.exp(logcomp - mx[:, None]).sum(axis=1)
+        ) - math.log(comp_count)
+    return out
+
+
+@pytest.fixture(scope="module")
+def degenerate_codebook(star):
+    # criterion 8's degenerate codebook: 2^14 Gaussian codewords at N = 1
+    pi = BernoulliParams.uniform(star, 0.5)
+    return lg.build_codebooks(star, RateTuple.make([(math.log(2**14), 0.0)], 1), pi, 11)
+
+
+@pytest.fixture(scope="module")
+def frontier_n8_codebook(star):
+    pi = BernoulliParams.uniform(star, 0.5)
+    rates = lg.frontier_rates(star, pi, 0.2, 8, samples=20000, seed=1)
+    return lg.build_codebooks(star, rates, pi, 11)
+
+
+@pytest.mark.parametrize("book", ["degenerate_codebook", "frontier_n8_codebook"])
+def test_block_log_density_matches_two_pass_formula(request, star, book):
+    cb = request.getfixturevalue(book)
+    means, cov = _mixture_components(star, cb)
+    x = lg.synthesize(star, cb, 300, 8)
+    got = synthesis._block_log_density(x, means, cov)
+    np.testing.assert_allclose(got, _two_pass_log_density(x, means, cov), rtol=0, atol=1e-12)
+
+
+def test_block_log_density_is_finite_and_exact_in_the_far_tail(star, frontier_n8_codebook):
+    means, cov = _mixture_components(star, frontier_n8_codebook)
+    x = 30 * lg.synthesize(star, frontier_n8_codebook, 300, 8)
+    want = _two_pass_log_density(x, means, cov)
+    # log q >= max_c log N(x; m_c) - log C: every component underflows exp
+    assert (want + math.log(len(means)) < -745).all()
+    got = synthesis._block_log_density(x, means, cov)
+    assert np.isfinite(got).all()
+    # |log q| reaches ~1e4 here, where one ulp is ~2e-12: compare in ulps
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-12)
+
+
+def test_block_log_density_memory_is_bounded_by_one_slab(star, degenerate_codebook):
+    means, cov = _mixture_components(star, degenerate_codebook)
+    x = lg.synthesize(star, degenerate_codebook, 5000, 8)
+    tracemalloc.start()
+    try:
+        synthesis._block_log_density(x, means, cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two float64 slabs of EVAL_CELLS cells; 5000 x 2^14 cells at once is 625 MB
+    assert peak < 2 * 8 * EVAL_CELLS
 
 
 def test_divergence_report_fields(star, star_codebook):
