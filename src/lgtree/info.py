@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     IllConditioned,
@@ -131,9 +130,7 @@ class _Gauss:
     def __init__(self, cov: np.ndarray, what: str):
         self.cov = np.asarray(cov, dtype=float)
         self.chol = _chol(self.cov, what)
-        self.inv_chol = solve_triangular(
-            self.chol, np.eye(len(self.cov)), lower=True, check_finite=False
-        )
+        self.inv_chol = np.tril(np.linalg.inv(self.chol))
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
         self._const = -0.5 * (self.logdet + len(self.cov) * math.log(2.0 * math.pi))
         for arr in (self.cov, self.chol, self.inv_chol):

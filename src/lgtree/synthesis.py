@@ -38,10 +38,9 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtri
 
 from .errors import CapExceeded, MixtureTooLarge, ValidationError
 from .info import EVAL_CELLS, BernoulliParams, _BlockModel, _Gauss, _block, _rng, block_mi_mixture
@@ -119,6 +118,78 @@ def philox4x64(counter, key) -> tuple[np.ndarray, ...]:
     return c0, c1, c2, c3
 
 
+# Wichura's AS241 ("The percentage points of the normal distribution",
+# Applied Statistics 37(3), 1988), with the coefficients of the stdlib's
+# statistics.NormalDist.inv_cdf; each polynomial lists its highest power first.
+_AS241_CENTRAL = (
+    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
+     4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
+     2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+     4.23133_30701_60091_1252e+1, 1.0),
+)
+_AS241_NEAR = (
+    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
+     1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
+     1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+     2.05319_16266_37758_82187e+0, 1.0),
+)
+_AS241_FAR = (
+    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
+     2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
+     7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+     5.99832_20655_58879_37690e-1, 1.0),
+)
+
+
+def _horner(coeffs, r: np.ndarray) -> np.ndarray:
+    """The polynomial with ``coeffs`` (highest power first) at r, in a new
+    array, in the stdlib's evaluation order."""
+    acc = r * coeffs[0]
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= r
+        acc += c
+    return acc
+
+
+def _rational(coeffs, r: np.ndarray, scale=1.0) -> np.ndarray:
+    """AS241's (numerator * scale) / denominator at r, in a new array."""
+    num = _horner(coeffs[0], r)
+    num *= scale
+    num /= _horner(coeffs[1], r)
+    return num
+
+
+def _ndtri(q: np.ndarray) -> np.ndarray:
+    """Standard normal quantiles of the probabilities 1/2 + q, flattened, for
+    centred uniforms q in (-1/2, 1/2), by AS241.
+
+    Taking q rather than the probability keeps the upper tail exact: its
+    argument 1/2 - |q| is computed without rounding, and q and -q give exact
+    negatives.  The central rational runs on every value; only the tail
+    entries (|q| > 0.425) are then recomputed."""
+    q = np.ravel(q)
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    x = _rational(_AS241_CENTRAL, r, q)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        qt = q[tail]
+        t = np.sqrt(-np.log(0.5 - np.abs(qt)))
+        far = np.flatnonzero(t > 5.0)
+        tail_x = _rational(_AS241_NEAR, t - 1.6)
+        if far.size:
+            tail_x[far] = _rational(_AS241_FAR, t[far] - 5.0)
+        x[tail] = np.copysign(tail_x, qt)
+    return x
+
+
 @dataclass(frozen=True)
 class LayerCodebook:
     depth: int
@@ -147,9 +218,12 @@ class LayerCodebook:
 
         Pair (g, s) reads Philox4x64-10 keyed by (seed, layer) at counters
         (j, g M_B + s, 0, 0) for blocks j = 0, 1, ...; each output word w
-        becomes the uniform ((w >> 11) + 1/2) 2^-53 and then a normal through
-        ndtri.  A pair's noise is a pure function of its indices, so one pair
-        and a batch holding it give the same values."""
+        becomes the centred uniform q = ((w >> 11) - 2^52 + 1/2) 2^-53, which
+        is exact and lies strictly inside (-1/2, 1/2), and then the normal
+        quantile of 1/2 + q (AS241, :func:`_ndtri`).  Every word gives a finite
+        value, and words w and 2^64 - 1 - w give exact negatives.  A pair's
+        noise is a pure function of its indices, so one pair and a batch
+        holding it give the same values."""
         g, s = self._pairs(gauss_index, sign_index)
         n_uses, k = self.signs.shape[1:]
         size = n_uses * k
@@ -161,8 +235,8 @@ class LayerCodebook:
                    np.broadcast_to(pair[:, None], shape), zero, zero)
         key = np.random.SeedSequence((self.seed, 13, self.depth)).generate_state(2, np.uint64)
         words = np.stack(philox4x64(counter, key), axis=-1).reshape(pair.size, 4 * blocks)
-        uniform = ((words[:, :size] >> np.uint64(11)) + 0.5) * 2.0**-53
-        return ndtri(uniform).reshape(g.shape + (n_uses, k))
+        centred = ((words[:, :size] >> np.uint64(11)).view(np.int64) - 2**52 + 0.5) * 2.0**-53
+        return _ndtri(centred).reshape(g.shape + (n_uses, k))
 
     def gaussian_codeword(self, gauss_index, sign_index) -> np.ndarray:
         """Pair codewords (..., N, k) for broadcast index arrays; a scalar
@@ -496,7 +570,7 @@ def rate_region_check(
 def _family_z(comparisons: int) -> float:
     """z threshold giving a 3-sigma family-wise level over many comparisons."""
     alpha = 0.0026997960632601866  # two-sided mass beyond 3 sigma
-    return float(ndtri(1.0 - alpha / (2 * comparisons)))
+    return NormalDist().inv_cdf(1.0 - alpha / (2 * comparisons))
 
 
 def _point_seed(seed: int, tag: int) -> int:
@@ -617,7 +691,7 @@ def verify_encoding_constraints(
         "ij,rtj->rti", obs_model.gain, internals["b"][1] * internals["y"][1]
     )
     flat = resid.reshape(-1, resid.shape[-1])
-    white = solve_triangular(obs_model.noise.chol, flat.T, lower=True, check_finite=False).T
+    white = flat @ obs_model.noise.inv_chol.T
     m = len(white)
     corr = np.corrcoef(white.T)
     off = corr[np.triu_indices_from(corr, k=1)]

@@ -541,3 +541,18 @@ def test_numeric_fields_exit_0_or_1_with_strict_json(case, per_node_pi, config_v
             strict_json(out)
         else:
             assert out == ""
+
+
+def test_running_the_cli_imports_no_scipy():
+    code = (
+        "import contextlib, io, sys\n"
+        "import lgtree, lgtree.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = lgtree.cli.main(['report-all', 'trees/star.tree', '--samples', '1000',"
+        " '--deterministic'])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=PKG)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

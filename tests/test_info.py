@@ -355,3 +355,31 @@ def test_sign_bias_outside_unit_interval_is_rejected(star, p):
         BernoulliParams.make({"y": p})
     with pytest.raises(ValidationError):
         BernoulliParams.uniform(star, p)
+
+
+def _assert_exact_triangular_inverse(gauss):
+    from scipy.linalg import solve_triangular
+
+    ref = solve_triangular(gauss.chol, np.eye(len(gauss.chol)), lower=True)
+    assert np.all(np.triu(gauss.inv_chol, 1) == 0.0)
+    assert np.max(np.abs(gauss.inv_chol - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["star", "dumbbell", "two_layer", "lowcorr"])
+def test_inv_chol_is_the_triangular_inverse_on_every_block(request, name):
+    from lgtree import info
+    from lgtree.synthesis import _layer_blocks
+
+    tree = request.getfixturevalue(name)
+    _layer_blocks(tree)
+    info._block(tree, tree.observed, tree.hidden)
+    for model in tree._blocks.values():
+        for gauss in (model.marg_t, model.marg_s, model.noise):
+            _assert_exact_triangular_inverse(gauss)
+
+
+def test_inv_chol_is_the_triangular_inverse_of_a_random_matrix():
+    from lgtree import info
+
+    a = np.random.default_rng(3).standard_normal((11, 11))
+    _assert_exact_triangular_inverse(info._Gauss(a @ a.T + 0.1 * np.eye(11), "random"))

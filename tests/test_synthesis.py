@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -374,6 +375,14 @@ def test_philox_matches_numpy():
         assert np.array_equal(np.concatenate(got), want)
 
 
+def _quantile_of_centred(quantile, q):
+    """``quantile`` of the probability 1/2 + q for centred uniforms q, read
+    through the lower half (quantile(1/2 + q) = -quantile(1/2 - q)), where
+    the probability is exact in floating point."""
+    q = np.asarray(q, dtype=float)
+    return np.where(q < 0, 1.0, -1.0) * np.vectorize(quantile, otypes=[float])(0.5 - np.abs(q))
+
+
 def test_white_noise_is_the_documented_stream(two_layer):
     pi = BernoulliParams.uniform(two_layer, 0.5)
     cb = lg.build_codebooks(two_layer, RateTuple.make([(0.5, 0.5), (0.6, 0.4)], 3), pi, 7)
@@ -385,9 +394,39 @@ def test_white_noise_is_the_documented_stream(two_layer):
             # numpy's Philox steps the counter before each block: start one below (0, pair, 0, 0)
             start = _words((pair << 64) - 1 + 2**256)
             raw = np.random.Philox(key=key, counter=start).random_raw(4 * -(-n_uses * k // 4))
-            uniform = ((raw[:n_uses * k] >> np.uint64(11)) + 0.5) * 2.0**-53
-            want = ndtri(uniform).reshape(n_uses, k)
-            assert np.array_equal(lay.white_noise(g, s), want)
+            top = (raw[:n_uses * k] >> np.uint64(11)).astype(np.int64)
+            q = (top - 2**52 + 0.5) * 2.0**-53
+            noise = lay.white_noise(g, s)
+            assert noise.shape == (n_uses, k)
+            got = noise.ravel()
+            # AS241 as the stdlib evaluates it, up to the last bits of numpy's
+            # log in the tails
+            want = _quantile_of_centred(NormalDist().inv_cdf, q)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+            np.testing.assert_allclose(got, _quantile_of_centred(ndtri, q), rtol=2e-15, atol=0)
+
+
+def test_every_philox_word_gives_a_finite_normal_odd_in_the_word(two_layer, monkeypatch):
+    pi = BernoulliParams.uniform(two_layer, 0.5)
+    lay = lg.build_codebooks(two_layer, RateTuple.make([(0.5, 0.5), (0.6, 0.4)], 3), pi, 7).layer(1)
+    # words w = k 2^11 and their complements 2^64 - 1 - w, whose top 53 bits
+    # are 2^53 - 1 - k; k = 0 pairs the all-ones word with the all-zeros one
+    tops = [0, 1, 2, 2**20 + 7, 2**51, 2**52 - 2, 2**52 - 1]
+    low = [k << 11 for k in tops]
+    words = np.array(low + [2**64 - 1 - w for w in low], dtype=np.uint64)
+    assert len(words) <= lay.signs[0].size
+
+    def fixed_words(counter, key):
+        filled = np.resize(words, np.shape(counter[0]) + (4,))
+        return tuple(filled[..., i] for i in range(4))
+
+    monkeypatch.setattr(synthesis, "philox4x64", fixed_words)
+    xi = lay.white_noise(0, 0).ravel()[:len(words)]
+    assert np.all(np.isfinite(xi))
+    lower, upper = xi[:len(tops)], xi[len(tops):]
+    assert np.array_equal(upper, -lower)
+    assert np.all(lower < 0)
+    assert lower[0] < -8.29 and upper[0] > 8.29      # 2^-54 in either tail
 
 
 def test_codeword_batch_matches_single(two_layer, monkeypatch):
@@ -414,6 +453,46 @@ def test_mixture_means_are_codewords_through_the_chain(two_layer):
     x, internals = lg.synthesize(two_layer, cb, 60, 4, noise=False, return_internals=True)
     comp = internals["gauss_index"] * top.sign_count + internals["sign_index"][2]
     assert np.allclose(x, means[comp], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("comparisons", [1, 3, 9, 121, 10**4])
+def test_family_z_is_the_normal_quantile(comparisons):
+    level = 1.0 - 0.0026997960632601866 / (2 * comparisons)
+    assert synthesis._family_z(comparisons) == pytest.approx(float(ndtri(level)), rel=0, abs=1e-12)
+
+
+def _recording(real, seen):
+    def synthesize(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(out)
+        return out
+    return synthesize
+
+
+def test_conditional_independence_z_matches_triangular_solve(monkeypatch):
+    from scipy.linalg import solve_triangular
+
+    # x4 hangs off the observed x3, so the observed noise given the layer is
+    # correlated and its whitening is not a diagonal scaling
+    tree = lg.validate_tree(lg.parse_tree_text(
+        "node x1 observed\nnode x2 observed\nnode x3 observed\nnode x4 observed\n"
+        "node y hidden\nedge y x1 0.8\nedge y x2 0.7\nedge y x3 0.6\nedge x3 x4 0.75\n"))
+    obs = _layer_blocks(tree)[0]
+    assert obs.noise.chol[3, 2] != 0.0
+    pi = BernoulliParams.uniform(tree, 0.5)
+    cb = lg.build_codebooks(tree, RateTuple.make([(0.55, 0.6)], 4), pi, 11)
+    report = lg.estimate_divergence(tree, cb, 300, 11, rate_margin_samples=1000)
+    seen = []
+    monkeypatch.setattr(synthesis, "synthesize", _recording(synthesis.synthesize, seen))
+    checks = lg.verify_encoding_constraints(tree, cb, report, runs=1500, seed=21)
+    (x, internals), = seen
+    resid = x - np.einsum("ij,rtj->rti", obs.gain, internals["b"][1] * internals["y"][1])
+    flat = resid.reshape(-1, resid.shape[-1])
+    white = solve_triangular(obs.noise.chol, flat.T, lower=True).T
+    corr = np.corrcoef(white.T)
+    want = np.max(np.abs(corr[np.triu_indices_from(corr, k=1)])) * math.sqrt(len(white))
+    got = {c.name: c for c in checks}["conditional_independence_given_inputs"].observed
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_white_noise_is_standard_normal(star_codebook):
