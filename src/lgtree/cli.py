@@ -64,6 +64,16 @@ class ExperimentConfig:
         for name in ("tv_threshold", "margin"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"cli: field {name!r} must be a finite number")
+        # output files are written after the work, so check where they go first;
+        # enumerate-signs creates the directory its --out names
+        for name in ("out", "csv", "dump_csv"):
+            path = getattr(self, name)
+            if path is None or (name == "out" and self.command == "enumerate-signs"):
+                continue
+            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise ValidationError(
+                    f"cli: field {name!r} must name a file in an existing directory, got {path!r}"
+                )
 
 
 # config field -> (flag, argparse keywords, JSON types a --config value may
@@ -118,8 +128,8 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 base = json.load(fh)
-        except FileNotFoundError:
-            raise ValidationError(f"cli: config file {args.config!r} does not exist")
+        except (OSError, UnicodeError) as exc:
+            raise ValidationError(f"cli: config file {args.config!r} cannot be read: {exc}")
         except json.JSONDecodeError as exc:
             raise ParseError(f"cli: config file is not valid JSON: {exc}")
         if not isinstance(base, dict):
@@ -237,9 +247,12 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def _load(config: ExperimentConfig):
     from .trees import load_tree
 
-    if not os.path.exists(config.tree_path):
+    try:
+        return load_tree(config.tree_path)
+    except FileNotFoundError:
         raise ValidationError(f"cli: tree file {config.tree_path!r} does not exist")
-    return load_tree(config.tree_path)
+    except (OSError, UnicodeError) as exc:
+        raise ValidationError(f"cli: tree file {config.tree_path!r} cannot be read: {exc}")
 
 
 # -- command implementations --------------------------------------------------

@@ -493,6 +493,8 @@ def optimize_pi(
     ``mixture_mi_profile(tree, pi, samples, seed)`` at that point, and
     neighbouring points (mirror images too) carry correlated errors.
     """
+    if tree.k == 0:
+        raise ValidationError("tree has no hidden nodes, so it has no sign bias to optimise")
     if not (0.0 < grid_step <= 0.25):
         raise ValidationError(f"grid_step must lie in (0, 0.25], got {grid_step}")
     _require_samples(samples)

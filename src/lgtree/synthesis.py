@@ -1,11 +1,11 @@
 """Layered random-codebook synthesis of the observed Gaussian vector.
 
-Per layer, a codebook holds Bernoulli sign codewords (one +/-1 symbol per
-hidden node per channel use) and Gaussian codewords.  A Gaussian codeword
-exists per (gaussian index, sign index) pair: at each channel use its
-symbol follows the Gaussian law fixed by the sign codeword's realisation
-there, so for every fixed sign codeword the Gaussian sub-codebook is an
-i.i.d. sample of the conditional input law.  Pair codewords are never
+The top (deepest) layer's codebook holds Bernoulli sign codewords (one +/-1
+symbol per top-layer node per channel use) and Gaussian codewords.  A
+Gaussian codeword exists per (gaussian index, sign index) pair: at each
+channel use its symbol follows the Gaussian law fixed by the sign codeword's
+realisation there, so for every fixed sign codeword the Gaussian sub-codebook
+is an i.i.d. sample of the conditional input law.  Pair codewords are never
 stored.  Their white noise comes from a counter-based stream (Philox4x64-10)
 keyed by (seed, layer) and counted by (pair, block), so any set of pairs
 regenerates in one vectorised call with the same values as one pair at a
@@ -21,10 +21,11 @@ codebook, every lower layer is the sign-modulated regression of the layer
 above plus fresh Gaussian innovation noise, and the observed vector is the
 final regression step.  These regressions (observed | layer 1, layer 1 |
 layer 2, ...) are built once per tree and also give the codeword colouring
-and the per-layer rate bounds.  Flipping a middle layer's signs flips both its
-incoming and outgoing edge groups, so only the deepest layer's codewords
-shape the emitted law; lower sign codebooks are still drawn, sized, and
-checked, as the scheme prescribes.
+and the per-layer rate bounds.  Flipping every edge at a hidden node is a
+sign-equivalence: a lower layer's sign multiplies the layer on its way in
+and again on its way out, and b^2 = 1 cancels it.  Only the top layer's
+codebook shapes the emitted law, so it is the only one built; lower-layer
+signs are drawn i.i.d. Bernoulli(pi) at emission.
 
 The synthesized block density q is a finite, exactly evaluable Gaussian
 mixture over codeword pairs, which gives a direct Monte Carlo estimate of
@@ -48,7 +49,7 @@ from .trees import GaussianTree, joint_covariance  # noqa: F401 (bench's tracer 
 
 CODEBOOK_CAP = 2**16       # per-table codeword count cap
 MIXTURE_CAP = 2**14        # cap on exactly evaluated mixture components
-PATTERN_CAP = 2**12        # cap on per-layer covariance sign patterns
+PATTERN_CAP = 2**12        # cap on the top layer's covariance sign patterns
 CODEWORD_ROWS = 2**12      # pair codewords generated per slice
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest N R with a finite exp(N R)
 
@@ -76,12 +77,8 @@ class RateTuple:
         return RateTuple(layers, int(block_length))
 
     def codeword_counts(self) -> list[tuple[int, int]]:
-        out = []
-        for ry, rb in self.layers:
-            my = math.ceil(math.exp(self.block_length * ry))
-            mb = math.ceil(math.exp(self.block_length * rb))
-            out.append((my, mb))
-        return out
+        n = self.block_length
+        return [(math.ceil(math.exp(n * ry)), math.ceil(math.exp(n * rb))) for ry, rb in self.layers]
 
 
 PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
@@ -278,10 +275,7 @@ class Codebook:
     rates: RateTuple
     pi: BernoulliParams
     seed: int
-    layers: tuple[LayerCodebook, ...]   # depth 1 .. L
-
-    def layer(self, depth: int) -> LayerCodebook:
-        return self.layers[depth - 1]
+    layers: tuple[LayerCodebook, ...]   # the top layer's table alone
 
 
 @dataclass(frozen=True)
@@ -327,51 +321,50 @@ def _layer_blocks(tree: GaussianTree) -> list[_BlockModel]:
     return [_block(tree, t, tree.layer_nodes(d)) for d, t in enumerate(below, start=1)]
 
 
+def _require_layers(tree: GaussianTree, rates: RateTuple) -> None:
+    """Rates must give one (R_Y, R_B) pair to each of the tree's hidden layers."""
+    if tree.num_layers == 0:
+        raise ValidationError("tree has no hidden nodes, so it has no layer to code")
+    if len(rates.layers) != tree.num_layers:
+        raise ValidationError(
+            f"rates cover {len(rates.layers)} layers but the tree has {tree.num_layers}"
+        )
+
+
 def build_codebooks(
     tree: GaussianTree, rates: RateTuple, pi: BernoulliParams, seed: int
 ) -> Codebook:
-    """Draw the per-layer sign codeword tables and pin the Gaussian pair
-    ensembles.  Deterministic given the seed: each layer draws its sign
-    codewords from its own substream, and the white noise of pair codeword
-    (g, s) is block j of a Philox4x64-10 stream keyed by (seed, layer) at
-    counter (j, g M_B + s, 0, 0); see :meth:`LayerCodebook.white_noise`.
-    Raises CapExceeded when a table would exceed 2^16 codewords.
+    """Draw the top layer's sign codeword table and pin its Gaussian pair
+    ensemble.  Deterministic given the seed: the sign codewords come from
+    substream (seed, 11, L), and the white noise of pair codeword (g, s) is
+    block j of a Philox4x64-10 stream keyed by (seed, L) at counter
+    (j, g M_B + s, 0, 0); see :meth:`LayerCodebook.white_noise`.  Lower
+    layers get no table: their signs cancel from the emitted law, and
+    :func:`synthesize` draws them i.i.d.  Raises CapExceeded when the table
+    would exceed 2^16 codewords or 2^12 covariance patterns.
     """
-    depth_count = tree.num_layers
-    if depth_count == 0:
-        raise ValidationError("tree has no hidden nodes; nothing to synthesize")
-    if len(rates.layers) != depth_count:
-        raise ValidationError(
-            f"rates cover {len(rates.layers)} layers but the tree has {depth_count}"
-        )
-    n_uses = rates.block_length
-    counts = rates.codeword_counts()
-    layers = []
-    for depth, block in enumerate(_layer_blocks(tree), start=1):
-        nodes = block.sources
-        k = len(nodes)
-        my, mb = counts[depth - 1]
-        if my > CODEBOOK_CAP or mb > CODEBOOK_CAP:
-            raise CapExceeded(
-                f"layer {depth} codebook sizes ({my}, {mb}) exceed the cap {CODEBOOK_CAP}"
-            )
-        p = pi.vector_for(nodes)
-        if 2 ** (k - 1) > PATTERN_CAP:
-            raise CapExceeded(f"layer with {k} nodes needs too many covariance patterns")
-        sign_rng = _rng(seed, 11, depth)
-        signs = np.where(sign_rng.random((mb, n_uses, k)) < p, 1.0, -1.0)
-        layers.append(
-            LayerCodebook(
-                depth=depth,
-                nodes=nodes,
-                seed=int(seed),
-                gauss_count=my,
-                signs=signs,
-                pattern_codes=_pattern_codes(signs),
-                chol=block.marg_s.chol,
-            )
-        )
-    return Codebook(rates=rates, pi=pi, seed=int(seed), layers=tuple(layers))
+    _require_layers(tree, rates)
+    depth = tree.num_layers
+    block = _layer_blocks(tree)[-1]
+    nodes = block.sources
+    k = len(nodes)
+    my, mb = rates.codeword_counts()[-1]
+    if my > CODEBOOK_CAP or mb > CODEBOOK_CAP:
+        raise CapExceeded(f"layer {depth} codebook sizes ({my}, {mb}) exceed the cap {CODEBOOK_CAP}")
+    if 2 ** (k - 1) > PATTERN_CAP:
+        raise CapExceeded(f"layer with {k} nodes needs too many covariance patterns")
+    draws = _rng(seed, 11, depth).random((mb, rates.block_length, k))
+    signs = np.where(draws < pi.vector_for(nodes), 1.0, -1.0)
+    top = LayerCodebook(
+        depth=depth,
+        nodes=nodes,
+        seed=int(seed),
+        gauss_count=my,
+        signs=signs,
+        pattern_codes=_pattern_codes(signs),
+        chol=block.marg_s.chol,
+    )
+    return Codebook(rates=rates, pi=pi, seed=int(seed), layers=(top,))
 
 
 # -- emission ----------------------------------------------------------------
@@ -386,26 +379,26 @@ def synthesize(
 ):
     """Emit ``runs`` observed blocks of shape (N, n).
 
-    Every run draws one Gaussian pair index from the deepest layer and one
-    sign codeword index per layer, all uniform, then walks the layers down
-    with fresh innovation noise per run and channel use.
+    Every run draws one uniform (Gaussian, sign) pair index from the top
+    layer's codebook, then walks the layers down with fresh innovation noise
+    and i.i.d. Bernoulli(pi) signs per run and channel use.  The lower-layer
+    signs cancel from the output (see the module docstring); with
+    ``return_internals`` they are returned with each layer's inputs.
     """
     if runs < 1:
         raise ValidationError("runs must be >= 1")
     depth_count = tree.num_layers
     idx_rng = _rng(seed, 21)
     noise_rng = _rng(seed, 22)
+    sign_rng = _rng(seed, 23)   # lower-layer signs
 
-    top = codebook.layer(depth_count)
+    top = codebook.layers[-1]
     gauss_index = idx_rng.integers(0, top.gauss_count, size=runs)
-    sign_index = {
-        d: idx_rng.integers(0, codebook.layer(d).sign_count, size=runs)
-        for d in range(1, depth_count + 1)
-    }
+    sign_index = idx_rng.integers(0, top.sign_count, size=runs)
 
-    y = top.gaussian_codeword(gauss_index, sign_index[depth_count])
-    cur_b = top.signs[sign_index[depth_count]]
-    internals = {"gauss_index": gauss_index, "sign_index": sign_index,
+    y = top.gaussian_codeword(gauss_index, sign_index)
+    cur_b = top.signs[sign_index]
+    internals = {"gauss_index": gauss_index, "sign_index": {depth_count: sign_index},
                  "y": {depth_count: y}, "b": {depth_count: cur_b}}
 
     blocks = _layer_blocks(tree)
@@ -413,7 +406,8 @@ def synthesize(
         mean = np.einsum("ij,rtj->rti", blocks[depth].gain, cur_b * y)
         if noise:
             mean = mean + noise_rng.standard_normal(mean.shape) @ blocks[depth].noise.chol.T
-        cur_b = codebook.layer(depth).signs[sign_index[depth]]
+        bias = codebook.pi.vector_for(blocks[depth - 1].sources)
+        cur_b = np.where(sign_rng.random(mean.shape) < bias, 1.0, -1.0)
         y = cur_b * mean
         internals["y"][depth] = y
         internals["b"][depth] = cur_b
@@ -432,12 +426,11 @@ def synthesize(
 def _mixture_components(tree: GaussianTree, codebook: Codebook):
     """Means and shared covariance of the emitted-block mixture.
 
-    Sign codewords below the deepest layer flip both edge groups incident to
-    their layer and cancel from the emitted law, so the mixture collapses to
-    the deepest layer's (gaussian, sign) codeword pairs.
+    Signs below the top layer flip both edge groups incident to their layer
+    and cancel from the emitted law, so the mixture is over the top layer's
+    (gaussian, sign) codeword pairs.
     """
-    depth_count = tree.num_layers
-    top = codebook.layer(depth_count)
+    top = codebook.layers[-1]
     my, mb = top.gauss_count, top.sign_count
     if my * mb > MIXTURE_CAP:
         raise MixtureTooLarge(
@@ -539,13 +532,11 @@ def rate_region_check(
     layer-1 inputs; deeper layers compare against the MI between consecutive
     hidden layers, conditioned on the shallower signs.  The Gaussian-rate
     margin uses the mixture MI (Monte Carlo); the sum-rate margin uses the
-    fixed Gaussian MI.
+    fixed Gaussian MI.  Every layer's bounds belong to the paper's rate
+    region, but only the last entry's rates drive emission: lower-layer
+    signs cancel from the emitted law, so no codebook is built for them.
     """
-    depth_count = tree.num_layers
-    if len(rates.layers) != depth_count:
-        raise ValidationError(
-            f"rates cover {len(rates.layers)} layers but the tree has {depth_count}"
-        )
+    _require_layers(tree, rates)
     out = []
     for depth, block in enumerate(_layer_blocks(tree), start=1):
         profile = block_mi_mixture(
@@ -676,13 +667,14 @@ def verify_encoding_constraints(
     2. emitted symbols independent of the layer-1 sign symbols (Gaussian
        plug-in MI against a permutation null);
     3. symbols i.i.d. across channel uses (lag-1 cross-covariance vanishes);
-    4. Gaussian codebook cardinality matches ceil(exp(N R_Y)) per layer;
-    5. sign codebook cardinality matches ceil(exp(N R_B)) per layer;
+    4. the top layer's Gaussian codebook cardinality matches ceil(exp(N R_Y));
+    5. the top layer's sign codebook cardinality matches ceil(exp(N R_B));
     6. the report's total-variation upper bound is at most ``tv_threshold``.
     """
     if not math.isfinite(tv_threshold):
         raise ValidationError(f"tv_threshold must be a finite number, got {tv_threshold}")
     checks: list[ConstraintCheck] = []
+    top = codebook.layers[-1]
     x, internals = synthesize(
         tree, codebook, runs, _point_seed(seed, 3), return_internals=True
     )
@@ -723,8 +715,7 @@ def verify_encoding_constraints(
         # cluster-robust over those pairs rather than over runs
         prods = np.einsum("rti,rtj->rij", x[:, :-1, :], x[:, 1:, :]) / (n_uses - 1)
         mean = prods.mean(axis=0)
-        top = codebook.layer(tree.num_layers)
-        pair = internals["gauss_index"] * top.sign_count + internals["sign_index"][tree.num_layers]
+        pair = internals["gauss_index"] * top.sign_count + internals["sign_index"][top.depth]
         clusters, cluster = np.unique(pair, return_inverse=True)
         groups = len(clusters)
         dev = np.zeros((groups,) + mean.shape)
@@ -744,24 +735,17 @@ def verify_encoding_constraints(
         + ("" if n_uses >= 2 else " (single symbol per block)"),
     ))
 
-    counts = codebook.rates.codeword_counts()
-    depths = range(1, tree.num_layers + 1)
-    worst_gauss = max(abs(codebook.layer(d).gauss_count - counts[d - 1][0]) for d in depths)
-    checks.append(ConstraintCheck(
-        name="gaussian_codebook_cardinality",
-        passed=worst_gauss == 0,
-        observed=float(worst_gauss),
-        threshold=0.0,
-        detail="max |codeword count - ceil(exp(N R_Y))| over layers",
-    ))
-    worst_sign = max(abs(codebook.layer(d).sign_count - counts[d - 1][1]) for d in depths)
-    checks.append(ConstraintCheck(
-        name="sign_codebook_cardinality",
-        passed=worst_sign == 0,
-        observed=float(worst_sign),
-        threshold=0.0,
-        detail="max |codeword count - ceil(exp(N R_B))| over layers",
-    ))
+    my, mb = codebook.rates.codeword_counts()[-1]
+    for name, count, want, rate in (("gaussian", top.gauss_count, my, "R_Y"),
+                                    ("sign", top.sign_count, mb, "R_B")):
+        gap = abs(count - want)
+        checks.append(ConstraintCheck(
+            name=f"{name}_codebook_cardinality",
+            passed=gap == 0,
+            observed=float(gap),
+            threshold=0.0,
+            detail=f"|codeword count - ceil(exp(N {rate}))|, top layer",
+        ))
 
     checks.append(ConstraintCheck(
         name="tv_bound_within_threshold",

@@ -241,7 +241,7 @@ def test_criterion_9_constraint_checklist(star, star_trend):
     ok = all(c.passed for c in checks) and len(checks) == 6
 
     # tamper 1: drop one Gaussian codeword -> only the gaussian cardinality fails
-    layer = dataclasses.replace(codebook.layer(1), gauss_count=codebook.layer(1).gauss_count - 1)
+    layer = dataclasses.replace(codebook.layers[0], gauss_count=codebook.layers[0].gauss_count - 1)
     tampered = dataclasses.replace(codebook, layers=(layer,))
     t_checks = {c.name: c for c in lg.verify_encoding_constraints(star, tampered, report, runs=2000, seed=99)}
     ok &= not t_checks["gaussian_codebook_cardinality"].passed
@@ -249,7 +249,7 @@ def test_criterion_9_constraint_checklist(star, star_trend):
 
     # tamper 2: hard-wire signs to +1 with pi=0.5 declared -> independence is
     # trivially clean but the sign cardinality no longer matches
-    lay = codebook.layer(1)
+    lay = codebook.layers[0]
     ones = dataclasses.replace(
         lay,
         signs=np.ones((1,) + lay.signs.shape[1:]),

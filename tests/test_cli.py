@@ -44,6 +44,33 @@ def test_validate_missing_file_exit_1():
     assert "does not exist" in proc.stderr
 
 
+@pytest.mark.parametrize("case", ["tree is a directory", "tree is not UTF-8",
+                                  "config is a directory", "out lies in no directory"])
+def test_unreadable_input_files_exit_1(case, tmp_path):
+    undecodable = tmp_path / "bytes.tree"
+    undecodable.write_bytes(b"\xff\n")
+    argv = {
+        "tree is a directory": ["validate", tmp_path],
+        "tree is not UTF-8": ["validate", undecodable],
+        "config is a directory": ["validate", PKG / "trees" / "star.tree", "--config", tmp_path],
+        "out lies in no directory": ["rate-check", PKG / "trees" / "star.tree", "--ry", "0.3",
+                                     "--rb", "0.3", "--out", tmp_path / "missing" / "x.json"],
+    }[case]
+    code, out, err = run_in_process(*argv)
+    assert (code, out) == (1, ""), err
+    assert "ValidationError: cli: " in err
+
+
+def test_hidden_free_tree_exits_1(tmp_path):
+    tree = tmp_path / "pair.tree"
+    tree.write_text("node x1 observed\nnode x2 observed\nedge x1 x2 0.5\n")
+    for argv in (["rate-check", tree, "--ry", "0.1", "--rb", "0.1"],
+                 ["optimize-pi", tree, "--samples", "1000"]):
+        code, out, err = run_in_process(*argv)
+        assert (code, out) == (1, ""), err
+        assert "tree has no hidden nodes" in err
+
+
 def test_validate_invalid_tree_exit_1(tmp_path):
     bad = tmp_path / "bad.tree"
     bad.write_text("node x1 observed\nnode y hidden\nedge y x1 0.5\n")

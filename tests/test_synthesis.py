@@ -56,30 +56,34 @@ def test_layer_count_mismatch(two_layer):
         lg.build_codebooks(two_layer, RateTuple.make([(0.5, 0.5)], 4), pi, 0)
 
 
-def test_sub_block_counts(star, dumbbell, two_layer):
+def test_sub_block_counts(star, dumbbell, four_hidden, two_layer):
     pi_s = BernoulliParams.uniform(star, 0.5)
     cb = lg.build_codebooks(star, RateTuple.make([(0.5, 0.5)], 4), pi_s, 1)
-    assert cb.layer(1).sub_block_count == 1
+    assert cb.layers[0].sub_block_count == 1
 
     pi_d = BernoulliParams.uniform(dumbbell, 0.5)
     cb = lg.build_codebooks(dumbbell, RateTuple.make([(0.5, 0.5)], 4), pi_d, 1)
-    assert cb.layer(1).sub_block_count == 2
+    assert cb.layers[0].sub_block_count == 2
+
+    pi_f = BernoulliParams.uniform(four_hidden, 0.5)
+    cb = lg.build_codebooks(four_hidden, RateTuple.make([(0.5, 0.5)], 4), pi_f, 1)
+    assert cb.layers[0].sub_block_count == 8
+    assert sum(cb.layers[0].realized_sub_block_sizes()) == cb.layers[0].signs.shape[0] * 4
 
     pi_t = BernoulliParams.uniform(two_layer, 0.5)
     cb = lg.build_codebooks(
         two_layer, RateTuple.make([(0.5, 0.5), (0.5, 0.5)], 4), pi_t, 1
     )
-    assert cb.layer(1).sub_block_count == 16
-    assert cb.layer(2).sub_block_count == 1
-    assert sum(cb.layer(1).realized_sub_block_sizes()) == cb.layer(1).signs.shape[0] * 4
+    assert [lay.depth for lay in cb.layers] == [2]
+    assert cb.layers[0].sub_block_count == 1
 
 
 def test_codebook_determinism(star_codebook, star):
     cb, rates, pi = star_codebook
     again = lg.build_codebooks(star, rates, pi, 11)
-    assert np.array_equal(cb.layer(1).signs, again.layer(1).signs)
+    assert np.array_equal(cb.layers[0].signs, again.layers[0].signs)
     assert np.array_equal(
-        cb.layer(1).gaussian_codeword(3, 5), again.layer(1).gaussian_codeword(3, 5)
+        cb.layers[0].gaussian_codeword(3, 5), again.layers[0].gaussian_codeword(3, 5)
     )
 
 
@@ -129,7 +133,7 @@ def _canonical_pattern(code, k):
 def test_sub_block_law_dumbbell(dumbbell):
     pi = BernoulliParams.uniform(dumbbell, 0.5)
     cb = lg.build_codebooks(dumbbell, RateTuple.make([(0.8, 0.8)], 6), pi, 3)
-    lay = cb.layer(1)
+    lay = cb.layers[0]
     _, internals = lg.synthesize(dumbbell, cb, 4000, 5, return_internals=True)
     y = internals["y"][1]
     codes = lay.pattern_codes[internals["sign_index"][1]]        # (runs, N)
@@ -308,7 +312,7 @@ def test_constraint_checklist_passes(star, star_codebook):
 def test_tampered_gaussian_cardinality_fails(star, star_codebook):
     cb, _, _ = star_codebook
     rep = lg.estimate_divergence(star, cb, 800, 5)
-    layer = dataclasses.replace(cb.layer(1), gauss_count=cb.layer(1).gauss_count - 1)
+    layer = dataclasses.replace(cb.layers[0], gauss_count=cb.layers[0].gauss_count - 1)
     tampered = dataclasses.replace(cb, layers=(layer,))
     checks = {c.name: c for c in lg.verify_encoding_constraints(star, tampered, rep, runs=1000, seed=21)}
     assert not checks["gaussian_codebook_cardinality"].passed
@@ -318,7 +322,7 @@ def test_tampered_gaussian_cardinality_fails(star, star_codebook):
 
 def test_hardwired_signs_fail_cardinality_only(star, star_codebook):
     cb, _, _ = star_codebook
-    lay = cb.layer(1)
+    lay = cb.layers[0]
     ones = np.ones((1,) + lay.signs.shape[1:])
     layer = dataclasses.replace(
         lay, signs=ones, pattern_codes=np.zeros((1, lay.signs.shape[1]), dtype=np.int64)
@@ -383,10 +387,11 @@ def _quantile_of_centred(quantile, q):
     return np.where(q < 0, 1.0, -1.0) * np.vectorize(quantile, otypes=[float])(0.5 - np.abs(q))
 
 
-def test_white_noise_is_the_documented_stream(two_layer):
-    pi = BernoulliParams.uniform(two_layer, 0.5)
-    cb = lg.build_codebooks(two_layer, RateTuple.make([(0.5, 0.5), (0.6, 0.4)], 3), pi, 7)
-    for lay in cb.layers:
+def test_white_noise_is_the_documented_stream(four_hidden, two_layer):
+    # a top layer of four nodes, and two_layer's top layer of one
+    for tree, rates in ((four_hidden, [(0.5, 0.5)]), (two_layer, [(0.5, 0.5), (0.6, 0.4)])):
+        pi = BernoulliParams.uniform(tree, 0.5)
+        lay = lg.build_codebooks(tree, RateTuple.make(rates, 3), pi, 7).layers[0]
         n_uses, k = lay.signs.shape[1:]
         key = np.random.SeedSequence((7, 13, lay.depth)).generate_state(2, np.uint64)
         for g, s in [(0, 0), (lay.gauss_count - 1, lay.sign_count - 1), (1, 2)]:
@@ -406,9 +411,9 @@ def test_white_noise_is_the_documented_stream(two_layer):
             np.testing.assert_allclose(got, _quantile_of_centred(ndtri, q), rtol=2e-15, atol=0)
 
 
-def test_every_philox_word_gives_a_finite_normal_odd_in_the_word(two_layer, monkeypatch):
-    pi = BernoulliParams.uniform(two_layer, 0.5)
-    lay = lg.build_codebooks(two_layer, RateTuple.make([(0.5, 0.5), (0.6, 0.4)], 3), pi, 7).layer(1)
+def test_every_philox_word_gives_a_finite_normal_odd_in_the_word(four_hidden, monkeypatch):
+    pi = BernoulliParams.uniform(four_hidden, 0.5)
+    lay = lg.build_codebooks(four_hidden, RateTuple.make([(0.5, 0.5)], 4), pi, 7).layers[0]
     # words w = k 2^11 and their complements 2^64 - 1 - w, whose top 53 bits
     # are 2^53 - 1 - k; k = 0 pairs the all-ones word with the all-zeros one
     tops = [0, 1, 2, 2**20 + 7, 2**51, 2**52 - 2, 2**52 - 1]
@@ -429,10 +434,10 @@ def test_every_philox_word_gives_a_finite_normal_odd_in_the_word(two_layer, monk
     assert lower[0] < -8.29 and upper[0] > 8.29      # 2^-54 in either tail
 
 
-def test_codeword_batch_matches_single(two_layer, monkeypatch):
-    pi = BernoulliParams.uniform(two_layer, 0.5)
-    cb = lg.build_codebooks(two_layer, RateTuple.make([(0.5, 0.5), (0.6, 0.4)], 3), pi, 7)
-    lay = cb.layer(1)                     # four nodes: eight covariance patterns
+def test_codeword_batch_matches_single(four_hidden, monkeypatch):
+    pi = BernoulliParams.uniform(four_hidden, 0.5)
+    cb = lg.build_codebooks(four_hidden, RateTuple.make([(0.5, 0.5)], 3), pi, 7)
+    lay = cb.layers[0]                    # four nodes: eight covariance patterns
     g = np.arange(lay.gauss_count)[:, None]
     s = np.arange(lay.sign_count)
     batch = lay.gaussian_codeword(g, s)
@@ -444,15 +449,17 @@ def test_codeword_batch_matches_single(two_layer, monkeypatch):
     assert np.array_equal(lay.gaussian_codeword(g, s), batch)
 
 
-def test_mixture_means_are_codewords_through_the_chain(two_layer):
-    pi = BernoulliParams.uniform(two_layer, 0.5)
-    cb = lg.build_codebooks(two_layer, RateTuple.make([(0.5, 0.5), (0.6, 0.4)], 3), pi, 7)
-    means, _ = _mixture_components(two_layer, cb)
-    top = cb.layer(2)
-    assert len(means) == top.gauss_count * top.sign_count
-    x, internals = lg.synthesize(two_layer, cb, 60, 4, noise=False, return_internals=True)
-    comp = internals["gauss_index"] * top.sign_count + internals["sign_index"][2]
-    assert np.allclose(x, means[comp], rtol=0, atol=1e-12)
+def test_mixture_means_are_codewords_through_the_chain(four_hidden, two_layer):
+    # eight covariance patterns in one layer; one top node above a second layer
+    for tree, rates in ((four_hidden, [(0.5, 0.5)]), (two_layer, [(0.5, 0.5), (0.6, 0.4)])):
+        pi = BernoulliParams.uniform(tree, 0.5)
+        cb = lg.build_codebooks(tree, RateTuple.make(rates, 3), pi, 7)
+        means, _ = _mixture_components(tree, cb)
+        top = cb.layers[0]
+        assert len(means) == top.gauss_count * top.sign_count
+        x, internals = lg.synthesize(tree, cb, 60, 4, noise=False, return_internals=True)
+        comp = internals["gauss_index"] * top.sign_count + internals["sign_index"][top.depth]
+        assert np.allclose(x, means[comp], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("comparisons", [1, 3, 9, 121, 10**4])
@@ -499,7 +506,7 @@ def test_white_noise_is_standard_normal(star_codebook):
     from scipy.stats import kstest
 
     cb, _, _ = star_codebook
-    lay = cb.layer(1)
+    lay = cb.layers[0]
     xi = lay.white_noise(np.arange(lay.gauss_count)[:, None], np.arange(lay.sign_count))
     assert xi.size == lay.gauss_count * lay.sign_count * 6
     assert kstest(xi.ravel(), "norm").pvalue > 0.01
@@ -508,7 +515,7 @@ def test_white_noise_is_standard_normal(star_codebook):
 @pytest.mark.parametrize("which", ["gauss", "sign"])
 def test_codeword_index_validation(star_codebook, which):
     cb, _, _ = star_codebook
-    lay = cb.layer(1)
+    lay = cb.layers[0]
     count = lay.gauss_count if which == "gauss" else lay.sign_count
     for bad in (-1, count, np.array([0, -1]), np.array([[count]]), 1.0):
         pair = (bad, 0) if which == "gauss" else (0, bad)
@@ -563,11 +570,12 @@ def test_iid_check_detects_lag_correlation(star, iid_setup, monkeypatch):
 @pytest.mark.parametrize("name, rates", [
     ("dumbbell", [(0.5, 1.0)]),
     ("two_layer", [(0.5, 1.0), (0.5, 0.5)]),
+    ("four_hidden", [(0.5, 1.0)]),
 ])
-def test_codewords_equal_per_pattern_cholesky_colouring(tree_dir, name, rates):
+def test_codewords_equal_per_pattern_cholesky_colouring(request, name, rates):
     # the reference colours each symbol with cholesky(outer(p, p) * Sigma),
     # one factor per canonical pattern p of the layer
-    tree = lg.load_tree(tree_dir / f"{name}.tree")
+    tree = request.getfixturevalue(name)
     pi = BernoulliParams.uniform(tree, 0.5)
     cb = lg.build_codebooks(tree, RateTuple.make(rates, 4), pi, 5)
     for lay in cb.layers:
@@ -603,7 +611,7 @@ def test_each_regression_is_built_once_per_tree(tree_dir, monkeypatch):
     lg.verify_encoding_constraints(tree, cb, report, runs=200, seed=3)
     layers = [tree.observed] + [tree.layer_nodes(d) for d in range(1, tree.num_layers + 1)]
     assert built == {(t, s): 1 for t, s in zip(layers, layers[1:])}
-    assert not any(lay.chol.flags.writeable for lay in cb.layers)   # shared with the memo
+    assert not cb.layers[0].chol.flags.writeable   # shared with the memo
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, 1e308, 1e5])
@@ -666,3 +674,71 @@ def test_sign_independence_check_detects_a_sign_leak(star, iid_setup, monkeypatc
     monkeypatch.setattr(synthesis, "synthesize", _sign_leak(synthesis.synthesize, 0.1))
     leaked = check()
     assert not leaked.passed and leaked.observed > 2 * leaked.threshold
+
+
+def test_two_layer_frontier_codebook_builds_at_block_length_8(two_layer):
+    # layer 1's frontier sign rate asks for over a million sign codewords,
+    # which emission never reads; only the top table counts against the caps
+    pi = BernoulliParams.uniform(two_layer, 0.5)
+    rates = lg.frontier_rates(two_layer, pi, 0.2, 8, samples=20000, seed=7)
+    assert rates.codeword_counts()[0][1] > synthesis.CODEBOOK_CAP
+    cb = lg.build_codebooks(two_layer, rates, pi, 7)
+    assert (cb.layers[0].gauss_count, cb.layers[0].sign_count) == rates.codeword_counts()[1]
+    report = lg.estimate_divergence(two_layer, cb, 300, 7, rate_margin_samples=1000)
+    assert math.isfinite(report.kl_estimate) and report.kl_std_error > 0
+    assert [b["layer"] for b in report.sub_blocks] == [2]
+    assert [b["layer"] for b in report.bound_check] == [1, 2]
+    checks = {c.name: c for c in lg.verify_encoding_constraints(two_layer, cb, report, runs=300)}
+    assert checks["gaussian_codebook_cardinality"].passed
+    assert checks["sign_codebook_cardinality"].passed
+
+
+def test_only_the_top_sign_table_is_drawn(two_layer, monkeypatch):
+    tags = []
+
+    def recording(seed, *rest):
+        tags.append((seed,) + rest)
+        return real(seed, *rest)
+
+    real = synthesis._rng
+    monkeypatch.setattr(synthesis, "_rng", recording)
+    pi = BernoulliParams.uniform(two_layer, 0.5)
+    cb = lg.build_codebooks(two_layer, RateTuple.make([(0.5, 0.5), (0.6, 0.4)], 3), pi, 7)
+    assert tags == [(7, 11, 2)]
+    assert [lay.depth for lay in cb.layers] == [2]
+    assert cb.layers[0].nodes == two_layer.layer_nodes(2)
+
+
+def test_lower_layer_rates_leave_the_emitted_law_unchanged(two_layer):
+    # a layer-1 sign multiplies layer 1 on its way in and on its way out
+    pi = BernoulliParams.uniform(two_layer, 0.5)
+    laws = []
+    for low in (0.01, 0.5, 1.5):
+        cb = lg.build_codebooks(two_layer, RateTuple.make([(low, low), (0.8, 0.8)], 2), pi, 11)
+        means, cov = _mixture_components(two_layer, cb)
+        laws.append((means, cov, lg.synthesize(two_layer, cb, 50, 3, noise=False)))
+    for means, cov, x in laws[1:]:
+        assert np.array_equal(means, laws[0][0])
+        assert np.array_equal(cov, laws[0][1])
+        assert np.array_equal(x, laws[0][2])
+
+
+def test_emitted_blocks_ignore_the_lower_layer_signs(two_layer, monkeypatch):
+    p = {h: 0.3 if two_layer.layer[h] == 1 else 0.5 for h in two_layer.hidden}
+    pi = BernoulliParams.make(p)
+    cb = lg.build_codebooks(two_layer, RateTuple.make([(0.0, 0.0), (0.8, 0.8)], 4), pi, 11)
+    x, internals = lg.synthesize(two_layer, cb, 3000, 3, return_internals=True)
+    b1 = internals["b"][1]
+    assert b1.shape == internals["y"][1].shape
+    # i.i.d. Bernoulli(0.3) per node, run and channel use
+    draws = (b1 > 0).reshape(-1, b1.shape[-1])
+    assert np.all(np.abs(draws.mean(axis=0) - 0.3) < 4 * math.sqrt(0.3 * 0.7 / len(draws)))
+
+    def other_lower_signs(seed, *tags):
+        return real(seed + 1 if tags == (23,) else seed, *tags)
+
+    real = synthesis._rng
+    monkeypatch.setattr(synthesis, "_rng", other_lower_signs)
+    x_other, other = lg.synthesize(two_layer, cb, 3000, 3, return_internals=True)
+    assert not np.array_equal(other["b"][1], b1)
+    assert np.array_equal(x_other, x)
