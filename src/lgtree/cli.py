@@ -65,10 +65,21 @@ class ExperimentConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"cli: field {name!r} must be a finite number")
         # output files are written after the work, so check where they go first;
-        # enumerate-signs creates the directory its --out names
+        # enumerate-signs creates the directory its --out names, with any
+        # missing parents, so the nearest existing path on it must be a directory
         for name in ("out", "csv", "dump_csv"):
             path = getattr(self, name)
-            if path is None or (name == "out" and self.command == "enumerate-signs"):
+            if path is None:
+                continue
+            if name == "out" and self.command == "enumerate-signs":
+                existing = os.path.abspath(path)
+                while not os.path.lexists(existing):
+                    existing = os.path.dirname(existing)
+                if not os.path.isdir(existing):
+                    raise ValidationError(
+                        f"cli: field 'out' must name a directory, got {path!r}, "
+                        f"but {existing!r} is not one"
+                    )
                 continue
             if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
                 raise ValidationError(

@@ -10,15 +10,21 @@ Three kinds of quantities live here:
   sign MI conditioned on the Gaussian inputs, and the Gaussian-input MI;
 * a grid search for the sign bias that maximises the conditional sign MI.
 
-All values are in nats.  Mixture log densities are evaluated with exact
-enumeration over the 2^k sign vectors and log-sum-exp accumulation.  The
-inner mixtures are pi-weighted: the conditional density given the Gaussian
-inputs is approximated by sum_b pi(b) p(x | y, b), the prior-weighted
-average rather than the sign-posterior one.  The two coincide whenever the
-sign posterior given the inputs is flat (in particular for a single hidden
-node), the chain identity with the fixed total holds for either choice,
-and the pi-weighted form is what makes the conditional sign MI split
-exactly across leaf groups.
+All values are in nats.  Mixture log densities are exact sums over sign
+flips, factorised over coupling groups of sources.  Removing the sources
+from the tree leaves components that are independent given the sources
+(the global Markov property of the tree, Lauritzen, *Graphical Models*,
+1996, section 3.2), each seeing only the sources next to it; with the
+signs independent a priori, the prior-weighted sum over the 2^k flips is
+the product over groups of sums over the 2^|group| flips of each group.
+A source next to no target leaves the target law unchanged and is not
+enumerated.  The inner mixtures are pi-weighted: the conditional density
+given the Gaussian inputs is approximated by sum_b pi(b) p(x | y, b), the
+prior-weighted average rather than the sign-posterior one.  The two
+coincide whenever the sign posterior given the inputs is flat (in
+particular for a single hidden node), the chain identity with the fixed
+total holds for either choice, and the pi-weighted form is what makes the
+conditional sign MI split exactly across leaf groups.
 
 One Monte Carlo core serves every mixture estimator.  It draws sign
 uniforms u, source values g and target noise in fixed batches; the targets
@@ -60,7 +66,7 @@ CLOSED_FORM = "closed_form"
 DIRECT_GAUSSIAN = "direct_gaussian"
 MONTE_CARLO = "monte_carlo"
 
-MIXTURE_ENUM_CAP = 12   # exact mixtures enumerate 2^k sign vectors
+MIXTURE_ENUM_CAP = 12   # cap on the k sign inputs of an exact mixture
 MIN_MC_SAMPLES = 1000   # below this the error bars are not worth reporting
 GRID_CAP = 2**12        # cap on optimize_pi grid points
 
@@ -147,7 +153,9 @@ class _BlockModel:
     Built from the marginal path-product covariance over the union; the
     sign flips of the source nodes enter as a diagonal +/-1 conjugation of
     the cross block, so the regression gain for flips b is G0 @ diag(b).
-    Build it through :func:`_block`, once per tree.
+    ``groups`` holds the positions in ``sources`` of each coupling group
+    (:func:`_coupling_groups`).  Build it through :func:`_block`, once per
+    tree.
     """
 
     def __init__(self, tree: GaussianTree, targets, sources):
@@ -167,6 +175,7 @@ class _BlockModel:
         if np.min(np.linalg.eigvalsh(resid)) <= PD_EIG_FLOOR:
             raise IllConditioned("conditional covariance of the target block is singular")
         self.noise = _Gauss(resid, "conditional covariance")
+        self.groups = _coupling_groups(tree, self.targets, self.sources)
 
     def gaussian_mi(self) -> float:
         """MI between the blocks with signs held fixed (they drop out)."""
@@ -179,6 +188,56 @@ class _BlockModel:
         return 0.5 * (ld_t + ld_s - ld_j)
 
 
+def _coupling_groups(tree: GaussianTree, targets, sources) -> tuple[tuple[int, ...], ...]:
+    """Positions in ``sources`` of the groups whose sign flips must be
+    enumerated jointly, read off the tree's adjacency.
+
+    Removing the sources splits the tree into components.  Given the
+    sources, the targets of different components are independent, and those
+    of one component see only the sources next to it; so sources next to a
+    common target-holding component are coupled, and the groups are the
+    classes of that relation (union-find).  A source next to no
+    target-holding component is in no group: its flip leaves the target law
+    unchanged.  Groups list positions in increasing order and are ordered by
+    their first position.
+    """
+    pos = {s: i for i, s in enumerate(sources)}
+    targets = set(targets)
+    parent = list(range(len(sources)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    coupled: set[int] = set()
+    seen = set(sources)
+    for start in tree.nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, near, holds_target = [start], set(), False
+        while stack:
+            node = stack.pop()
+            holds_target = holds_target or node in targets
+            for nbr, _ in tree.adjacency[node]:
+                if nbr in pos:
+                    near.add(pos[nbr])
+                elif nbr not in seen:
+                    seen.add(nbr)
+                    stack.append(nbr)
+        if holds_target and near:
+            first = find(min(near))
+            for j in near:
+                parent[find(j)] = first
+            coupled |= near
+    groups: dict[int, list[int]] = {}
+    for j in sorted(coupled):
+        groups.setdefault(find(j), []).append(j)
+    return tuple(tuple(g) for g in groups.values())
+
+
 def _block(tree: GaussianTree, targets, sources) -> _BlockModel:
     """The regression of ``targets`` on ``sources``, built once per tree."""
     key = (tuple(targets), tuple(sources))
@@ -187,12 +246,16 @@ def _block(tree: GaussianTree, targets, sources) -> _BlockModel:
     return tree._blocks[key]
 
 
-def _enumerate_signs(count: int) -> np.ndarray:
+def _require_enum_cap(count: int):
     if count > MIXTURE_ENUM_CAP:
         raise TooManyHidden(
             f"mixture enumeration over {count} sign inputs exceeds the cap of "
             f"{MIXTURE_ENUM_CAP}"
         )
+
+
+def _enumerate_signs(count: int) -> np.ndarray:
+    _require_enum_cap(count)
     return np.array(list(itertools.product((1.0, -1.0), repeat=count)))
 
 
@@ -207,7 +270,7 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 SAMPLE_BATCH = 8192    # samples drawn per batch; the draw order is part of the contract
-EVAL_CELLS = 2**20     # (sample, sign component) cells evaluated at once
+EVAL_CELLS = 2**20     # (sample, enumerated flip) cells evaluated at once
 EXP_CEILING = 700.0    # log density ratios are shifted below this before exp()
 
 
@@ -240,58 +303,78 @@ class _MixtureChunk:
     The draw is (u, g, noise): uniforms that set the sign inputs b = (u < pi)
     for any prior pi, the source values g = b * y that the targets actually
     see, and the target noise.  Since x = gain g + noise does not involve b,
-    neither does the density ratio of each relative flip c of the sources,
-    dens[c] = p(x | c o g) / p(x | g); row 0 is c = +1, the drawn component,
-    whose log density is ``log_cond``.  Sources and components index the
-    rows of ``u`` and ``dens`` and samples their columns, so the per-source
-    contractions run over contiguous rows.
+    neither does the density ratio of each relative flip c of the sources.
+    The ratio is a product over the coupling groups, so ``factors`` holds
+    one (positions, shift, dens) per group, where
+    dens[c] = exp(-shift) p(x | c o g) / p(x | g) for the flips c of that
+    group alone; row 0 is c = +1, the drawn component, whose log density is
+    ``log_cond``.  Sources and flips index the rows of ``u`` and ``dens``
+    and samples their columns, so the per-source contractions run over
+    contiguous rows.
     """
 
-    def __init__(self, model: _BlockModel, flips, gw, pair_gram, u, g, z, x):
+    def __init__(self, model: _BlockModel, gw, enumerated, u, g, z, x):
         self.u, self.g, self.x = np.ascontiguousarray(u.T), g, x
         self.log_cond = -0.5 * np.einsum("ij,ij->i", z, z) + model.noise._const
         self.log_marg = model.marg_t.logpdf(x)
         # whitened, x - gain (c o g) = z + 2 (f o g) gw with f = (1 - c) / 2, so
         # log dens = -2 [f . (g o (z gw^T)) + (f o g) gw gw^T (f o g)]
-        linear = g * (z @ gw.T)
-        quad = (g[:, :, None] * g[:, None, :]).reshape(len(g), -1)
-        log_dens = -2.0 * (flips @ linear.T + pair_gram @ quad.T)
-        self.shift = np.maximum(log_dens.max(axis=0) - EXP_CEILING, 0.0)
-        self.dens = np.exp(log_dens - self.shift)
+        zgw = z @ gw.T
+        self.factors = []
+        for idx, flips, pair_gram in enumerated:
+            gs = g[:, idx]
+            linear = gs * zgw[:, idx]
+            quad = (gs[:, :, None] * gs[:, None, :]).reshape(len(g), -1)
+            log_dens = -2.0 * (flips @ linear.T + pair_gram @ quad.T)
+            shift = np.maximum(log_dens.max(axis=0) - EXP_CEILING, 0.0)
+            self.factors.append((idx, shift, np.exp(log_dens - shift)))
 
     def log_ratio(self, p: np.ndarray) -> np.ndarray:
         """log sum_c pi(b o c) p(x | c o g) - log p(x | g) at sign prior ``p``.
 
-        The prior is a product over sources, so the sum contracts one source
-        at a time, weighting the drawn sign by its prior r and the flipped
-        one by 1 - r.  A zero-prior component gets weight exactly 0, and at
-        p in {0, 1} the ratio is exactly 0."""
-        s = self.dens
-        for j in reversed(range(len(p))):
-            r = np.where(self.u[j] < p[j], p[j], 1.0 - p[j])
-            s = s.reshape(-1, 2, s.shape[-1])
-            s = s[:, 0] * r + s[:, 1] * (1.0 - r)
-        return np.log(s[0]) + self.shift
+        The prior is a product over sources, so each group's sum contracts
+        one source at a time, weighting the drawn sign by its prior r and
+        the flipped one by 1 - r; the groups' logs add.  A zero-prior
+        component gets weight exactly 0, and at p in {0, 1} the ratio is
+        exactly 0."""
+        total = np.zeros(self.u.shape[1])
+        for idx, shift, s in self.factors:
+            for j in reversed(idx):
+                r = np.where(self.u[j] < p[j], p[j], 1.0 - p[j])
+                s = s.reshape(-1, 2, s.shape[-1])
+                s = s[:, 0] * r + s[:, 1] * (1.0 - r)
+            total += np.log(s[0]) + shift
+        return total
 
     def signs(self, p: np.ndarray) -> np.ndarray:
         """The +/-1 sign inputs drawn at prior ``p``."""
         return np.where(self.u.T < p, 1.0, -1.0)
 
 
-def _mixture_chunks(model: _BlockModel, samples: int, rng):
+def _mixture_chunks(model: _BlockModel, samples: int, rng, groups=None):
     """Stream a deterministic draw of the (signs, sources, targets) model.
 
     Each batch of SAMPLE_BATCH samples draws the sign uniforms, the source
     values and the target noise, in that order, off one generator; it is
-    evaluated in slices of at most EVAL_CELLS (sample, component) cells.
+    evaluated in slices of at most EVAL_CELLS (sample, enumerated flip)
+    cells, counting the 2^|group| flips of every group.  ``groups`` lists
+    the source positions enumerated jointly, by default the model's
+    coupling groups.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     ks, nt = len(model.sources), len(model.targets)
-    flips = (1.0 - _enumerate_signs(ks)) / 2.0           # 1 marks a flipped source
+    _require_enum_cap(ks)
     gw = (model.noise.inv_chol @ model.gain).T            # (ks, nt) whitened gain
-    pair_gram = (flips[:, :, None] * flips[:, None, :] * (gw @ gw.T)).reshape(len(flips), -1)
-    rows = max(1, EVAL_CELLS // len(flips))
+    coupling = gw @ gw.T
+    enumerated = []
+    for idx in model.groups if groups is None else groups:
+        idx = list(idx)
+        flips = (1.0 - _enumerate_signs(len(idx))) / 2.0  # 1 marks a flipped source
+        pair_gram = (flips[:, :, None] * flips[:, None, :]
+                     * coupling[np.ix_(idx, idx)]).reshape(len(flips), -1)
+        enumerated.append((idx, flips, pair_gram))
+    rows = max(1, EVAL_CELLS // max(1, sum(len(flips) for _, flips, _ in enumerated)))
     for start in range(0, samples, SAMPLE_BATCH):
         m = min(SAMPLE_BATCH, samples - start)
         u = rng.random((m, ks))
@@ -300,7 +383,7 @@ def _mixture_chunks(model: _BlockModel, samples: int, rng):
         x = g @ model.gain.T + z @ model.noise.chol.T
         for lo in range(0, m, rows):
             sl = slice(lo, lo + rows)
-            yield _MixtureChunk(model, flips, gw, pair_gram, u[sl], g[sl], z[sl], x[sl])
+            yield _MixtureChunk(model, gw, enumerated, u[sl], g[sl], z[sl], x[sl])
 
 
 def _mixture_profiles(model: _BlockModel, priors, samples: int, rng) -> list[dict[str, MIResult]]:
@@ -449,7 +532,10 @@ def decomposition_check(
     obs_pos = {o: i for i, o in enumerate(tree.observed)}
     hid_pos = {h: i for i, h in enumerate(tree.hidden)}
     lhs, rhs = _Running(), _Running()
-    for chunk in _mixture_chunks(model, samples, _rng(seed, 3)):
+    # the left side enumerates both signs jointly, so the split is tested
+    # here, not assumed by the coupling groups
+    joint = (tuple(range(len(model.sources))),)
+    for chunk in _mixture_chunks(model, samples, _rng(seed, 3), joint):
         lhs.add(0.0 - chunk.log_ratio(p))
         y = chunk.signs(p) * chunk.g
         rhs_vals = np.zeros(len(y))

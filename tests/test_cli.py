@@ -71,6 +71,17 @@ def test_hidden_free_tree_exits_1(tmp_path):
         assert "tree has no hidden nodes" in err
 
 
+def test_hidden_free_tree_has_exactly_zero_sign_information(tmp_path):
+    tree = tmp_path / "pair.tree"
+    tree.write_text("node x1 observed\nnode x2 observed\nedge x1 x2 0.5\n")
+    code, out, err = run_in_process("mi-conditional", tree, "--samples", "1000",
+                                    "--deterministic")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    for key in ("signs_given_inputs", "signs_marginal"):
+        assert result[key]["value_nats"] == 0.0 and result[key]["std_error"] == 0.0
+
+
 def test_validate_invalid_tree_exit_1(tmp_path):
     bad = tmp_path / "bad.tree"
     bad.write_text("node x1 observed\nnode y hidden\nedge y x1 0.5\n")
@@ -115,6 +126,19 @@ def test_enumerate_writes_variant_files(tmp_path):
     assert len(files) == 4
     variants = [lg.load_tree(f) for f in files]
     assert lg.verify_equivalence(variants)
+
+
+@pytest.mark.parametrize("case", ["out is a file", "out lies under a file"])
+def test_enumerate_out_under_a_file_exits_1(case, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken if case == "out is a file" else taken / "sub"
+    code, stdout, err = run_in_process("enumerate-signs", PKG / "trees" / "dumbbell.tree",
+                                       "--out", out)
+    assert (code, stdout) == (1, ""), err
+    assert "ValidationError: cli: field 'out' must name a directory" in err
+    assert taken.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_sign_report_two_layer():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ def high_corr():
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_sign_conditional_degenerate_pi_two_layer(two_layer, p):
-    # 64 sign rows: a zero-prior component must drop out, not turn into NaN
+    # 6 sign inputs: a zero-prior component must drop out, not turn into NaN
     prof = lg.mixture_mi_profile(two_layer, BernoulliParams.uniform(two_layer, p), 2000, 1)
     assert prof["signs_given_inputs"].value == 0.0
     assert prof["signs_given_inputs"].std_error == 0.0
@@ -293,19 +294,16 @@ def test_optimize_pi_curve_matches_profile(request, name):
         assert abs(val - 0.5) <= 0.25
 
 
-@pytest.mark.parametrize("name", ["two_layer", "high_corr"])
-def test_reweighted_mixture_matches_enumeration(request, name):
-    # reference: the log-sum-exp over every full sign vector, with the
-    # prior-weighted density of x given each signed copy of the inputs
+def _assert_log_ratio_matches_enumeration(model, rng):
+    # reference: the log-sum-exp over every full sign vector of the sources,
+    # with the prior-weighted density of x given each signed copy of them
     from scipy.special import logsumexp
 
-    from lgtree import info
-
-    tree = request.getfixturevalue(name)
-    model = info._BlockModel(tree, tree.observed, tree.hidden)
-    rng = np.random.default_rng(8)
-    priors = [rng.uniform(0.05, 0.95, tree.k), np.r_[0.0, 1.0, rng.uniform(size=tree.k - 2)]]
-    enum = info._enumerate_signs(tree.k)
+    ks = len(model.sources)
+    priors = [rng.uniform(0.05, 0.95, ks),
+              np.r_[0.0, 1.0, rng.uniform(size=ks)][:ks],
+              np.r_[1.0, 0.0, rng.uniform(size=ks)][:ks]]
+    enum = info._enumerate_signs(ks)
     for chunk in info._mixture_chunks(model, 500, info._rng(4, 0)):
         for p in priors:
             y = chunk.signs(p) * chunk.g
@@ -322,6 +320,81 @@ def test_reweighted_mixture_matches_enumeration(request, name):
             assert np.max(np.abs(got - expected)) <= 1e-9
 
 
+def _mixture_blocks(tree):
+    from lgtree.synthesis import _layer_blocks
+
+    return _layer_blocks(tree) + [info._block(tree, tree.observed, tree.hidden)]
+
+
+@pytest.mark.parametrize("name", ["star", "dumbbell", "two_layer", "four_hidden", "high_corr"])
+def test_reweighted_mixture_matches_enumeration(request, name):
+    # the grouped sum over flips equals the joint one on every block
+    tree = request.getfixturevalue(name)
+    rng = np.random.default_rng(8)
+    for model in _mixture_blocks(tree):
+        _assert_log_ratio_matches_enumeration(model, rng)
+
+
+def test_grouped_mixture_matches_enumeration_on_random_multilayer_trees():
+    rng = np.random.default_rng(12)
+    trees = []
+    while len(trees) < 6:
+        tree = random_tree(rng, max_hidden=6)
+        if tree.num_layers >= 2:
+            trees.append(tree)
+    for tree in trees:
+        for model in _mixture_blocks(tree):
+            _assert_log_ratio_matches_enumeration(model, rng)
+
+
+def _enumerated_rows(chunk):
+    return [len(dens) for _, _, dens in chunk.factors]
+
+
+@pytest.mark.parametrize("name, block, rows", [
+    ("two_layer", "observed|hidden", [4, 2, 2, 2]),   # y1 and y5 share x0; u is dropped
+    ("two_layer", "observed|layer 1", [4, 2, 2, 2]),
+    ("two_layer", "layer 1|layer 2", [2]),
+    ("star", "observed|hidden", [2]),
+    ("dumbbell", "observed|hidden", [2, 2]),
+])
+def test_flips_are_enumerated_per_coupling_group(request, name, block, rows):
+    tree = request.getfixturevalue(name)
+    side = {"observed": tree.observed, "hidden": tree.hidden,
+            "layer 1": tree.layer_nodes(1), "layer 2": tree.layer_nodes(2)}
+    targets, sources = block.split("|")
+    model = info._block(tree, side[targets], side[sources])
+    chunk = next(info._mixture_chunks(model, 1000, info._rng(0, 0)))
+    assert _enumerated_rows(chunk) == rows
+
+
+def test_decomposition_enumerates_both_signs_jointly(dumbbell, monkeypatch):
+    # criterion 7 compares the joint sum over flips with the per-group one
+    seen = []
+
+    class Recording(info._MixtureChunk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            seen.append(_enumerated_rows(self))
+
+    monkeypatch.setattr(info, "_MixtureChunk", Recording)
+    lg.decomposition_check(dumbbell, BernoulliParams.uniform(dumbbell, 0.5), 1000, 11)
+    assert seen == [[4]]
+
+
+def test_mixture_profile_memory_is_bounded_by_the_groups(two_layer):
+    # 10 enumerated rows per sample; the joint 64 rows peaked at about 24 MB
+    pi = BernoulliParams.uniform(two_layer, 0.5)
+    lg.mixture_mi_profile(two_layer, pi, 1000, 1)   # builds the block model
+    tracemalloc.start()
+    try:
+        lg.mixture_mi_profile(two_layer, pi, 50000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_zero_prior_component_drops_out(star):
     # at pi in {0, 1} the flipped component has prior 0 and must contribute
     # exactly nothing, however much likelier than the drawn one it is
@@ -329,18 +402,23 @@ def test_zero_prior_component_drops_out(star):
 
     model = info._BlockModel(star, star.observed, star.hidden)
     chunk = next(info._mixture_chunks(model, 1000, info._rng(0, 0)))
-    chunk.dens[1] = 1e300
+    chunk.factors[0][2][1] = 1e300
     for p in (0.0, 1.0):
         assert np.all(chunk.log_ratio(np.array([p])) == 0.0)
 
 
 def test_sliced_evaluation_matches_whole_batches(two_layer, monkeypatch):
-    # beyond 7 sources a draw batch is evaluated in slices of samples
+    # past EVAL_CELLS enumerated cells a draw batch is evaluated in slices of
+    # samples; here 3000 samples in slices of 700
     from lgtree import info
 
     pi = BernoulliParams.uniform(two_layer, 0.3)
     whole = lg.mixture_mi_profile(two_layer, pi, 3000, 2)
-    monkeypatch.setattr(info, "EVAL_CELLS", 64 * 700)
+    model = info._block(two_layer, two_layer.observed, two_layer.hidden)
+    rows = sum(2 ** len(g) for g in model.groups)
+    monkeypatch.setattr(info, "EVAL_CELLS", rows * 700)
+    widths = [chunk.u.shape[1] for chunk in info._mixture_chunks(model, 3000, info._rng(2, 0))]
+    assert widths == [700, 700, 700, 700, 200]
     sliced = lg.mixture_mi_profile(two_layer, pi, 3000, 2)
     for key, est in whole.items():
         assert abs(sliced[key].value - est.value) <= 1e-12
