@@ -384,6 +384,7 @@ def _mixture_chunks(model: _BlockModel, samples: int, rng, groups=None):
         for lo in range(0, m, rows):
             sl = slice(lo, lo + rows)
             yield _MixtureChunk(model, gw, enumerated, u[sl], g[sl], z[sl], x[sl])
+        del u, g, z, x          # free this batch before the next is drawn
 
 
 def _mixture_profiles(model: _BlockModel, priors, samples: int, rng) -> list[dict[str, MIResult]]:
@@ -398,6 +399,7 @@ def _mixture_profiles(model: _BlockModel, priors, samples: int, rng) -> list[dic
             ratio = chunk.log_ratio(p)            # log_pred - log_cond
             inputs.add(tot + ratio)
             signs.add(0.0 - ratio)
+        del chunk               # its views pin the batch while the next is drawn
     total_mi = total.result()
     return [
         {"inputs": inputs.result(), "signs_given_inputs": signs.result(), "total": total_mi}
@@ -559,6 +561,7 @@ def decomposition_check(
                 lse_pred = np.logaddexp(lse_pred, math.log(prob) + lp_xg)
             rhs_vals += num - lse_pred
         rhs.add(rhs_vals)
+        del chunk
     return lhs.result(), rhs.result()
 
 

@@ -52,6 +52,7 @@ MIXTURE_CAP = 2**14        # cap on exactly evaluated mixture components
 PATTERN_CAP = 2**12        # cap on the top layer's covariance sign patterns
 CODEWORD_ROWS = 2**12      # pair codewords generated per slice
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest N R with a finite exp(N R)
+THREE_SIGMA_MASS = 0.0026997960632601866       # two-sided normal mass beyond 3 sigma
 
 
 @dataclass(frozen=True)
@@ -481,42 +482,37 @@ def _block_log_density(x: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.
     return out + const - 0.5 * np.einsum("ij,ij->i", xw, xw)
 
 
-def _gaussian_label_mi(z: np.ndarray, labels: np.ndarray) -> float:
-    """Gaussian plug-in MI between rows of z and a discrete label."""
-    mu = z.mean(axis=0)
-    cov = np.cov(z.T, bias=True) + 1e-12 * np.eye(z.shape[1])
-    prec = np.linalg.inv(cov)
-    _, logdet = np.linalg.slogdet(cov)
-    total = 0.0
-    for v in np.unique(labels):
-        sel = z[labels == v]
-        w = len(sel) / len(z)
-        if len(sel) < z.shape[1] + 2:
-            continue
-        mu_v = sel.mean(axis=0) - mu
-        cov_v = np.cov(sel.T, bias=True) + 1e-12 * np.eye(z.shape[1])
-        _, logdet_v = np.linalg.slogdet(cov_v)
-        kl = 0.5 * (
-            np.trace(prec @ cov_v) + mu_v @ prec @ mu_v - z.shape[1] + logdet - logdet_v
-        )
-        total += w * kl
-    return float(total)
+def _independence_stat(z: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
+    """Corrected likelihood-ratio statistic that every label class of the
+    rows of z has one Gaussian law, and its chi^2 degrees of freedom.
+
+    Classes with fewer than n + 2 rows are dropped.  For maximum-likelihood
+    covariances, 2 M times the Gaussian plug-in MI is M logdet S -
+    sum_v M_v logdet S_v, whose limit is chi^2 with (L - 1)(n + n(n + 1)/2)
+    degrees of freedom (Wilks 1938); rho is Anderson's small-sample factor
+    (An Introduction to Multivariate Statistical Analysis, 2003, ch. 10).
+    """
+    n = z.shape[1]
+    classes = [c for c in (z[labels == v] for v in np.unique(labels)) if len(c) >= n + 2]
+    if len(classes) < 2:
+        return 0.0, 0
+
+    def scaled_logdet(rows):
+        dev = rows - rows.mean(axis=0)
+        return len(rows) * np.linalg.slogdet(dev.T @ dev / len(rows))[1]
+
+    pooled = np.concatenate(classes)
+    lr = scaled_logdet(pooled) - sum(scaled_logdet(c) for c in classes)
+    groups = len(classes) - 1
+    rho = 1.0 - (sum(1.0 / len(c) for c in classes) - 1.0 / len(pooled)) * (
+        2 * n * n + 9 * n + 11) / (6.0 * groups * (n + 3))
+    return float(rho * lr), groups * (n + n * (n + 1) // 2)
 
 
-def _independence_stat(x: np.ndarray, b1: np.ndarray, rng) -> tuple[float, float]:
-    """Per-symbol independence statistic between emitted symbols and the
-    layer-1 sign symbols, calibrated against a permutation null."""
-    s, n_uses, n_dim = x.shape
-    z = x.reshape(s * n_uses, n_dim)
-    k1 = b1.shape[-1]
-    bits = (b1.reshape(s * n_uses, k1) < 0).astype(np.int64)
-    labels = bits @ (2 ** np.arange(k1, dtype=np.int64))
-    stat = _gaussian_label_mi(z, labels)
-    perms = 16
-    null = np.empty(perms)
-    for i in range(perms):
-        null[i] = _gaussian_label_mi(z, rng.permutation(labels))
-    return stat - float(null.mean()), float(null.std(ddof=1))
+def _chi2_upper(df: int) -> float:
+    """Upper chi^2_df quantile at the 3-sigma tail mass (Wilson-Hilferty)."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + NormalDist().inv_cdf(1.0 - THREE_SIGMA_MASS) * math.sqrt(h)) ** 3
 
 
 def rate_region_check(
@@ -560,8 +556,7 @@ def rate_region_check(
 
 def _family_z(comparisons: int) -> float:
     """z threshold giving a 3-sigma family-wise level over many comparisons."""
-    alpha = 0.0026997960632601866  # two-sided mass beyond 3 sigma
-    return NormalDist().inv_cdf(1.0 - alpha / (2 * comparisons))
+    return NormalDist().inv_cdf(1.0 - THREE_SIGMA_MASS / (2 * comparisons))
 
 
 def _point_seed(seed: int, tag: int) -> int:
@@ -664,8 +659,10 @@ def verify_encoding_constraints(
 
     1. outputs conditionally independent given the layer-1 inputs and signs
        (whitened residual correlations vanish);
-    2. emitted symbols independent of the layer-1 sign symbols (Gaussian
-       plug-in MI against a permutation null);
+    2. emitted symbols independent of the layer-1 sign symbols (on one run
+       per drawn top-layer pair, a corrected Gaussian likelihood ratio by
+       sign class against its upper chi^2 3-sigma quantile; 0 against 0
+       with fewer than two classes of n + 2 symbols);
     3. symbols i.i.d. across channel uses (lag-1 cross-covariance vanishes);
     4. the top layer's Gaussian codebook cardinality matches ceil(exp(N R_Y));
     5. the top layer's sign codebook cardinality matches ceil(exp(N R_B));
@@ -697,26 +694,29 @@ def verify_encoding_constraints(
         detail="max |z| of whitened residual correlations, family-adjusted 3-sigma level",
     ))
 
-    stat, se = _independence_stat(x, internals["b"][1], _rng(seed, 41))
-    ok = abs(stat) <= 3.0 * se if se > 0 else stat == 0.0
+    # one run per drawn top-layer pair, since runs sharing a pair share its codeword
+    pair = internals["gauss_index"] * top.sign_count + internals["sign_index"][top.depth]
+    clusters, first, cluster = np.unique(pair, return_index=True, return_inverse=True)
+    b1 = internals["b"][1][first]
+    labels = (b1 < 0).reshape(-1, b1.shape[-1]) @ (2 ** np.arange(b1.shape[-1]))
+    stat, df = _independence_stat(x[first].reshape(len(labels), -1), labels)
+    thr_sign = _chi2_upper(df) if df else 0.0
     checks.append(ConstraintCheck(
         name="output_independent_of_signs",
-        passed=bool(ok),
+        passed=stat <= thr_sign,
         observed=stat,
-        threshold=3.0 * se,
-        detail="per-symbol Gaussian MI statistic vs permutation null",
+        threshold=thr_sign,
+        detail="corrected Gaussian likelihood ratio of symbols by layer-1 signs, "
+               "one run per codeword pair, upper chi-square 3-sigma quantile",
     ))
 
     n_uses = x.shape[1]
     n_dim = x.shape[-1]
     if n_uses >= 2:
-        # average lag-1 products within each run first; runs that drew the
-        # same top-layer pair share its codeword, so the standard error is
-        # cluster-robust over those pairs rather than over runs
+        # average lag-1 products within each run first; the standard error
+        # is cluster-robust over the drawn pairs rather than over runs
         prods = np.einsum("rti,rtj->rij", x[:, :-1, :], x[:, 1:, :]) / (n_uses - 1)
         mean = prods.mean(axis=0)
-        pair = internals["gauss_index"] * top.sign_count + internals["sign_index"][top.depth]
-        clusters, cluster = np.unique(pair, return_inverse=True)
         groups = len(clusters)
         dev = np.zeros((groups,) + mean.shape)
         np.add.at(dev, cluster, prods - mean)

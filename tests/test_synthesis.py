@@ -468,6 +468,30 @@ def test_family_z_is_the_normal_quantile(comparisons):
     assert synthesis._family_z(comparisons) == pytest.approx(float(ndtri(level)), rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("df", [3, 9, 42, 81, 2387])
+def test_chi2_upper_is_the_chi2_quantile(df):
+    from scipy.stats import chi2
+
+    # Wilson-Hilferty is 1.05 % high at df 3 and within 0.1 % from df 42
+    want = chi2.ppf(1.0 - synthesis.THREE_SIGMA_MASS, df)
+    assert synthesis._chi2_upper(df) == pytest.approx(want, rel=0.011, abs=0)
+
+
+@pytest.mark.parametrize("classes, n_dim, rows, reps", [(2, 3, 40, 1000), (32, 11, 1920, 100)])
+def test_independence_stat_mean_is_its_degrees_of_freedom(classes, n_dim, rows, reps):
+    # with these draws the mean reads -0.1 and +0.2 SE from df, and without
+    # the small-sample factor +7.5 and +28 SE
+    rng = np.random.default_rng(3)
+    stats = []
+    for _ in range(reps):
+        labels = rng.integers(classes, size=rows)
+        stat, df = synthesis._independence_stat(rng.standard_normal((rows, n_dim)), labels)
+        stats.append(stat)
+    assert df == (classes - 1) * (n_dim + n_dim * (n_dim + 1) // 2)
+    se = np.std(stats, ddof=1) / math.sqrt(reps)
+    assert abs(np.mean(stats) - df) <= 3 * se
+
+
 def _recording(real, seen):
     def synthesize(*args, **kwargs):
         out = real(*args, **kwargs)
@@ -544,26 +568,28 @@ def iid_setup(star):
     return pi, rates, lg.estimate_divergence(star, cb, 500, 11, rate_margin_samples=1000)
 
 
-def _iid_check(star, cb, report, seed):
+def _checks(star, cb, report, seed):
     checks = lg.verify_encoding_constraints(star, cb, report, runs=2000, seed=seed)
-    return {c.name: c for c in checks}["iid_across_channel_uses"]
+    return {c.name: c for c in checks}
 
 
 def test_iid_check_false_alarms(star, iid_setup):
     # runs share few pair codewords; a standard error that treats the runs
-    # as independent fails on 20 of these 60 codebook seeds
+    # as independent fails on 20 of these 60 codebook seeds, and a sign
+    # independence null that ignores the sharing on 37
     pi, rates, report = iid_setup
-    failed = [s for s in range(60)
-              if not _iid_check(star, lg.build_codebooks(star, rates, pi, s), report, s).passed]
-    assert len(failed) <= 1, failed
+    found = [_checks(star, lg.build_codebooks(star, rates, pi, s), report, s) for s in range(60)]
+    for name in ("iid_across_channel_uses", "output_independent_of_signs"):
+        failed = [s for s, checks in enumerate(found) if not checks[name].passed]
+        assert len(failed) <= 1, (name, failed)
 
 
 def test_iid_check_detects_lag_correlation(star, iid_setup, monkeypatch):
     pi, rates, report = iid_setup
     cb = lg.build_codebooks(star, rates, pi, 11)
-    assert _iid_check(star, cb, report, 11).passed
+    assert _checks(star, cb, report, 11)["iid_across_channel_uses"].passed
     monkeypatch.setattr(synthesis, "synthesize", _lagged(synthesis.synthesize, 0.2))
-    check = _iid_check(star, cb, report, 11)
+    check = _checks(star, cb, report, 11)["iid_across_channel_uses"]
     assert not check.passed and check.observed > 2 * check.threshold
 
 
@@ -662,9 +688,11 @@ def _sign_leak(real, c):
     return synthesize
 
 
-def test_sign_independence_check_detects_a_sign_leak(star, iid_setup, monkeypatch):
-    pi, rates, report = iid_setup
-    cb = lg.build_codebooks(star, rates, pi, 11)
+def test_sign_independence_check_detects_a_sign_leak(star, star_codebook, monkeypatch):
+    # the 28 x 37 codebook: 1500 runs draw about 800 distinct pairs, where
+    # the 10 x 12 codebook of iid_setup has only 120
+    cb, _, _ = star_codebook
+    report = lg.estimate_divergence(star, cb, 500, 11, rate_margin_samples=1000)
 
     def check():
         checks = lg.verify_encoding_constraints(star, cb, report, runs=1500, seed=21)
