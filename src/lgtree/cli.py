@@ -372,7 +372,7 @@ def _cmd_mi_conditional(config: ExperimentConfig, tree) -> dict:
         "pi": pi.as_dict(),
         "signs_given_inputs": _mi_json(profile["signs_given_inputs"], config.units, config.seed),
         "inputs": _mi_json(profile["inputs"], config.units, config.seed),
-        "signs_marginal": _mi_json(marginal, config.units, config.seed),
+        "signs_marginal": _mi_json(marginal, config.units),
         "chain_sum_nats": chain,
         "fixed_total_nats": fixed.value,
         "chain_gap_nats": chain - fixed.value,

@@ -1,13 +1,16 @@
 """Information measures on latent Gaussian trees.
 
-Three kinds of quantities live here:
+Four kinds of quantities live here:
 
 * closed-form Gaussian mutual information between the observed block and
   the hidden block, either from three determinants or, for leaf-observed
   trees, from the observed covariance alone via triple ratios;
+* the sign-marginal MI, computed exactly from the observed laws of the
+  sign variants (the Gaussian maximum-entropy bound, which is tight at the
+  zero that sign equivalence implies);
 * Monte Carlo estimates for the mixture model in which each hidden node's
-  sign is an independent +/-1 Bernoulli input: the sign-marginal MI, the
-  sign MI conditioned on the Gaussian inputs, and the Gaussian-input MI;
+  sign is an independent +/-1 Bernoulli input: the sign MI conditioned on
+  the Gaussian inputs and the Gaussian-input MI;
 * a grid search for the sign bias that maximises the conditional sign MI.
 
 All values are in nats.  Mixture log densities are exact sums over sign
@@ -53,6 +56,7 @@ from .errors import (
     ValidationError,
     WrongShape,
 )
+from .signs import SignAssignment, apply_sign_assignment
 from .trees import (
     GaussianTree,
     PD_EIG_FLOOR,
@@ -460,30 +464,61 @@ def mi_closed_form(
     return MIResult(0.5 * (logdet - log_den), 0.0, CLOSED_FORM, 0)
 
 
+def _mixture_entropy_gap(weights, covs) -> float:
+    """U = 1/2 [log det S - sum_b w_b log det S_b] for the zero-mean laws
+    N(0, S_b) mixed with weights w_b (normalised here), S = sum_b w_b S_b.
+
+    S is the mixture's covariance, and no law of a given covariance has more
+    entropy than the Gaussian (Cover and Thomas, *Elements of Information
+    Theory*, 2nd ed., Thm 8.6.5), so U bounds the MI between a draw and its
+    component label: 0 <= I <= U.  log det is strictly concave, so with
+    positive weights U = 0 only when every S_b is the same.  S is
+    accumulated as S_0 + sum_b w_b (S_b - S_0) and each log det S_b is
+    subtracted from log det S before weighting, so identical laws give
+    exactly 0.0.
+    """
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    covs = np.asarray(covs, dtype=float)
+    mean = covs[0] + np.einsum("b,bij->ij", w, covs - covs[0])
+    sign, logdet = np.linalg.slogdet(np.concatenate([mean[None], covs]))
+    if np.any(sign <= 0):
+        raise IllConditioned("mixture component covariance is not positive definite")
+    return 0.5 * float(w @ (logdet[0] - logdet[1:]))
+
+
 def mi_sign_marginal(
     tree: GaussianTree, pi: BernoulliParams, samples: int, seed: int
 ) -> MIResult:
-    """Monte Carlo estimate of the MI between the observed vector and the
-    sign vector.  Sign flips leave the observed covariance untouched, so
-    every mixture component coincides and the estimate is exactly zero.
-    Samples are drawn and scored SAMPLE_BATCH at a time."""
+    """MI between the observed vector and the sign vector, in closed form.
+
+    Each sign vector b with prior pi(b) > 0 is applied to the tree with
+    :func:`apply_sign_assignment`, and the observed block S_b of that
+    variant's :func:`joint_covariance` is its observed law N(0, S_b); the
+    observed vector is their pi-mixture.  The result is the entropy gap
+    U = 1/2 [log det S - sum_b pi(b) log det S_b], S = sum_b pi(b) S_b, an
+    upper bound with 0 <= I(X; B) <= U (:func:`_mixture_entropy_gap`).  Sign
+    flips leave the observed covariance unchanged, so on a valid tree every
+    S_b is the same, U is exactly 0 and so is I(X; B); U turns positive as
+    soon as one variant's observed law differs.  A prior with all its mass
+    on one sign vector (pi in {0, 1}, or no hidden nodes) builds a single
+    variant and gives exactly 0.0.  More than MIXTURE_ENUM_CAP hidden nodes
+    raise TooManyHidden.
+
+    ``samples`` and ``seed`` keep the signature of the Monte Carlo
+    estimators, which the benchmark's span tracer (``bench/spans.py``) binds
+    by name; ``samples`` must still reach MIN_MC_SAMPLES, and ``seed`` is
+    not read.
+    """
     _require_samples(samples)
-    p = pi.vector_for(tree.hidden)
-    marg = _Gauss(np.asarray(joint_covariance(tree).observed_block), "observed covariance")
-    log_prior = _log_prior(_enumerate_signs(tree.k), p)
-    log_prior = log_prior[log_prior > -np.inf]
-    rng = _rng(seed, 1)
-    total = _Running()
-    for start in range(0, samples, SAMPLE_BATCH):
-        m = min(SAMPLE_BATCH, samples - start)
-        lp_x = marg.logpdf(rng.standard_normal((m, tree.n)) @ marg.chol.T)
-        # observed-block conditional given any sign vector: identical by the
-        # sign-equivalence property, so evaluate the density once
-        lse = np.full(m, -np.inf)
-        for lp in log_prior:
-            lse = np.logaddexp(lse, lp + lp_x)
-        total.add(lp_x - lse)
-    return total.result()
+    signs = _enumerate_signs(tree.k)
+    log_prior = _log_prior(signs, pi.vector_for(tree.hidden))
+    keep = log_prior > -np.inf
+    covs = []
+    for row in signs[keep]:
+        flips = SignAssignment.make(dict(zip(tree.hidden, row.astype(int))))
+        covs.append(joint_covariance(apply_sign_assignment(tree, flips)).observed_block)
+    return MIResult(_mixture_entropy_gap(np.exp(log_prior[keep]), covs), 0.0, CLOSED_FORM, 0)
 
 
 def block_mi_fixed(tree: GaussianTree, targets, sources) -> MIResult:

@@ -82,6 +82,17 @@ def test_hidden_free_tree_has_exactly_zero_sign_information(tmp_path):
         assert result[key]["value_nats"] == 0.0 and result[key]["std_error"] == 0.0
 
 
+@pytest.mark.parametrize("name", ["star", "dumbbell", "lowcorr", "two_layer"])
+def test_mi_conditional_reports_the_closed_form_sign_marginal(name):
+    code, out, err = run_in_process("mi-conditional", PKG / "trees" / f"{name}.tree",
+                                    "--samples", "1000", "--deterministic")
+    assert code == 0, err
+    marginal = json.loads(out)["result"]["signs_marginal"]
+    assert marginal["method"] == "closed_form" and marginal["samples"] == 0
+    assert abs(marginal["value_nats"]) <= 1e-12 and marginal["std_error"] == 0.0
+    assert "seed" not in marginal
+
+
 def test_validate_invalid_tree_exit_1(tmp_path):
     bad = tmp_path / "bad.tree"
     bad.write_text("node x1 observed\nnode y hidden\nedge y x1 0.5\n")

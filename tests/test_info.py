@@ -7,7 +7,9 @@ import pytest
 
 import lgtree as lg
 from lgtree import info
-from lgtree.errors import InconsistentCovariance, NotLeafOnly, ValidationError, WrongShape
+from lgtree.errors import (
+    InconsistentCovariance, NotLeafOnly, TooManyHidden, ValidationError, WrongShape,
+)
 from lgtree.info import SAMPLE_BATCH, BernoulliParams
 from lgtree.trees import random_tree
 
@@ -93,13 +95,70 @@ def test_sign_marginal_mi_streams_exact_zero(request, name):
     tree = request.getfixturevalue(name)
     pi = BernoulliParams.make({h: 0.2 + 0.1 * i for i, h in enumerate(tree.hidden)})
     res = lg.mi_sign_marginal(tree, pi, 3 * SAMPLE_BATCH + 17, 5)
-    assert res.samples_used == 3 * SAMPLE_BATCH + 17
-    assert abs(res.value) <= 1e-12 and res.std_error <= 1e-12
+    assert abs(res.value) <= 1e-12 and res.std_error == 0.0
+    assert res.samples_used == 0 and res.method == "closed_form"
 
 
 def test_sign_marginal_mi_degenerate(star):
     res = lg.mi_sign_marginal(star, BernoulliParams.uniform(star, 1.0), 2000, 3)
     assert res.value == 0.0 and res.std_error == 0.0
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+@pytest.mark.parametrize("name", ["star", "dumbbell"])
+def test_sign_marginal_mi_detects_a_tampered_variant(request, monkeypatch, name, p):
+    # lowcorr is left out: its weak first edge moves U by only ~2.5e-13
+    tree = request.getfixturevalue(name)
+    build = info.apply_sign_assignment
+
+    def tampered(t, assignment):
+        out = build(t, assignment)
+        if [assignment.value(h) for h in t.hidden] == [-1] + [1] * (t.k - 1):
+            (u, v, rho), *rest = out.spec.edges
+            out = lg.validate_tree(lg.TreeSpec.make(out.spec.nodes, [(u, v, 1.01 * rho), *rest]))
+        return out
+
+    monkeypatch.setattr(info, "apply_sign_assignment", tampered)
+    res = lg.mi_sign_marginal(tree, BernoulliParams.uniform(tree, p), 100000, 23)
+    assert not abs(res.value) <= max(3 * res.std_error, 1e-12)   # criterion 4's predicate
+
+
+def _normal_entropy(var):
+    return 0.5 * math.log(2.0 * math.pi * math.e * var)
+
+
+@pytest.mark.parametrize("s, w", [(0.5, 0.5), (2.0, 0.2), (2.0, 0.9), (3.0, 0.5), (1.1, 0.3)])
+def test_entropy_gap_bounds_a_quadrature_mixture_mi(s, w):
+    x = np.linspace(-40.0 * s - 40.0, 40.0 * s + 40.0, 400001)
+    log_f = np.logaddexp(math.log(w) - 0.5 * x**2 - 0.5 * math.log(2.0 * math.pi),
+                         math.log(1.0 - w) - 0.5 * (x / s) ** 2 - math.log(s)
+                         - 0.5 * math.log(2.0 * math.pi))
+    h_mix = -np.trapezoid(np.exp(log_f) * log_f, x)
+    mi = h_mix - w * _normal_entropy(1.0) - (1.0 - w) * _normal_entropy(s * s)
+    bound = info._mixture_entropy_gap([w, 1.0 - w], [[[1.0]], [[s * s]]])
+    assert 0.0 < mi <= bound
+
+
+@pytest.mark.parametrize("w", [0.1, 0.3, 0.5])
+def test_entropy_gap_is_exactly_zero_for_equal_laws(w):
+    assert info._mixture_entropy_gap([w, 1.0 - w], [[[1.0]], [[1.0]]]) == 0.0
+
+
+def _hidden_chain(k):
+    """k hidden nodes in a chain, each with two observed leaves."""
+    lines = []
+    for i in range(k):
+        lines += [f"node x{i}a observed", f"node x{i}b observed", f"node y{i} hidden",
+                  f"edge y{i} x{i}a 0.7", f"edge y{i} x{i}b 0.6"]
+        if i:
+            lines.append(f"edge y{i - 1} y{i} 0.5")
+    return lg.validate_tree(lg.parse_tree_text("\n".join(lines) + "\n"))
+
+
+def test_sign_marginal_mi_refuses_past_the_enumeration_cap():
+    tree = _hidden_chain(info.MIXTURE_ENUM_CAP + 1)
+    with pytest.raises(TooManyHidden):
+        lg.mi_sign_marginal(tree, BernoulliParams.uniform(tree, 0.5), 1000, 1)
 
 
 def test_sign_conditional_degenerate_pi(star):
