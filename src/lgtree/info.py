@@ -37,6 +37,19 @@ b = (u < pi) and reweights those ratios, one source at a time.  The
 estimates accumulate as running sums, so memory does not grow with
 ``samples``, and a whole pi grid is evaluated on one draw.  Every estimator
 is deterministic given (seed, samples).
+
+The target noise is drawn only in the block's signal subspace.  Whitened by
+the conditional covariance L L^T, the targets are L^-1 x = W g + z with
+W = L^-1 gain and z ~ N(0, I).  Let Q be an orthonormal basis of the
+columns of W that belong to coupled sources (a source in no coupling group
+has a zero gain column), so r = min(n_t, #coupled), and a = Q^T W.  Then
+z = Q e + z_perp, and z_perp is N(0, I) both given g and marginally, so it
+cancels from log p(x | g) - log p(x) = log N(e; 0, I) -
+log N(a g + e; 0, I + a S_s a^T), and it never meets a flip, because
+z . W_j = e . a_j.  Each sample therefore draws k_s + r normals, not
+k_s + n_t, and the estimates are those of the full draw sample by sample:
+r = 1 on star, 2 on dumbbell, 5 on two_layer's observed | hidden block (its
+top node u is coupled to no target) and 1 on its layer 1 | layer 2 block.
 """
 
 from __future__ import annotations
@@ -158,8 +171,10 @@ class _BlockModel:
     sign flips of the source nodes enter as a diagonal +/-1 conjugation of
     the cross block, so the regression gain for flips b is G0 @ diag(b).
     ``groups`` holds the positions in ``sources`` of each coupling group
-    (:func:`_coupling_groups`).  Build it through :func:`_block`, once per
-    tree.
+    (:func:`_coupling_groups`).  ``basis`` is Q, the orthonormal basis of
+    the signal subspace, ``signal_gain`` the gain a within it and
+    ``signal`` the law N(0, I + a S_s a^T) of a g + e (module docstring).
+    Build it through :func:`_block`, once per tree.
     """
 
     def __init__(self, tree: GaussianTree, targets, sources):
@@ -180,6 +195,16 @@ class _BlockModel:
             raise IllConditioned("conditional covariance of the target block is singular")
         self.noise = _Gauss(resid, "conditional covariance")
         self.groups = _coupling_groups(tree, self.targets, self.sources)
+        # the signal subspace: an orthonormal basis Q of the whitened gain
+        # columns of the coupled sources, so r = min(n_t, #coupled), and the
+        # gain a = Q^T L^-1 gain within it (zero columns for uncoupled sources)
+        coupled = sorted(itertools.chain.from_iterable(self.groups))
+        white_gain = self.noise.inv_chol @ self.gain[:, coupled]
+        self.basis = np.linalg.qr(white_gain)[0]
+        self.signal_gain = np.zeros((self.basis.shape[1], len(self.sources)))
+        self.signal_gain[:, coupled] = self.basis.T @ white_gain
+        a = self.signal_gain
+        self.signal = _Gauss(np.eye(len(a)) + a @ self.sigma_s @ a.T, "signal covariance")
 
     def gaussian_mi(self) -> float:
         """MI between the blocks with signs held fixed (they drop out)."""
@@ -304,51 +329,74 @@ class _Running:
 class _MixtureChunk:
     """A slice of the mixture draw with its prior-free per-sample terms.
 
-    The draw is (u, g, noise): uniforms that set the sign inputs b = (u < pi)
+    The draw is (u, g, e): uniforms that set the sign inputs b = (u < pi)
     for any prior pi, the source values g = b * y that the targets actually
-    see, and the target noise.  Since x = gain g + noise does not involve b,
-    neither does the density ratio of each relative flip c of the sources.
-    The ratio is a product over the coupling groups, so ``factors`` holds
-    one (positions, shift, dens) per group, where
-    dens[c] = exp(-shift) p(x | c o g) / p(x | g) for the flips c of that
-    group alone; row 0 is c = +1, the drawn component, whose log density is
-    ``log_cond``.  Sources and flips index the rows of ``u`` and ``dens``
-    and samples their columns, so the per-source contractions run over
-    contiguous rows.
+    see, and the target noise e in the r-dimensional signal subspace of the
+    block.  The whitened targets are L^-1 x = Q (a g + e) + z_perp
+    (:class:`_BlockModel`), and z_perp has the same law N(0, I) given g
+    and alone, so it cancels from every density ratio; ``v`` = a g + e is
+    all of x that any estimate reads.  ``tot`` is
+    log p(x | g) - log p(x) = log N(e; 0, I_r) - log N(v; 0, I_r + a S_s a^T).
+    Since v does not involve b, neither does the density ratio of each
+    relative flip c of the sources.  The ratio is a product over the
+    coupling groups, so ``factors`` holds one (positions, shift, dens) per
+    group, where dens[c] = exp(-shift) p(x | c o g) / p(x | g) for the flips
+    c of that group alone; row 0 is c = +1, the drawn component.  Sources
+    and flips index the rows of ``u`` and ``dens`` and samples their
+    columns, so the per-source contractions run over contiguous rows.
     """
 
-    def __init__(self, model: _BlockModel, gw, enumerated, u, g, z, x):
-        self.u, self.g, self.x = np.ascontiguousarray(u.T), g, x
-        self.log_cond = -0.5 * np.einsum("ij,ij->i", z, z) + model.noise._const
-        self.log_marg = model.marg_t.logpdf(x)
-        # whitened, x - gain (c o g) = z + 2 (f o g) gw with f = (1 - c) / 2, so
-        # log dens = -2 [f . (g o (z gw^T)) + (f o g) gw gw^T (f o g)]
-        zgw = z @ gw.T
+    def __init__(self, model: _BlockModel, enumerated, u, g, e):
+        a = model.signal_gain
+        self.u, self.g, self.e = np.ascontiguousarray(u.T), g, e
+        self.v = g @ a.T + e
+        wv = self.v @ model.signal.inv_chol.T
+        self.tot = 0.5 * (model.signal.logdet + np.einsum("ij,ij->i", wv, wv)
+                          - np.einsum("ij,ij->i", e, e))
+        # whitened, x - gain (c o g) = z + 2 W (f o g) with f = (1 - c) / 2, and
+        # z . W_j = e . a_j, W_j . W_l = a_j . a_l, so
+        # log dens = -2 [f . (g o (e a)) + (f o g) a^T a (f o g)]
+        ea = e @ a
         self.factors = []
         for idx, flips, pair_gram in enumerated:
             gs = g[:, idx]
-            linear = gs * zgw[:, idx]
+            linear = gs * ea[:, idx]
             quad = (gs[:, :, None] * gs[:, None, :]).reshape(len(g), -1)
             log_dens = -2.0 * (flips @ linear.T + pair_gram @ quad.T)
             shift = np.maximum(log_dens.max(axis=0) - EXP_CEILING, 0.0)
             self.factors.append((idx, shift, np.exp(log_dens - shift)))
 
-    def log_ratio(self, p: np.ndarray) -> np.ndarray:
-        """log sum_c pi(b o c) p(x | c o g) - log p(x | g) at sign prior ``p``.
+    def _group_term(self, idx, shift, s, p: np.ndarray) -> np.ndarray:
+        """One group's log sum_c pi(b o c) p(x | c o g) / p(x | g).
 
-        The prior is a product over sources, so each group's sum contracts
-        one source at a time, weighting the drawn sign by its prior r and
-        the flipped one by 1 - r; the groups' logs add.  A zero-prior
-        component gets weight exactly 0, and at p in {0, 1} the ratio is
-        exactly 0."""
-        total = np.zeros(self.u.shape[1])
-        for idx, shift, s in self.factors:
-            for j in reversed(idx):
-                r = np.where(self.u[j] < p[j], p[j], 1.0 - p[j])
-                s = s.reshape(-1, 2, s.shape[-1])
-                s = s[:, 0] * r + s[:, 1] * (1.0 - r)
-            total += np.log(s[0]) + shift
-        return total
+        The prior is a product over sources, so the sum contracts one source
+        at a time, weighting the drawn sign by its prior r and the flipped
+        one by 1 - r.  A zero-prior component gets weight exactly 0."""
+        for j in reversed(idx):
+            r = np.where(self.u[j] < p[j], p[j], 1.0 - p[j])
+            s = s.reshape(-1, 2, s.shape[-1])
+            s = s[:, 0] * r + s[:, 1] * (1.0 - r)
+        return np.log(s[0]) + shift
+
+    def log_ratios(self, priors):
+        """log sum_c pi(b o c) p(x | c o g) - log p(x | g) at each sign prior
+        in ``priors`` in turn: the sum of the groups' terms, and exactly 0 at
+        p in {0, 1}.  A group whose prior entries equal the previous prior's
+        reuses that prior's term, so a grid that steps one node at a time
+        contracts only that node's group."""
+        last = [None] * len(self.factors)     # (prior entries, term) per group
+        for p in priors:
+            total = np.zeros(self.u.shape[1])
+            for i, (idx, shift, s) in enumerate(self.factors):
+                key = tuple(p[idx])
+                if last[i] is None or last[i][0] != key:
+                    last[i] = (key, self._group_term(idx, shift, s, p))
+                total += last[i][1]
+            yield total
+
+    def log_ratio(self, p: np.ndarray) -> np.ndarray:
+        """:meth:`log_ratios` at the single prior ``p``."""
+        return next(self.log_ratios([p]))
 
     def signs(self, p: np.ndarray) -> np.ndarray:
         """The +/-1 sign inputs drawn at prior ``p``."""
@@ -359,18 +407,17 @@ def _mixture_chunks(model: _BlockModel, samples: int, rng, groups=None):
     """Stream a deterministic draw of the (signs, sources, targets) model.
 
     Each batch of SAMPLE_BATCH samples draws the sign uniforms, the source
-    values and the target noise, in that order, off one generator; it is
-    evaluated in slices of at most EVAL_CELLS (sample, enumerated flip)
-    cells, counting the 2^|group| flips of every group.  ``groups`` lists
-    the source positions enumerated jointly, by default the model's
-    coupling groups.
+    values and the signal-subspace target noise, in that order, off one
+    generator; it is evaluated in slices of at most EVAL_CELLS (sample,
+    enumerated flip) cells, counting the 2^|group| flips of every group.
+    ``groups`` lists the source positions enumerated jointly, by default the
+    model's coupling groups.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    ks, nt = len(model.sources), len(model.targets)
+    ks, r = len(model.sources), len(model.signal_gain)
     _require_enum_cap(ks)
-    gw = (model.noise.inv_chol @ model.gain).T            # (ks, nt) whitened gain
-    coupling = gw @ gw.T
+    coupling = model.signal_gain.T @ model.signal_gain
     enumerated = []
     for idx in model.groups if groups is None else groups:
         idx = list(idx)
@@ -383,12 +430,11 @@ def _mixture_chunks(model: _BlockModel, samples: int, rng, groups=None):
         m = min(SAMPLE_BATCH, samples - start)
         u = rng.random((m, ks))
         g = rng.standard_normal((m, ks)) @ model.marg_s.chol.T
-        z = rng.standard_normal((m, nt))
-        x = g @ model.gain.T + z @ model.noise.chol.T
+        e = rng.standard_normal((m, r))
         for lo in range(0, m, rows):
             sl = slice(lo, lo + rows)
-            yield _MixtureChunk(model, gw, enumerated, u[sl], g[sl], z[sl], x[sl])
-        del u, g, z, x          # free this batch before the next is drawn
+            yield _MixtureChunk(model, enumerated, u[sl], g[sl], e[sl])
+        del u, g, e             # free this batch before the next is drawn
 
 
 def _mixture_profiles(model: _BlockModel, priors, samples: int, rng) -> list[dict[str, MIResult]]:
@@ -397,11 +443,9 @@ def _mixture_profiles(model: _BlockModel, priors, samples: int, rng) -> list[dic
     total = _Running()
     sums = [(_Running(), _Running()) for _ in priors]
     for chunk in _mixture_chunks(model, samples, rng):
-        tot = chunk.log_cond - chunk.log_marg
-        total.add(tot)
-        for p, (inputs, signs) in zip(priors, sums):
-            ratio = chunk.log_ratio(p)            # log_pred - log_cond
-            inputs.add(tot + ratio)
+        total.add(chunk.tot)
+        for ratio, (inputs, signs) in zip(chunk.log_ratios(priors), sums):
+            inputs.add(chunk.tot + ratio)         # log_pred - log p(x)
             signs.add(0.0 - ratio)
         del chunk               # its views pin the batch while the next is drawn
     total_mi = total.result()
@@ -566,9 +610,15 @@ def decomposition_check(
     h1, h2, g1, g2 = _dumbbell_groups(tree)
     model = _block(tree, tree.observed, tree.hidden)
     p = pi.vector_for(model.sources)
-    obs_pos = {o: i for i, o in enumerate(tree.observed)}
-    hid_pos = {h: i for i, h in enumerate(tree.hidden)}
     lhs, rhs = _Running(), _Running()
+    # a group's log likelihood given its hidden value h is, up to terms free
+    # of h, h T_h - h^2 S_h / 2 with T_h = sum_o rho_o x_o / sigma_o^2 = a_h . v
+    # and S_h = sum_o rho_o^2 / sigma_o^2, sigma_o^2 = 1 - rho_o^2
+    groups = []
+    for h, group in ((h1, g1), (h2, g2)):
+        rho = np.array([tree.edge_rho(h, o) for o in group])
+        j = model.sources.index(h)
+        groups.append((j, model.signal_gain[:, j], float(np.sum(rho**2 / (1.0 - rho**2)))))
     # the left side enumerates both signs jointly, so the split is tested
     # here, not assumed by the coupling groups
     joint = (tuple(range(len(model.sources))),)
@@ -576,24 +626,18 @@ def decomposition_check(
         lhs.add(0.0 - chunk.log_ratio(p))
         y = chunk.signs(p) * chunk.g
         rhs_vals = np.zeros(len(y))
-        for h, group in ((h1, g1), (h2, g2)):
-            xg = chunk.x[:, [obs_pos[o] for o in group]]
-            gains = np.array([tree.edge_rho(h, o) for o in group])
-            sd = np.sqrt(1.0 - gains**2)
+        for j, a_h, s_h in groups:
+            t_h = chunk.v @ a_h
 
-            def group_logpdf(hidden_vals: np.ndarray) -> np.ndarray:
-                z = (xg - hidden_vals[:, None] * gains[None, :]) / sd[None, :]
-                return -0.5 * np.sum(z * z, axis=1) - np.sum(np.log(sd)) \
-                    - 0.5 * len(group) * math.log(2.0 * math.pi)
+            def group_loglik(hidden_vals: np.ndarray) -> np.ndarray:
+                return hidden_vals * t_h - 0.5 * s_h * hidden_vals**2
 
-            num = group_logpdf(chunk.g[:, hid_pos[h]])
+            num = group_loglik(chunk.g[:, j])
             lse_pred = np.full(len(y), -np.inf)
-            p_h = p[hid_pos[h]]
-            for sign, prob in ((1.0, p_h), (-1.0, 1.0 - p_h)):
+            for sign, prob in ((1.0, p[j]), (-1.0, 1.0 - p[j])):
                 if prob == 0.0:
                     continue
-                lp_xg = group_logpdf(sign * y[:, hid_pos[h]])
-                lse_pred = np.logaddexp(lse_pred, math.log(prob) + lp_xg)
+                lse_pred = np.logaddexp(lse_pred, math.log(prob) + group_loglik(sign * y[:, j]))
             rhs_vals += num - lse_pred
         rhs.add(rhs_vals)
         del chunk

@@ -339,6 +339,20 @@ def run_in_process(*args):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_in_process_calls_print_what_separate_processes_print():
+    # the parser is built once per process and shared by every main() call,
+    # so a call must not leave anything behind for the next subcommand
+    runs = [("mi-conditional", PKG / "trees" / "star.tree", "--samples", "1000"),
+            ("optimize-pi", PKG / "trees" / "dumbbell.tree", "--grid", "0.25",
+             "--samples", "1000", "--seed", "4")]
+    assert lgtree.cli._build_parser() is lgtree.cli._build_parser()
+    in_process = [run_in_process(*argv, "--deterministic") for argv in runs]
+    for argv, (code, out, err) in zip(runs, in_process):
+        proc = run_cli(*map(str, argv), "--deterministic")
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert code == 0, err
+
+
 def strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")

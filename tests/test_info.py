@@ -353,6 +353,14 @@ def test_optimize_pi_curve_matches_profile(request, name):
         assert abs(val - 0.5) <= 0.25
 
 
+def _full_space_targets(model, chunk, rng):
+    # the targets x = gain g + L (Q e + z_perp) that the signal-subspace draw
+    # stands for, with z_perp drawn here, orthogonal to Q
+    z = rng.standard_normal((len(chunk.g), len(model.targets)))
+    z_perp = z - (z @ model.basis) @ model.basis.T
+    return chunk.g @ model.gain.T + (chunk.e @ model.basis.T + z_perp) @ model.noise.chol.T
+
+
 def _assert_log_ratio_matches_enumeration(model, rng):
     # reference: the log-sum-exp over every full sign vector of the sources,
     # with the prior-weighted density of x given each signed copy of them
@@ -364,16 +372,17 @@ def _assert_log_ratio_matches_enumeration(model, rng):
               np.r_[1.0, 0.0, rng.uniform(size=ks)][:ks]]
     enum = info._enumerate_signs(ks)
     for chunk in info._mixture_chunks(model, 500, info._rng(4, 0)):
+        x = _full_space_targets(model, chunk, rng)
+        log_cond = model.noise.logpdf(x - chunk.g @ model.gain.T)
+        assert np.max(np.abs(chunk.tot - (log_cond - model.marg_t.logpdf(x)))) <= 1e-12
         for p in priors:
             y = chunk.signs(p) * chunk.g
             with np.errstate(divide="ignore"):
                 log_prior = np.log(np.where(enum > 0, p, 1.0 - p)).sum(axis=1)
             comp = np.stack(
-                [model.noise.logpdf(chunk.x - (s * y) @ model.gain.T) for s in enum], axis=1
+                [model.noise.logpdf(x - (s * y) @ model.gain.T) for s in enum], axis=1
             )
-            expected = logsumexp(comp + log_prior, axis=1) - model.noise.logpdf(
-                chunk.x - chunk.g @ model.gain.T
-            )
+            expected = logsumexp(comp + log_prior, axis=1) - log_cond
             got = chunk.log_ratio(p)
             assert np.all(np.isfinite(got))
             assert np.max(np.abs(got - expected)) <= 1e-9
@@ -473,21 +482,23 @@ class _Scripted:
 
 def test_flip_ratio_above_the_exp_ceiling(star):
     # a drawn source far from the flipped one that the targets sit next to:
-    # the flip's log density ratio is 2 g^2 |gw|^2, far past EXP_CEILING
+    # the flip's log density ratio is 2 g^2 |a|^2, far past EXP_CEILING
     model = info._BlockModel(star, star.observed, star.hidden)
-    gw = (model.noise.inv_chol @ model.gain).T
+    a = model.signal_gain
     w = np.array([[20.0], [0.5], [-15.0], [1.0]])
     g = w @ model.marg_s.chol.T
-    z = -2.0 * g @ gw + 0.1
+    e = -2.0 * g @ a.T + 0.1
     u = np.array([[0.2], [0.7], [0.4], [0.9]])
-    chunk = next(info._mixture_chunks(model, 4, _Scripted(u, w, z)))
+    chunk = next(info._mixture_chunks(model, 4, _Scripted(u, w, e)))
     assert chunk.factors[0][1].max() > 0.0          # the shift is in use
+    x = _full_space_targets(model, chunk, np.random.default_rng(6))
 
     def log_cond(signs):
-        resid = chunk.x - (signs * g) @ model.gain.T
+        resid = x - (signs * g) @ model.gain.T
         white = np.linalg.solve(model.noise.chol, resid.T)
         return -0.5 * np.sum(white * white, axis=0)
 
+    assert np.max(log_cond(-1.0) - log_cond(1.0)) > 1500.0
     for p in (0.3, 0.5):
         r = np.where(u[:, 0] < p, p, 1.0 - p)       # prior of the drawn sign
         want = np.logaddexp(np.log(r) + log_cond(1.0), np.log1p(-r) + log_cond(-1.0))
@@ -561,3 +572,72 @@ def test_inv_chol_is_the_triangular_inverse_of_a_random_matrix():
 
     a = np.random.default_rng(3).standard_normal((11, 11))
     _assert_exact_triangular_inverse(info._Gauss(a @ a.T + 0.1 * np.eye(11), "random"))
+
+
+class _RecordingGenerator:
+    """A generator that records the shape of every draw it makes."""
+
+    def __init__(self, seed):
+        self.rng, self.shapes = np.random.default_rng(seed), []
+
+    def random(self, shape):
+        self.shapes.append(("random", shape))
+        return self.rng.random(shape)
+
+    def standard_normal(self, shape):
+        self.shapes.append(("standard_normal", shape))
+        return self.rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("name, block, r", [
+    ("star", "observed|hidden", 1),
+    ("dumbbell", "observed|hidden", 2),
+    ("two_layer", "observed|hidden", 5),      # u is coupled to no target
+    ("two_layer", "layer 1|layer 2", 1),
+])
+def test_target_noise_is_drawn_in_the_signal_subspace(request, name, block, r):
+    # per batch: sign uniforms (m, k_s), sources (m, k_s), then r target
+    # normals, r = min(n_t, #coupled sources), not n_t
+    tree = request.getfixturevalue(name)
+    side = {"observed": tree.observed, "hidden": tree.hidden,
+            "layer 1": tree.layer_nodes(1), "layer 2": tree.layer_nodes(2)}
+    targets, sources = block.split("|")
+    model = info._block(tree, side[targets], side[sources])
+    ks = len(model.sources)
+    assert model.basis.shape == (len(model.targets), r)
+    rng = _RecordingGenerator(0)
+    for _ in info._mixture_chunks(model, SAMPLE_BATCH + 100, rng):
+        pass
+    assert rng.shapes == [draw for m in (SAMPLE_BATCH, 100) for draw in (
+        ("random", (m, ks)), ("standard_normal", (m, ks)), ("standard_normal", (m, r)))]
+
+
+def test_hidden_free_tree_draws_no_target_noise_and_gives_exact_zeros():
+    tree = lg.validate_tree(lg.parse_tree_text(
+        "node x1 observed\nnode x2 observed\nedge x1 x2 0.5\n"))
+    model = info._block(tree, tree.observed, tree.hidden)
+    assert model.basis.shape == (2, 0)
+    rng = _RecordingGenerator(0)
+    for _ in info._mixture_chunks(model, 1000, rng):
+        pass
+    assert rng.shapes == [("random", (1000, 0)), ("standard_normal", (1000, 0)),
+                          ("standard_normal", (1000, 0))]
+    prof = lg.mixture_mi_profile(tree, BernoulliParams.uniform(tree), 1000, 1)
+    for res in prof.values():
+        assert res.value == 0.0 and res.std_error == 0.0
+
+
+def test_a_sweep_contracts_a_group_only_when_its_prior_entries_change(dumbbell, monkeypatch):
+    # the 11 x 11 grid steps y2's bias fastest: y1's group is contracted once
+    # per value of its bias, y2's at every point, 132 in all instead of 242
+    calls = []
+    term = info._MixtureChunk._group_term
+
+    def counting(self, idx, *args):
+        calls.append(tuple(idx))
+        return term(self, idx, *args)
+
+    monkeypatch.setattr(info._MixtureChunk, "_group_term", counting)
+    _, curve = lg.optimize_pi(dumbbell, 0.1, 1000, 3)
+    assert len(curve) == 121
+    assert (calls.count((0,)), calls.count((1,)), len(calls)) == (11, 121, 132)
