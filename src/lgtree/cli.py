@@ -345,21 +345,29 @@ def _cmd_sign_report(config: ExperimentConfig, tree) -> dict:
     }
 
 
-def _cmd_mi(config: ExperimentConfig, tree) -> dict:
+def _mi_report(tree, method: str, units: str) -> dict:
+    """The direct and closed-form MI that ``method`` asks for.  ``both``
+    reports the closed form only on trees whose observed nodes are all
+    leaves, which it needs; ``closed`` asks for it on any tree."""
     from .info import mi_closed_form, mi_direct
     from .trees import joint_covariance
 
-    out: dict = {"seed": config.seed}
-    if config.method in ("both", "direct"):
-        out["direct"] = _mi_json(mi_direct(tree), config.units)
-    if config.method in ("both", "closed"):
+    out: dict = {}
+    if method in ("both", "direct"):
+        out["direct"] = _mi_json(mi_direct(tree), units)
+    leaves = all(len(tree.adjacency[o]) == 1 for o in tree.observed)
+    if method == "closed" or (method == "both" and leaves):
         sigma = joint_covariance(tree).observed_block
-        out["closed_form"] = _mi_json(mi_closed_form(sigma, tree), config.units)
-    if config.method == "both":
+        out["closed_form"] = _mi_json(mi_closed_form(sigma, tree), units)
+    if "direct" in out and "closed_form" in out:
         out["abs_difference_nats"] = abs(
             out["direct"]["value_nats"] - out["closed_form"]["value_nats"]
         )
     return out
+
+
+def _cmd_mi(config: ExperimentConfig, tree) -> dict:
+    return {"seed": config.seed, **_mi_report(tree, config.method, config.units)}
 
 
 def _cmd_mi_conditional(config: ExperimentConfig, tree) -> dict:
@@ -450,7 +458,7 @@ def _cmd_verify(config: ExperimentConfig, tree) -> dict:
 
 
 def _cmd_report_all(config: ExperimentConfig, tree) -> dict:
-    from .info import mixture_mi_profile, mi_closed_form, mi_direct
+    from .info import mixture_mi_profile
     from .signs import enumerate_equivalent_trees, verify_equivalence
     from .synthesis import (
         build_codebooks,
@@ -458,7 +466,6 @@ def _cmd_report_all(config: ExperimentConfig, tree) -> dict:
         frontier_rates,
         verify_encoding_constraints,
     )
-    from .trees import joint_covariance
 
     out: dict = {"validate": _cmd_validate(config, tree),
                  "covariance": _cmd_covariance(config, tree),
@@ -470,13 +477,8 @@ def _cmd_report_all(config: ExperimentConfig, tree) -> dict:
             "all_equivalent": verify_equivalence(variants),
         }
     pi = _parse_pi(config.pi, tree)
-    mi_d = mi_direct(tree)
-    out["mi"] = {"direct": _mi_json(mi_d, config.units)}
-    if all(len(tree.adjacency[o]) == 1 for o in tree.observed):
-        sigma = joint_covariance(tree).observed_block
-        closed = mi_closed_form(sigma, tree)
-        out["mi"]["closed_form"] = _mi_json(closed, config.units)
-        out["mi"]["abs_difference_nats"] = abs(closed.value - mi_d.value)
+    out["mi"] = _mi_report(tree, "both", config.units)
+    mi_direct_nats = out["mi"]["direct"]["value_nats"]
     samples = min(config.samples, 50000)
     profile = mixture_mi_profile(tree, pi, samples, config.seed)
     out["mi_conditional"] = {
@@ -484,7 +486,7 @@ def _cmd_report_all(config: ExperimentConfig, tree) -> dict:
         "inputs": _mi_json(profile["inputs"], config.units),
         "chain_gap_nats": profile["inputs"].value
         + profile["signs_given_inputs"].value
-        - mi_d.value,
+        - mi_direct_nats,
     }
     rates = frontier_rates(
         tree, pi, config.margin, min(config.block_length, 6),

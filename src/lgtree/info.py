@@ -199,10 +199,9 @@ class _BlockModel:
         # columns of the coupled sources, so r = min(n_t, #coupled), and the
         # gain a = Q^T L^-1 gain within it (zero columns for uncoupled sources)
         coupled = sorted(itertools.chain.from_iterable(self.groups))
-        white_gain = self.noise.inv_chol @ self.gain[:, coupled]
-        self.basis = np.linalg.qr(white_gain)[0]
+        self.basis, coupled_gain = _signal_basis(self.noise.inv_chol, self.gain[:, coupled])
         self.signal_gain = np.zeros((self.basis.shape[1], len(self.sources)))
-        self.signal_gain[:, coupled] = self.basis.T @ white_gain
+        self.signal_gain[:, coupled] = coupled_gain
         a = self.signal_gain
         self.signal = _Gauss(np.eye(len(a)) + a @ self.sigma_s @ a.T, "signal covariance")
 
@@ -215,6 +214,16 @@ class _BlockModel:
         if min(sign_t, sign_s, sign_j) <= 0:
             raise IllConditioned("block covariances are not positive definite")
         return 0.5 * (ld_t + ld_s - ld_j)
+
+
+def _signal_basis(inv_chol: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q, the reduced-QR basis of the whitened gain W = L^-1 gain, and the
+    gain a = Q^T W within it.  Q has min(n, k) columns for an (n, k) gain:
+    its size is read off the structure, never off numerical zeros, and every
+    W g lies in its span."""
+    white_gain = inv_chol @ gain
+    basis = np.linalg.qr(white_gain)[0]
+    return basis, basis.T @ white_gain
 
 
 def _coupling_groups(tree: GaussianTree, targets, sources) -> tuple[tuple[int, ...], ...]:

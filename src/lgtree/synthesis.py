@@ -30,7 +30,16 @@ signs are drawn i.i.d. Bernoulli(pi) at emission.
 The synthesized block density q is a finite, exactly evaluable Gaussian
 mixture over codeword pairs, which gives a direct Monte Carlo estimate of
 KL(q || product of targets) and, through Pinsker's inequality, an upper
-bound on total variation.
+bound on total variation.  Its components share the covariance S_c = L L^T
+and have means chain y, where chain is the regression of the observed block
+on the top layer and y a pair's signed top-layer symbols.  Whitened by L,
+every mean lies in the span of Q, the reduced-QR basis of L^-1 chain with
+r = min(n, k_top) columns per channel use, read off the structure.  So
+log N(x; m) = -|x_p - m_p|^2/2 - (|x_w|^2 - |x_p|^2)/2 + const with
+x_w = L^-1 x, x_p = Q^T x_w and m_p = Q^T L^-1 m, and q is evaluated on the
+N r projected coordinates: r = 1 on star, lowcorr and two_layer (44 -> 4
+coordinates at N = 4), 2 on dumbbell.  The target density log p is
+evaluated in the full space, apart from the chain.
 """
 
 from __future__ import annotations
@@ -44,13 +53,28 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import CapExceeded, MixtureTooLarge, ValidationError
-from .info import EVAL_CELLS, BernoulliParams, _BlockModel, _Gauss, _block, _rng, block_mi_mixture
+from .info import (
+    BernoulliParams,
+    _BlockModel,
+    _Gauss,
+    _block,
+    _rng,
+    _signal_basis,
+    block_mi_mixture,
+)
 from .trees import GaussianTree, joint_covariance  # noqa: F401 (bench's tracer test asserts it)
 
 CODEBOOK_CAP = 2**16       # per-table codeword count cap
 MIXTURE_CAP = 2**14        # cap on exactly evaluated mixture components
 PATTERN_CAP = 2**12        # cap on the top layer's covariance sign patterns
 CODEWORD_ROWS = 2**12      # pair codewords generated per slice
+# (sample, component) cells per log-density slab: 1 MiB of float64, so the
+# slab stays in a core's 2 MiB L2 between its GEMM, exp and sum.  On the
+# star divergence estimates at N = 1 to 8 (one BLAS thread, Xeon with AVX-512)
+# the evaluations took 158 ms at 2^17 cells, 208 ms at 2^20 and 268 ms at 2^14.
+SLAB_CELLS = 2**17
+UNDERFLOW_LOG = -700.0     # a row's log-sum below this is recomputed with a max shift
+GEMM_COLUMNS = 16          # log-density components are padded to a multiple of this
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest N R with a finite exp(N R)
 THREE_SIGMA_MASS = 0.0026997960632601866       # two-sided normal mass beyond 3 sigma
 
@@ -425,11 +449,15 @@ def synthesize(
 # -- divergence estimation ----------------------------------------------------
 
 def _mixture_components(tree: GaussianTree, codebook: Codebook):
-    """Means and shared covariance of the emitted-block mixture.
+    """The emitted-block mixture as (inputs, chain, cov): component (g, s)
+    has mean inputs[g M_B + s] @ chain.T and covariance cov at every
+    channel use.
 
     Signs below the top layer flip both edge groups incident to their layer
     and cancel from the emitted law, so the mixture is over the top layer's
-    (gaussian, sign) codeword pairs.
+    (gaussian, sign) codeword pairs; ``inputs`` (C, N, k) holds their signed
+    symbols b y, ``chain`` (n, k) the regression of the observed block on
+    the top layer and ``cov`` (n, n) the noise it leaves.
     """
     top = codebook.layers[-1]
     my, mb = top.gauss_count, top.sign_count
@@ -445,41 +473,80 @@ def _mixture_components(tree: GaussianTree, codebook: Codebook):
         chain = chain @ model.gain
 
     y = top.gaussian_codeword(np.arange(my)[:, None], np.arange(mb))  # (M_Y, M_B, N, k)
-    means = np.einsum("ij,gstj->gsti", chain, top.signs * y)
-    return means.reshape((my * mb,) + means.shape[2:]), cov     # (C, N, n)
+    inputs = top.signs * y
+    return inputs.reshape((my * mb,) + inputs.shape[2:]), chain, cov
 
 
-def _block_log_density(x: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """log q for each sample block in x: (S, N, n) against (C, N, n) means.
+def _log_sum_exp_rows(x_aug: np.ndarray, m_aug: np.ndarray, count: int, shift: bool) -> np.ndarray:
+    """log sum_c exp((x_aug @ m_aug)[i, c]) over the first ``count`` columns
+    c, for each row i, one slab of at most SLAB_CELLS cells at a time; with
+    ``shift`` each row's cells are first shifted by their maximum.  A sum of
+    0 gives -inf."""
+    rows = max(1, SLAB_CELLS // m_aug.shape[1])
+    slab = np.empty((min(rows, len(x_aug)), m_aug.shape[1]))
+    sums, shifts = np.empty(len(x_aug)), np.zeros(len(x_aug))
+    for start in range(0, len(x_aug), rows):
+        stop = min(start + rows, len(x_aug))
+        part = slab[:stop - start]
+        np.matmul(x_aug[start:stop], m_aug, out=part)
+        if shift:
+            shifts[start:stop] = part.max(axis=1)
+            part -= shifts[start:stop, None]
+        np.exp(part, out=part)
+        part[:, :count].sum(axis=1, out=sums[start:stop])
+    with np.errstate(divide="ignore"):
+        return np.log(sums) + shifts
 
-    With whitened x_w and m_w, log N(x; m) = x_w.m_w - |m_w|^2/2 - |x_w|^2/2 +
-    const, and only the first two terms depend on the component.  One GEMM
-    of [x_w, 1] against [m_w, -|m_w|^2/2] fills a slab of at most EVAL_CELLS
-    (sample, component) cells, the log-sum-exp runs in place on it, and the
-    per-sample terms are added afterwards, so memory does not grow with S.
+
+def _block_log_density(
+    x: np.ndarray, inputs: np.ndarray, chain: np.ndarray, cov: np.ndarray
+) -> np.ndarray:
+    """log q for each sample block in x (S, N, n) under the mixture of
+    :func:`_mixture_components`, whose means are inputs @ chain.T and whose
+    covariance is cov at every channel use.
+
+    Whitened by cov = L L^T, every mean lies in the span of Q, the
+    reduced-QR basis of L^-1 chain (:func:`info._signal_basis`), with
+    coordinates m_p = a y.  With x_p = Q^T x_w, the part of x_w orthogonal
+    to Q enters only as -(|x_w|^2 - |x_p|^2)/2.  One GEMM of
+    [x_p, 1, -|x_p|^2/2] against [m_p; -|m_p|^2/2; 1] fills a slab with each
+    cell's -|x_p - m_p|^2/2 <= 0, so exp cannot overflow and the slab needs
+    no max shift; a row whose log-sum falls below UNDERFLOW_LOG, where its
+    terms leave exp's normal range, is recomputed with its own shift.
+
+    The component columns are padded with copies of the first to a multiple
+    of GEMM_COLUMNS and left out of the sums.  Without it, OpenBLAS computed
+    a trailing partial block of columns with an edge kernel that rounded
+    some of them differently depending on how the rows were split among
+    threads, and the output changed with the BLAS thread count.
     """
     comp = _Gauss(cov, "component covariance")
+    basis, gain = _signal_basis(comp.inv_chol, chain)
     s_count, n_uses, n_dim = x.shape
-    comp_count = means.shape[0]
+    comp_count = inputs.shape[0]
+    dim = n_uses * basis.shape[1]
     const = -0.5 * n_uses * (comp.logdet + n_dim * math.log(2.0 * math.pi)) - math.log(comp_count)
 
-    xw = (x @ comp.inv_chol.T).reshape(s_count, -1)                 # (S, N n)
-    mw = (means @ comp.inv_chol.T).reshape(comp_count, -1)          # (C, N n)
-    m_aug = np.vstack([mw.T, -0.5 * np.einsum("ij,ij->i", mw, mw)])  # (N n + 1, C)
-    x_aug = np.hstack([xw, np.ones((s_count, 1))])                  # (S, N n + 1)
+    xw = x @ comp.inv_chol.T                                        # (S, N, n)
+    x_aug = np.empty((s_count, dim + 2))                            # [x_p, 1, -|x_p|^2/2]
+    xp = x_aug[:, :dim]
+    xp[...] = (xw @ basis).reshape(s_count, dim)
+    x_aug[:, dim] = 1.0
+    x_aug[:, dim + 1] = -0.5 * np.einsum("ij,ij->i", xp, xp)
+    perp = 0.5 * np.einsum("stj,stj->s", xw, xw) + x_aug[:, dim + 1]
+    del xw                                  # freed before the slabs are allocated
+    m_aug = np.empty((dim + 2, -(-comp_count // GEMM_COLUMNS) * GEMM_COLUMNS))
+    mp = m_aug[:dim, :comp_count]                                   # [m_p; -|m_p|^2/2; 1]
+    mp[...] = (inputs @ gain.T).reshape(comp_count, dim).T
+    m_aug[dim, :comp_count] = -0.5 * np.einsum("ij,ij->j", mp, mp)
+    m_aug[dim + 1, :comp_count] = 1.0
+    m_aug[:, comp_count:] = m_aug[:, :1]                            # the padding
 
-    rows = max(1, EVAL_CELLS // comp_count)
-    slab = np.empty((min(rows, s_count), comp_count))
-    out = np.empty(s_count)
-    for start in range(0, s_count, rows):
-        xb = x_aug[start:start + rows]
-        part = slab[:len(xb)]
-        np.matmul(xb, m_aug, out=part)
-        mx = part.max(axis=1)
-        part -= mx[:, None]
-        np.exp(part, out=part)
-        out[start:start + len(part)] = mx + np.log(part.sum(axis=1))
-    return out + const - 0.5 * np.einsum("ij,ij->i", xw, xw)
+    out = _log_sum_exp_rows(x_aug, m_aug, comp_count, shift=False)
+    low = np.flatnonzero(out < UNDERFLOW_LOG)
+    if low.size:
+        out[low] = _log_sum_exp_rows(x_aug[low], m_aug, comp_count, shift=True)
+    return out + const - perp
 
 
 def _independence_stat(z: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
@@ -605,8 +672,7 @@ def estimate_divergence(
     if samples_count < 2:
         raise ValidationError(f"samples_count must be at least 2, got {samples_count}")
     x = synthesize(tree, codebook, samples_count, _point_seed(seed, 1))
-    means, cov = _mixture_components(tree, codebook)
-    log_q = _block_log_density(x, means, cov)
+    log_q = _block_log_density(x, *_mixture_components(tree, codebook))
 
     target = _layer_blocks(tree)[0].marg_t
     sigma_x = target.cov

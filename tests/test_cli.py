@@ -119,6 +119,20 @@ def test_mi_cross_method():
     assert result["direct"]["value_nats"] == pytest.approx(0.7294309951122713, abs=1e-12)
 
 
+def test_mi_both_reports_direct_alone_on_a_tree_with_inner_observed_nodes():
+    code, out, err = run_in_process("mi", PKG / "trees" / "two_layer.tree", "--deterministic")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert set(result) == {"seed", "direct"}
+    assert result["direct"]["value_nats"] == lg.mi_direct(lg.load_tree(PKG / "trees" / "two_layer.tree")).value
+
+
+def test_mi_closed_form_on_a_tree_with_inner_observed_nodes_exit_1():
+    code, out, err = run_in_process("mi", PKG / "trees" / "two_layer.tree", "--method", "closed")
+    assert (code, out) == (1, "")
+    assert "NotLeafOnly" in err
+
+
 def test_mi_units_bits():
     proc = run_cli("mi", "trees/star.tree", "--method", "direct", "--units", "bits", "--deterministic")
     result = load_result(proc)
@@ -322,6 +336,20 @@ def test_lts_threads_env(monkeypatch):
         capture_output=True, text=True, cwd=PKG, env={**os.environ, "LTS_THREADS": "1"},
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("name", ["star", "dumbbell", "lowcorr", "two_layer"])
+def test_report_all_bytes_do_not_depend_on_the_blas_thread_count(name):
+    # star at seed 2 printed kl_estimate ...8667 at one thread and ...86666 at two
+    import os
+    argv = [sys.executable, "-m", "lgtree.cli", "report-all", f"trees/{name}.tree", "--seed", "2",
+            "--deterministic"]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    outputs = [subprocess.run(argv, capture_output=True, cwd=PKG,
+                              env={**env, "LTS_THREADS": threads}).stdout
+               for threads in ("1", "2")]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_enumerate_embeds_sign_report():

@@ -1,17 +1,27 @@
 import dataclasses
+import importlib.util
+import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from numpy.polynomial.hermite_e import hermegauss
+from scipy.special import logsumexp, ndtri
+from scipy.stats import multivariate_normal
 
 import lgtree as lg
 from lgtree import synthesis
 from lgtree.errors import CapExceeded, MixtureTooLarge, ValidationError
 from lgtree.info import EVAL_CELLS, BernoulliParams, _Gauss
 from lgtree.synthesis import RateTuple, _layer_blocks, _mixture_components
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -154,11 +164,12 @@ def test_mixture_density_matches_bruteforce(star):
     pi = BernoulliParams.uniform(star, 0.5)
     rates = RateTuple.make([(0.4, 0.3)], 3)
     cb = lg.build_codebooks(star, rates, pi, 2)
-    means, cov = _mixture_components(star, cb)
+    inputs, chain, cov = _mixture_components(star, cb)
+    means = inputs @ chain.T
     x = lg.synthesize(star, cb, 6, 8)
     from lgtree.synthesis import _block_log_density
 
-    got = _block_log_density(x, means, cov)
+    got = _block_log_density(x, inputs, chain, cov)
     for s in range(len(x)):
         comps = []
         for c in range(means.shape[0]):
@@ -212,35 +223,177 @@ def frontier_n8_codebook(star):
 @pytest.mark.parametrize("book", ["degenerate_codebook", "frontier_n8_codebook"])
 def test_block_log_density_matches_two_pass_formula(request, star, book):
     cb = request.getfixturevalue(book)
-    means, cov = _mixture_components(star, cb)
+    inputs, chain, cov = _mixture_components(star, cb)
+    means = inputs @ chain.T
     x = lg.synthesize(star, cb, 300, 8)
-    got = synthesis._block_log_density(x, means, cov)
+    got = synthesis._block_log_density(x, inputs, chain, cov)
     np.testing.assert_allclose(got, _two_pass_log_density(x, means, cov), rtol=0, atol=1e-12)
 
 
 def test_block_log_density_is_finite_and_exact_in_the_far_tail(star, frontier_n8_codebook):
-    means, cov = _mixture_components(star, frontier_n8_codebook)
+    inputs, chain, cov = _mixture_components(star, frontier_n8_codebook)
+    means = inputs @ chain.T
     x = 30 * lg.synthesize(star, frontier_n8_codebook, 300, 8)
     want = _two_pass_log_density(x, means, cov)
     # log q >= max_c log N(x; m_c) - log C: every component underflows exp
     assert (want + math.log(len(means)) < -745).all()
-    got = synthesis._block_log_density(x, means, cov)
+    got = synthesis._block_log_density(x, inputs, chain, cov)
     assert np.isfinite(got).all()
     # |log q| reaches ~1e4 here, where one ulp is ~2e-12: compare in ulps
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-12)
 
 
 def test_block_log_density_memory_is_bounded_by_one_slab(star, degenerate_codebook):
-    means, cov = _mixture_components(star, degenerate_codebook)
+    inputs, chain, cov = _mixture_components(star, degenerate_codebook)
     x = lg.synthesize(star, degenerate_codebook, 5000, 8)
     tracemalloc.start()
     try:
-        synthesis._block_log_density(x, means, cov)
+        synthesis._block_log_density(x, inputs, chain, cov)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # two float64 slabs of EVAL_CELLS cells; 5000 x 2^14 cells at once is 625 MB
     assert peak < 2 * 8 * EVAL_CELLS
+
+
+@pytest.mark.filterwarnings("error")
+def test_far_tail_rows_are_recomputed_without_warnings(star, frontier_n8_codebook):
+    # every row's unshifted sum underflows to 0 here, and its log is -inf
+    inputs, chain, cov = _mixture_components(star, frontier_n8_codebook)
+    x = 30 * lg.synthesize(star, frontier_n8_codebook, 300, 8)
+    assert np.isfinite(synthesis._block_log_density(x, inputs, chain, cov)).all()
+
+
+def test_block_log_density_bytes_do_not_depend_on_the_blas_thread_count():
+    # unpadded, the 6,710 component columns gave other bytes at two threads
+    script = (
+        "import hashlib, lgtree as lg\n"
+        "from lgtree import synthesis\n"
+        "tree = lg.load_tree('trees/star.tree')\n"
+        "pi = lg.BernoulliParams.uniform(tree, 0.5)\n"
+        "cb = lg.build_codebooks(tree, synthesis.RateTuple.make([(0.6, 0.5)], 8), pi, 3)\n"
+        "x = lg.synthesize(tree, cb, 1500, 5)\n"
+        "log_q = synthesis._block_log_density(x, *synthesis._mixture_components(tree, cb))\n"
+        "print(hashlib.sha1(log_q.tobytes()).hexdigest())\n"
+    )
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    digests = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=ROOT,
+                              env={**env, "LTS_THREADS": threads}).stdout
+               for threads in ("1", "2")]
+    assert digests[0] and digests[0] == digests[1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, rates, block_length, dims", [
+    ("dumbbell", [(0.8, 0.7)], 4, (16, 8)),              # k_top = 2
+    ("two_layer", [(0.5, 0.5), (0.6, 0.5)], 4, (44, 4)),
+])
+def test_projected_log_density_matches_two_pass_formula(request, name, rates, block_length, dims):
+    tree = request.getfixturevalue(name)
+    pi = BernoulliParams.uniform(tree, 0.5)
+    cb = lg.build_codebooks(tree, RateTuple.make(rates, block_length), pi, 11)
+    inputs, chain, cov = _mixture_components(tree, cb)
+    basis = np.linalg.qr(np.linalg.solve(np.linalg.cholesky(cov), chain))[0]
+    assert (block_length * chain.shape[0], block_length * basis.shape[1]) == dims
+    x = lg.synthesize(tree, cb, 400, 8)
+    got = synthesis._block_log_density(x, inputs, chain, cov)
+    want = _two_pass_log_density(x, inputs @ chain.T, cov)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_block_log_density_peak_memory_stays_within_two_slabs(star, degenerate_codebook):
+    inputs, chain, cov = _mixture_components(star, degenerate_codebook)
+    x = lg.synthesize(star, degenerate_codebook, 5000, 8)
+    tracemalloc.start()
+    try:
+        synthesis._block_log_density(x, inputs, chain, cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * synthesis.SLAB_CELLS
+
+
+def _bench_oracles():
+    """``bench/oracles.py``, which reads the tree files itself and shares no
+    code with lgtree."""
+    spec = importlib.util.spec_from_file_location("bench_oracles", ROOT / "bench" / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _block_kl_quadrature(tree_path, top_nodes, inputs, nodes=60):
+    """KL(q || p) of one emitted block, computed apart from lgtree.
+
+    q is the equal-weight mixture over the codeword inputs y (C, N, k) of
+    N(chain y_t, S_c) at each channel use, with chain = S_xt S_t^-1 and
+    S_c = S_x - chain S_tx from the path-product covariance, and p is
+    N(0, S_x) at each use.  Whitened by S_c, q and p agree on the complement
+    of U, the left singular vectors of W = L_c^-1 chain, where q is a
+    mixture of N(mu_c, I) with mu_c = U^T W y_c and p is N(0, I + a S_t a^T)
+    with a = U^T W.  So KL is the mean over components of
+    E[log q - log p](mu_c + z), z ~ N(0, I), a tensor Gauss-Hermite sum over
+    the N r <= 2 projected coordinates.
+    """
+    oracles = _bench_oracles()
+    tree = oracles.read_tree(tree_path)
+    cov = oracles.path_product_covariance(tree)
+    index = {v: i for i, v in enumerate(tree.nodes)}
+    obs, top = [index[v] for v in tree.observed], [index[v] for v in top_nodes]
+    s_xt, s_t = cov[np.ix_(obs, top)], cov[np.ix_(top, top)]
+    chain = s_xt @ np.linalg.inv(s_t)
+    white = np.linalg.solve(np.linalg.cholesky(cov[np.ix_(obs, obs)] - chain @ s_xt.T), chain)
+    a = np.linalg.svd(white, full_matrices=False)[0].T @ white
+    mu = (inputs @ a.T).reshape(len(inputs), -1)                     # (C, N r)
+    dim = mu.shape[1]
+    p_cov = np.kron(np.eye(inputs.shape[1]), np.eye(len(a)) + a @ s_t @ a.T)
+    t, w = hermegauss(nodes)
+    z = np.array(list(itertools.product(t, repeat=dim)))
+    wz = np.prod(list(itertools.product(w / w.sum(), repeat=dim)), axis=1)
+    y = (mu[:, None, :] + z).reshape(-1, dim)
+    sq = ((y[:, None, :] - mu[None]) ** 2).sum(axis=-1)
+    log_q = logsumexp(-0.5 * sq, axis=1) - math.log(len(mu)) - 0.5 * dim * math.log(2 * math.pi)
+    log_p = multivariate_normal(np.zeros(dim), p_cov).logpdf(y).reshape(len(y))
+    return float(((log_q - log_p).reshape(len(mu), -1) @ wz).mean())
+
+
+# (tree, rates, block length): 2 Gaussian x 3 sign codewords each, N r <= 2
+BLOCK_KL_CASES = {"star-N1": ("star", (0.4, 0.7), 1), "star-N2": ("star", (0.2, 0.35), 2),
+                  "dumbbell-N1": ("dumbbell", (0.4, 0.7), 1)}
+BLOCK_KL_Z = NormalDist().inv_cdf(1.0 - 0.0026997960632601866 / (2 * len(BLOCK_KL_CASES)))
+
+
+@pytest.fixture(scope="module", params=list(BLOCK_KL_CASES))
+def block_kl_case(request):
+    """A codebook's (tree path, top nodes, codeword inputs y) and its
+    300k-sample divergence report."""
+    name, rates, block_length = BLOCK_KL_CASES[request.param]
+    tree = request.getfixturevalue(name)
+    pi = BernoulliParams.uniform(tree, 0.5)
+    cb = lg.build_codebooks(tree, RateTuple.make([rates], block_length), pi, 11)
+    top = cb.layers[-1]
+    y = top.signs * top.gaussian_codeword(np.arange(top.gauss_count)[:, None],
+                                           np.arange(top.sign_count))
+    inputs = y.reshape((-1,) + y.shape[2:])
+    assert len(inputs) == 6
+    report = lg.estimate_divergence(tree, cb, 300_000, 17, rate_margin_samples=1000)
+    return (ROOT / "trees" / f"{name}.tree", top.nodes, inputs), report
+
+
+def test_block_kl_matches_the_quadrature_oracle(block_kl_case):
+    case, report = block_kl_case
+    z = (report.kl_estimate - _block_kl_quadrature(*case)) / report.kl_std_error
+    assert abs(z) <= BLOCK_KL_Z
+
+
+def test_block_kl_check_fails_when_the_oracle_codewords_move_by_1e_2(block_kl_case):
+    # every codeword symbol 1e-2 farther from zero
+    (path, nodes, inputs), report = block_kl_case
+    tampered = _block_kl_quadrature(path, nodes, inputs + 1e-2 * np.sign(inputs))
+    assert abs(report.kl_estimate - tampered) / report.kl_std_error > BLOCK_KL_Z
 
 
 def test_divergence_report_fields(star, star_codebook):
@@ -454,7 +607,8 @@ def test_mixture_means_are_codewords_through_the_chain(four_hidden, two_layer):
     for tree, rates in ((four_hidden, [(0.5, 0.5)]), (two_layer, [(0.5, 0.5), (0.6, 0.4)])):
         pi = BernoulliParams.uniform(tree, 0.5)
         cb = lg.build_codebooks(tree, RateTuple.make(rates, 3), pi, 7)
-        means, _ = _mixture_components(tree, cb)
+        inputs, chain, _ = _mixture_components(tree, cb)
+        means = inputs @ chain.T
         top = cb.layers[0]
         assert len(means) == top.gauss_count * top.sign_count
         x, internals = lg.synthesize(tree, cb, 60, 4, noise=False, return_internals=True)
@@ -743,8 +897,8 @@ def test_lower_layer_rates_leave_the_emitted_law_unchanged(two_layer):
     laws = []
     for low in (0.01, 0.5, 1.5):
         cb = lg.build_codebooks(two_layer, RateTuple.make([(low, low), (0.8, 0.8)], 2), pi, 11)
-        means, cov = _mixture_components(two_layer, cb)
-        laws.append((means, cov, lg.synthesize(two_layer, cb, 50, 3, noise=False)))
+        inputs, chain, cov = _mixture_components(two_layer, cb)
+        laws.append((inputs @ chain.T, cov, lg.synthesize(two_layer, cb, 50, 3, noise=False)))
     for means, cov, x in laws[1:]:
         assert np.array_equal(means, laws[0][0])
         assert np.array_equal(cov, laws[0][1])
