@@ -1,8 +1,18 @@
 """Latent Gaussian trees: sign ambiguity, information measures, synthesis."""
 
 import os as _os
+import sys as _sys
 
 if "LTS_THREADS" in _os.environ:
+    if "numpy" in _sys.modules:
+        # BLAS reads its thread variables once, when numpy loads
+        import logging as _logging
+
+        _logging.getLogger("lgtree").warning(
+            "LTS_THREADS is set but numpy was imported before lgtree, so BLAS "
+            "has already read its thread count and the setting cannot take "
+            "effect; import lgtree first"
+        )
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["LTS_THREADS"])
 

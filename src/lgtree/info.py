@@ -38,6 +38,16 @@ estimates accumulate as running sums, so memory does not grow with
 ``samples``, and a whole pi grid is evaluated on one draw.  Every estimator
 is deterministic given (seed, samples).
 
+The core keeps sources, signal coordinates and enumerated flips along the
+rows of its arrays and samples along the columns.  Every product is then a
+small (k, k) matrix times a (k, m) block of contiguous rows, written in
+place into buffers sized once per draw, so no batch allocates its
+intermediates afresh.  In each group's flip table the drawn flip has log
+ratio exactly 0, so only the other 2^|group| - 1 rows are computed and the
+drawn row is exp(-shift).  The max shift that keeps exp() finite runs only
+when some log ratio in the chunk exceeds EXP_CEILING; otherwise the shift is
+0 and the table is exp() of the log ratios as they are.
+
 The target noise is drawn only in the block's signal subspace.  Whitened by
 the conditional covariance L L^T, the targets are L^-1 x = W g + z with
 W = L^-1 gain and z ~ N(0, I).  Let Q be an orthonormal basis of the
@@ -321,7 +331,7 @@ class _Running:
 
     def add(self, values: np.ndarray) -> "_Running":
         m = values.size
-        mean = float(values.mean())
+        mean = float(values.sum()) / m
         dev = values - mean
         n = self.n + m
         delta = mean - self.mean
@@ -330,9 +340,28 @@ class _Running:
         self.n = n
         return self
 
-    def result(self) -> MIResult:
+    def result(self, negated: bool = False) -> MIResult:
+        """The mean and its standard error; ``negated`` gives those of the
+        negated estimate, which negation carries exactly through every merge."""
         se = math.sqrt(self.m2 / (self.n - 1) / self.n) if self.n > 1 else 0.0
-        return MIResult(self.mean, se, MONTE_CARLO, self.n)
+        return MIResult(0.0 - self.mean if negated else self.mean, se, MONTE_CARLO, self.n)
+
+
+class _Buffers:
+    """Flat scratch arrays kept for the whole of one draw, so that every
+    batch and chunk writes its intermediates in place instead of allocating
+    them anew.  ``rows(key, n, m)`` views the leading n * m entries of the
+    buffer named ``key`` as a contiguous (n, m) array.  No later chunk is
+    wider than the first, so every buffer is allocated during the first."""
+
+    def __init__(self):
+        self._flat: dict = {}
+
+    def rows(self, key, n: int, m: int) -> np.ndarray:
+        flat = self._flat.get(key)
+        if flat is None or flat.size < n * m:
+            flat = self._flat[key] = np.empty(n * m)
+        return flat[:n * m].reshape(n, m)
 
 
 class _MixtureChunk:
@@ -350,30 +379,62 @@ class _MixtureChunk:
     relative flip c of the sources.  The ratio is a product over the
     coupling groups, so ``factors`` holds one (positions, shift, dens) per
     group, where dens[c] = exp(-shift) p(x | c o g) / p(x | g) for the flips
-    c of that group alone; row 0 is c = +1, the drawn component.  Sources
-    and flips index the rows of ``u`` and ``dens`` and samples their
-    columns, so the per-source contractions run over contiguous rows.
+    c of that group alone.
+
+    Layout: sources, signal coordinates and flips index the rows and samples
+    the columns, so every product is a small (k, k) matrix times a (k, m)
+    block of contiguous rows, written in place into the draw's
+    :class:`_Buffers`; ``g``, ``e`` and ``v`` are sample-major (transposed)
+    views of those rows.  The products go through ``np.dot``: ``np.matmul``
+    leaves BLAS for a slow generic loop when the inner dimension is 1, as it
+    is for a singleton group or a block with r = 1.  The drawn flip c = +1, row 0 of ``dens``, has log
+    ratio exactly 0, so only the other 2^|group| - 1 rows are computed and
+    row 0 is exp(-shift).  The shift brings every log ratio of a sample
+    below EXP_CEILING; the max-shift pass runs only when some ratio in the
+    chunk exceeds the ceiling, and otherwise ``shift`` is the scalar 0.0.
+    A chunk's arrays alias the draw's buffers: read them before the next
+    chunk is drawn.
     """
 
-    def __init__(self, model: _BlockModel, enumerated, u, g, e):
+    def __init__(self, model: _BlockModel, enumerated, u, g, e, buf: _Buffers):
+        r, m = e.shape
         a = model.signal_gain
-        self.u, self.g, self.e = np.ascontiguousarray(u.T), g, e
-        self.v = g @ a.T + e
-        wv = self.v @ model.signal.inv_chol.T
-        self.tot = 0.5 * (model.signal.logdet + np.einsum("ij,ij->i", wv, wv)
-                          - np.einsum("ij,ij->i", e, e))
+        self.u = u
+        v = np.dot(a, g, out=buf.rows("v", r, m))
+        v += e
+        self.g, self.e, self.v = g.T, e.T, v.T
+        # tot = 1/2 (log det + |W v|^2 - |e|^2), W = signal.inv_chol, each
+        # squared norm summed over the rows in turn
+        sq = np.dot(model.signal.inv_chol, v, out=buf.rows("sq", r, m))
+        sums = buf.rows("sums", 2, m)
+        self.tot = np.add.reduce(np.square(sq, out=sq), axis=0, out=sums[0])
+        self.tot += model.signal.logdet
+        self.tot -= np.add.reduce(np.square(e, out=sq), axis=0, out=sums[1])
+        self.tot *= 0.5
         # whitened, x - gain (c o g) = z + 2 W (f o g) with f = (1 - c) / 2, and
-        # z . W_j = e . a_j, W_j . W_l = a_j . a_l, so
-        # log dens = -2 [f . (g o (e a)) + (f o g) a^T a (f o g)]
-        ea = e @ a
+        # z . W_j = e . a_j, W_j . W_l = a_j . a_l, so the log ratio of flip f
+        # is -2 [f . (g o a^T e) + (f o g)^T a^T a (f o g)], taken over the
+        # rows g_j (a^T e)_j and g_j g_l of the group
+        ea = np.dot(a.T, e, out=buf.rows("ea", len(a.T), m))
         self.factors = []
-        for idx, flips, pair_gram in enumerated:
-            gs = g[:, idx]
-            linear = gs * ea[:, idx]
-            quad = (gs[:, :, None] * gs[:, None, :]).reshape(len(g), -1)
-            log_dens = -2.0 * (flips @ linear.T + pair_gram @ quad.T)
-            shift = np.maximum(log_dens.max(axis=0) - EXP_CEILING, 0.0)
-            self.factors.append((idx, shift, np.exp(log_dens - shift)))
+        for i, (idx, flips, pair_gram) in enumerate(enumerated):
+            k = len(idx)
+            gs = g[idx]
+            linear = np.multiply(gs, ea[idx], out=buf.rows("linear", k, m))
+            quad = buf.rows("quad", k * k, m)
+            np.multiply(gs[:, None], gs[None, :], out=quad.reshape(k, k, m))
+            dens = buf.rows(("dens", i), len(flips) + 1, m)
+            log_dens = np.dot(flips, linear, out=dens[1:])
+            log_dens += np.dot(pair_gram, quad, out=buf.rows("pairs", len(flips), m))
+            if log_dens.max() > EXP_CEILING:
+                shift = np.maximum(log_dens.max(axis=0) - EXP_CEILING, 0.0)
+                log_dens -= shift
+                np.exp(-shift, out=dens[0])
+            else:
+                shift = 0.0
+                dens[0] = 1.0
+            np.exp(log_dens, out=log_dens)
+            self.factors.append((idx, shift, dens))
 
     def _group_term(self, idx, shift, s, p: np.ndarray) -> np.ndarray:
         """One group's log sum_c pi(b o c) p(x | c o g) / p(x | g).
@@ -385,23 +446,26 @@ class _MixtureChunk:
             r = np.where(self.u[j] < p[j], p[j], 1.0 - p[j])
             s = s.reshape(-1, 2, s.shape[-1])
             s = s[:, 0] * r + s[:, 1] * (1.0 - r)
-        return np.log(s[0]) + shift
+        term = np.log(s[0])
+        if np.ndim(shift):      # the max shift ran on this chunk
+            term += shift
+        return term
 
     def log_ratios(self, priors):
         """log sum_c pi(b o c) p(x | c o g) - log p(x | g) at each sign prior
         in ``priors`` in turn: the sum of the groups' terms, and exactly 0 at
         p in {0, 1}.  A group whose prior entries equal the previous prior's
         reuses that prior's term, so a grid that steps one node at a time
-        contracts only that node's group."""
+        contracts only that node's group.  With a single group the yielded
+        array is that group's term itself: read it, do not write it."""
         last = [None] * len(self.factors)     # (prior entries, term) per group
         for p in priors:
-            total = np.zeros(self.u.shape[1])
             for i, (idx, shift, s) in enumerate(self.factors):
                 key = tuple(p[idx])
                 if last[i] is None or last[i][0] != key:
                     last[i] = (key, self._group_term(idx, shift, s, p))
-                total += last[i][1]
-            yield total
+            terms = [term for _, term in last]
+            yield sum(terms[1:], terms[0]) if terms else np.zeros(self.u.shape[1])
 
     def log_ratio(self, p: np.ndarray) -> np.ndarray:
         """:meth:`log_ratios` at the single prior ``p``."""
@@ -417,10 +481,11 @@ def _mixture_chunks(model: _BlockModel, samples: int, rng, groups=None):
 
     Each batch of SAMPLE_BATCH samples draws the sign uniforms, the source
     values and the signal-subspace target noise, in that order, off one
-    generator; it is evaluated in slices of at most EVAL_CELLS (sample,
-    enumerated flip) cells, counting the 2^|group| flips of every group.
-    ``groups`` lists the source positions enumerated jointly, by default the
-    model's coupling groups.
+    generator; each draw is copied into the rows of the draw's buffers and
+    freed before the next is made.  The batch is evaluated in slices of at
+    most EVAL_CELLS (sample, enumerated flip) cells, counting the 2^|group|
+    flips of every group.  ``groups`` lists the source positions enumerated
+    jointly, by default the model's coupling groups.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -433,17 +498,23 @@ def _mixture_chunks(model: _BlockModel, samples: int, rng, groups=None):
         flips = (1.0 - _enumerate_signs(len(idx))) / 2.0  # 1 marks a flipped source
         pair_gram = (flips[:, :, None] * flips[:, None, :]
                      * coupling[np.ix_(idx, idx)]).reshape(len(flips), -1)
-        enumerated.append((idx, flips, pair_gram))
-    rows = max(1, EVAL_CELLS // max(1, sum(len(flips) for _, flips, _ in enumerated)))
+        # row 0 is the drawn flip, whose log ratio is exactly 0; the factor -2
+        # of the log ratio is a power of two, so scaling the tables by it
+        # scales every product exactly
+        enumerated.append((idx, -2.0 * flips[1:], -2.0 * pair_gram[1:]))
+    rows = max(1, EVAL_CELLS // max(1, sum(len(flips) + 1 for _, flips, _ in enumerated)))
+    buf = _Buffers()
     for start in range(0, samples, SAMPLE_BATCH):
         m = min(SAMPLE_BATCH, samples - start)
-        u = rng.random((m, ks))
-        g = rng.standard_normal((m, ks)) @ model.marg_s.chol.T
-        e = rng.standard_normal((m, r))
+        u = buf.rows("u", ks, m)
+        u[...] = rng.random((m, ks)).T
+        g = buf.rows("g", ks, m)
+        np.dot(model.marg_s.chol, rng.standard_normal((m, ks)).T, out=g)
+        e = buf.rows("e", r, m)
+        e[...] = rng.standard_normal((m, r)).T
         for lo in range(0, m, rows):
             sl = slice(lo, lo + rows)
-            yield _MixtureChunk(model, enumerated, u[sl], g[sl], e[sl])
-        del u, g, e             # free this batch before the next is drawn
+            yield _MixtureChunk(model, enumerated, u[:, sl], g[:, sl], e[:, sl], buf)
 
 
 def _mixture_profiles(model: _BlockModel, priors, samples: int, rng) -> list[dict[str, MIResult]]:
@@ -453,14 +524,15 @@ def _mixture_profiles(model: _BlockModel, priors, samples: int, rng) -> list[dic
     sums = [(_Running(), _Running()) for _ in priors]
     for chunk in _mixture_chunks(model, samples, rng):
         total.add(chunk.tot)
-        for ratio, (inputs, signs) in zip(chunk.log_ratios(priors), sums):
+        for ratio, (inputs, ratios) in zip(chunk.log_ratios(priors), sums):
             inputs.add(chunk.tot + ratio)         # log_pred - log p(x)
-            signs.add(0.0 - ratio)
-        del chunk               # its views pin the batch while the next is drawn
+            ratios.add(ratio)
     total_mi = total.result()
+    # the sign term is -ratio, whose running sums are those of ratio negated
     return [
-        {"inputs": inputs.result(), "signs_given_inputs": signs.result(), "total": total_mi}
-        for inputs, signs in sums
+        {"inputs": inputs.result(), "signs_given_inputs": ratios.result(negated=True),
+         "total": total_mi}
+        for inputs, ratios in sums
     ]
 
 
@@ -649,7 +721,6 @@ def decomposition_check(
                 lse_pred = np.logaddexp(lse_pred, math.log(prob) + group_loglik(sign * y[:, j]))
             rhs_vals += num - lse_pred
         rhs.add(rhs_vals)
-        del chunk
     return lhs.result(), rhs.result()
 
 

@@ -338,6 +338,26 @@ def test_lts_threads_env(monkeypatch):
     assert proc.returncode == 0
 
 
+def test_lts_threads_warns_only_when_numpy_was_imported_first():
+    # BLAS reads its thread count when numpy loads, so LTS_THREADS can take
+    # effect only if lgtree is imported first; the other order says so on the
+    # lgtree logger (stderr) and prints the same report
+    import os
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    code = ("import sys\n{}\nimport lgtree.cli\n"
+            "sys.exit(lgtree.cli.main(['mi-conditional', 'trees/dumbbell.tree', '--samples',"
+            " '20000', '--deterministic']))\n")
+    procs = {first: subprocess.run([sys.executable, "-c", code.format(f"import {first}")],
+                                   capture_output=True, text=True, cwd=PKG,
+                                   env={**env, "LTS_THREADS": "1"})
+             for first in ("lgtree", "numpy")}
+    assert all(proc.returncode == 0 for proc in procs.values())
+    assert procs["lgtree"].stderr == ""
+    assert "LTS_THREADS" in procs["numpy"].stderr and "import lgtree first" in procs["numpy"].stderr
+    assert procs["lgtree"].stdout and procs["lgtree"].stdout == procs["numpy"].stdout
+
+
 @pytest.mark.parametrize("name", ["star", "dumbbell", "lowcorr", "two_layer"])
 def test_report_all_bytes_do_not_depend_on_the_blas_thread_count(name):
     # star at seed 2 printed kl_estimate ...8667 at one thread and ...86666 at two

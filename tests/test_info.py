@@ -450,21 +450,23 @@ def test_decomposition_enumerates_both_signs_jointly(dumbbell, monkeypatch):
     assert seen == [[4]]
 
 
-def test_mixture_profile_memory_is_bounded_by_the_groups(two_layer):
-    # 10 enumerated rows per sample; the joint 64 rows peaked at about 24 MB.
-    # Many batches must peak like one: holding the previous batch while the
-    # next is drawn took 7.3 MB against 4.6 MB
-    pi = BernoulliParams.uniform(two_layer, 0.5)
-    lg.mixture_mi_profile(two_layer, pi, 1000, 1)   # builds the block model
-    peaks = {}
-    for samples in (SAMPLE_BATCH, 50000):
-        tracemalloc.start()
-        try:
-            lg.mixture_mi_profile(two_layer, pi, samples, 1)
-            peaks[samples] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[50000] <= 1.1 * peaks[SAMPLE_BATCH], peaks
+def test_mixture_profile_memory_is_bounded_by_the_groups(two_layer, star, dumbbell):
+    # two_layer: 10 enumerated rows per sample; the joint 64 rows peaked at
+    # about 24 MB.  Many batches must peak like one: holding the previous
+    # batch while the next is drawn took 7.3 MB against 4.6 MB.  On every
+    # tree the in-place buffers are sized by the batch, never by ``samples``
+    for tree, many in ((two_layer, 50000), (star, 100000), (dumbbell, 100000)):
+        pi = BernoulliParams.uniform(tree, 0.5)
+        lg.mixture_mi_profile(tree, pi, 1000, 1)   # builds the block model
+        peaks = {}
+        for samples in (SAMPLE_BATCH, many):
+            tracemalloc.start()
+            try:
+                lg.mixture_mi_profile(tree, pi, samples, 1)
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[many] <= 1.1 * peaks[SAMPLE_BATCH], (tree.observed, peaks)
 
 
 class _Scripted:
@@ -504,6 +506,34 @@ def test_flip_ratio_above_the_exp_ceiling(star):
         want = np.logaddexp(np.log(r) + log_cond(1.0), np.log1p(-r) + log_cond(-1.0))
         got = chunk.log_ratio(np.array([p]))
         assert got == pytest.approx(want - log_cond(1.0), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["star", "dumbbell", "two_layer"])
+def test_a_shift_moves_only_the_samples_past_the_exp_ceiling(request, name):
+    # one sample's flip ratio far past EXP_CEILING: its groups run the max
+    # shift, and every other sample's log ratio is, bit for bit, that of the
+    # same draw with the outlier removed, which runs no shift at all
+    tree = request.getfixturevalue(name)
+    model = info._BlockModel(tree, tree.observed, tree.hidden)
+    ks, r = len(model.sources), len(model.signal_gain)
+    rng = np.random.default_rng(9)
+    u, w, e = rng.random((7, ks)), rng.standard_normal((7, ks)), rng.standard_normal((7, r))
+    out = 3
+    w[out] = 25.0 * np.sign(w[out])
+    e[out] = -2.0 * (w[out] @ model.marg_s.chol.T) @ model.signal_gain.T
+    keep = np.arange(7) != out
+    priors = [np.full(ks, 0.5), rng.uniform(0.05, 0.95, ks)]
+
+    chunk = next(info._mixture_chunks(model, 7, _Scripted(u, w, e)))
+    shifts = [shift for _, shift, _ in chunk.factors]
+    assert any(np.ndim(shift) and shift[out] > 0.0 for shift in shifts)
+    assert all(np.ndim(shift) == 0 or np.all(shift[keep] == 0.0) for shift in shifts)
+    got = [chunk.log_ratio(p)[keep] for p in priors]
+
+    clean = next(info._mixture_chunks(model, 6, _Scripted(u[keep], w[keep], e[keep])))
+    assert all(np.ndim(shift) == 0 and shift == 0.0 for _, shift, _ in clean.factors)
+    for p, want in zip(priors, got):
+        assert np.array_equal(clean.log_ratio(p), want)
 
 
 def test_zero_prior_component_drops_out(star):
@@ -641,3 +671,72 @@ def test_a_sweep_contracts_a_group_only_when_its_prior_entries_change(dumbbell, 
     _, curve = lg.optimize_pi(dumbbell, 0.1, 1000, 3)
     assert len(curve) == 121
     assert (calls.count((0,)), calls.count((1,)), len(calls)) == (11, 121, 132)
+
+
+# Estimates of the mixture core, recorded before its row layout: star,
+# dumbbell and two_layer at pi = 1/2 (20000 samples, seed 7), two_layer's
+# layer 1 | layer 2 block (same draw settings) and the dumbbell sweep
+# optimize_pi(dumbbell, 0.25, 5000, 3), as (value, std_error) pairs
+GOLDEN_PROFILES = {
+    "star": {"inputs": (0.33578820963426786, 0.004969053071057421),
+             "signs_given_inputs": (0.39417371824230235, 0.003134827921726834),
+             "total": (0.7299619278765702, 0.006090707500201602)},
+    "dumbbell": {"inputs": (0.3010212450001512, 0.005432426526097359),
+                 "signs_given_inputs": (0.5898550690293554, 0.004773119949053243),
+                 "total": (0.8908763140295066, 0.007480979011030843)},
+    "two_layer": {"inputs": (0.8356259316922293, 0.008864773390687676),
+                  "signs_given_inputs": (1.5388440859012484, 0.007596734363079089),
+                  "total": (2.374470017593478, 0.0120223849112156)},
+    "two_layer layer 1|layer 2": {
+        "inputs": (0.225947607132859, 0.004354966610279768),
+        "signs_given_inputs": (0.3273792744661098, 0.0034009752061614365),
+        "total": (0.5533268815989688, 0.005835445230403636)},
+}
+GOLDEN_DUMBBELL_CURVE = {
+    (0.0, 0.0): (0.0, 0.0),
+    (0.0, 0.25): (0.23507181882121503, 0.007163826068962994),
+    (0.0, 0.5): (0.28714750994179417, 0.0068815517442757336),
+    (0.0, 0.75): (0.226648333744633, 0.007094417140158891),
+    (0.0, 1.0): (0.0, 0.0),
+    (0.25, 0.0): (0.238878386173921, 0.006904018740528528),
+    (0.25, 0.25): (0.473950204995136, 0.010118548641834734),
+    (0.25, 0.5): (0.5260258961157152, 0.009975545436758706),
+    (0.25, 0.75): (0.46552671991855404, 0.0100582882240459),
+    (0.25, 1.0): (0.238878386173921, 0.006904018740528528),
+    (0.5, 0.0): (0.2941462031636406, 0.0065576202554537485),
+    (0.5, 0.25): (0.5292180219848557, 0.009926712570080792),
+    (0.5, 0.5): (0.5812937131054347, 0.009796740191901986),
+    (0.5, 0.75): (0.5207945369082736, 0.00992237922416516),
+    (0.5, 1.0): (0.2941462031636406, 0.0065576202554537485),
+    (0.75, 0.0): (0.23537422438321082, 0.006969754395260077),
+    (0.75, 0.25): (0.4704460432044258, 0.010126152675952202),
+    (0.75, 0.5): (0.5225217343250049, 0.009993902506245414),
+    (0.75, 0.75): (0.4620225581278439, 0.010147039279578463),
+    (0.75, 1.0): (0.23537422438321082, 0.006969754395260077),
+    (1.0, 0.0): (0.0, 0.0),
+    (1.0, 0.25): (0.23507181882121503, 0.007163826068962994),
+    (1.0, 0.5): (0.28714750994179417, 0.0068815517442757336),
+    (1.0, 0.75): (0.226648333744633, 0.007094417140158891),
+    (1.0, 1.0): (0.0, 0.0),
+}
+
+
+def _assert_golden(got, want):
+    # to rounding: 1e-13 relative, and an exact 0.0 stays exactly 0.0
+    for value, golden in zip((got.value, got.std_error), want):
+        assert abs(value - golden) <= 1e-13 * abs(golden), (value, golden)
+
+
+def test_mixture_core_estimates_match_the_golden_values(star, dumbbell, two_layer):
+    for name, tree in (("star", star), ("dumbbell", dumbbell), ("two_layer", two_layer)):
+        prof = lg.mixture_mi_profile(tree, BernoulliParams.uniform(tree, 0.5), 20000, 7)
+        for key, want in GOLDEN_PROFILES[name].items():
+            _assert_golden(prof[key], want)
+    prof = lg.block_mi_mixture(two_layer, two_layer.layer_nodes(1), two_layer.layer_nodes(2),
+                               BernoulliParams.uniform(two_layer, 0.5), 20000, 7)
+    for key, want in GOLDEN_PROFILES["two_layer layer 1|layer 2"].items():
+        _assert_golden(prof[key], want)
+    _, curve = lg.optimize_pi(dumbbell, 0.25, 5000, 3)
+    assert [pt for pt, _ in curve] == list(GOLDEN_DUMBBELL_CURVE)
+    for pt, est in curve:
+        _assert_golden(est, GOLDEN_DUMBBELL_CURVE[pt])
