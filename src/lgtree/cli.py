@@ -367,7 +367,7 @@ def _mi_report(tree, method: str, units: str) -> dict:
 
 
 def _cmd_mi(config: ExperimentConfig, tree) -> dict:
-    return {"seed": config.seed, **_mi_report(tree, config.method, config.units)}
+    return _mi_report(tree, config.method, config.units)
 
 
 def _cmd_mi_conditional(config: ExperimentConfig, tree) -> dict:
@@ -511,7 +511,7 @@ _COMMANDS = {
     "covariance": (_cmd_covariance, ()),
     "enumerate-signs": (_cmd_enumerate, ()),
     "sign-report": (_cmd_sign_report, ()),
-    "mi": (_cmd_mi, ("seed", "method", "units")),
+    "mi": (_cmd_mi, ("method", "units")),
     "mi-conditional": (_cmd_mi_conditional, ("pi", "samples", "seed", "units")),
     "optimize-pi": (_cmd_optimize_pi, ("grid_step", "samples", "seed", "csv")),
     "rate-check": (_cmd_rate_check, _RATE_FIELDS),

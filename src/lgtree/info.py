@@ -83,7 +83,6 @@ from .signs import SignAssignment, apply_sign_assignment
 from .trees import (
     GaussianTree,
     PD_EIG_FLOOR,
-    TRIPLE_RTOL,
     _consistent_ratio,
     joint_covariance,
     squared_gain_ratios,
@@ -441,7 +440,13 @@ class _MixtureChunk:
 
         The prior is a product over sources, so the sum contracts one source
         at a time, weighting the drawn sign by its prior r and the flipped
-        one by 1 - r.  A zero-prior component gets weight exactly 0."""
+        one by 1 - r.  A zero-prior component gets weight exactly 0, so a
+        group whose prior entries are all 0 or 1 weights only the drawn flip,
+        of ratio 1: its term is exactly 0 whatever the shift.  With only some
+        entries in {0, 1}, a shift set by a zero-weight flip can underflow
+        every weighted row, and the term is -inf."""
+        if all(p[j] in (0.0, 1.0) for j in idx):
+            return np.zeros(s.shape[-1])
         for j in reversed(idx):
             r = np.where(self.u[j] < p[j], p[j], 1.0 - p[j])
             s = s.reshape(-1, 2, s.shape[-1])
@@ -557,7 +562,6 @@ def mi_direct(tree: GaussianTree) -> MIResult:
 def mi_closed_form(
     sigma_x: np.ndarray,
     structure: GaussianTree,
-    rtol: float = TRIPLE_RTOL,
 ) -> MIResult:
     """MI between observed and hidden blocks from the observed covariance
     alone, for trees whose observed nodes are all leaves.
@@ -581,7 +585,7 @@ def mi_closed_form(
         ratios = squared_gain_ratios(sigma_x, structure, o, h)
         if not ratios:
             raise InconsistentCovariance(f"no witness triple for observed {o!r}")
-        log_den += math.log1p(-_consistent_ratio(ratios, repr(o), rtol))
+        log_den += math.log1p(-_consistent_ratio(ratios, repr(o)))
 
     sign, logdet = np.linalg.slogdet(sigma_x)
     if sign <= 0:

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import MismatchedNodeSets, MissingAssignment, TooManyHidden
 from .trees import GaussianTree, TreeSpec, joint_covariance, validate_tree
 
-ENUMERATION_CAP = 20  # 2^20 signed variants is the largest list we will build
+ENUMERATION_CAP = 20     # 2^20 signed variants is the largest list we will build
+EQUIVALENCE_TOL = 1e-12  # largest elementwise gap between equivalent observed blocks
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,13 @@ def apply_sign_assignment(tree: GaussianTree, assignment: SignAssignment) -> Gau
     return validate_tree(TreeSpec.make(tree.spec.nodes, new_edges))
 
 
-def enumerate_equivalent_trees(
-    tree: GaussianTree, cap: int = ENUMERATION_CAP
-) -> list[GaussianTree]:
+def enumerate_equivalent_trees(tree: GaussianTree) -> list[GaussianTree]:
     """All 2^k sign-equivalent variants, in lexicographic flip order
-    (+1 before -1, hidden nodes in declaration order)."""
-    if tree.k > cap:
+    (+1 before -1, hidden nodes in declaration order).  More than
+    ENUMERATION_CAP hidden nodes raise TooManyHidden."""
+    if tree.k > ENUMERATION_CAP:
         raise TooManyHidden(
-            f"tree has {tree.k} hidden nodes; enumeration is capped at {cap}"
+            f"tree has {tree.k} hidden nodes; enumeration is capped at {ENUMERATION_CAP}"
         )
     out = []
     for combo in itertools.product((1, -1), repeat=tree.k):
@@ -98,9 +98,9 @@ def enumerate_equivalent_trees(
     return out
 
 
-def verify_equivalence(trees: list[GaussianTree], tol: float = 1e-12) -> bool:
+def verify_equivalence(trees: list[GaussianTree]) -> bool:
     """True iff every tree's observed covariance matches the first's
-    elementwise within ``tol``."""
+    elementwise within EQUIVALENCE_TOL."""
     if not trees:
         raise MismatchedNodeSets("need at least one tree to verify")
     first = trees[0]
@@ -111,7 +111,7 @@ def verify_equivalence(trees: list[GaussianTree], tol: float = 1e-12) -> bool:
     ref = joint_covariance(first).observed_block
     for t in trees[1:]:
         other = joint_covariance(t).observed_block
-        if np.max(np.abs(other - ref)) > tol:
+        if np.max(np.abs(other - ref)) > EQUIVALENCE_TOL:
             return False
     return True
 

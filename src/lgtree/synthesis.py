@@ -299,7 +299,6 @@ class LayerCodebook:
 class Codebook:
     rates: RateTuple
     pi: BernoulliParams
-    seed: int
     layers: tuple[LayerCodebook, ...]   # the top layer's table alone
 
 
@@ -389,7 +388,7 @@ def build_codebooks(
         pattern_codes=_pattern_codes(signs),
         chol=block.marg_s.chol,
     )
-    return Codebook(rates=rates, pi=pi, seed=int(seed), layers=(top,))
+    return Codebook(rates=rates, pi=pi, layers=(top,))
 
 
 # -- emission ----------------------------------------------------------------
@@ -730,8 +729,9 @@ def verify_encoding_constraints(
        sign class against its upper chi^2 3-sigma quantile; 0 against 0
        with fewer than two classes of n + 2 symbols);
     3. symbols i.i.d. across channel uses (lag-1 cross-covariance vanishes);
-    4. the top layer's Gaussian codebook cardinality matches ceil(exp(N R_Y));
-    5. the top layer's sign codebook cardinality matches ceil(exp(N R_B));
+    4. and 5. the top layer's Gaussian and sign codebook cardinalities match
+       ceil(exp(N R_Y)) and ceil(exp(N R_B)), by the same codeword_counts()
+       arithmetic build_codebooks used, so only a codebook it did not build fails;
     6. the report's total-variation upper bound is at most ``tv_threshold``.
     """
     if not math.isfinite(tv_threshold):

@@ -38,7 +38,7 @@ OBSERVED = "observed"
 HIDDEN = "hidden"
 
 PD_EIG_FLOOR = 1e-10      # smallest eigenvalue accepted as positive definite
-TRIPLE_RTOL = 1e-8        # default spread tolerance for triple-ratio checks
+TRIPLE_RTOL = 1e-8        # relative spread tolerance for triple-ratio checks
 
 
 @dataclass(frozen=True)
@@ -242,8 +242,8 @@ def joint_covariance(tree: GaussianTree) -> CovarianceModel:
         ia = tree.node_order[a]
         for b, p in prods.items():
             cov[ia, tree.node_order[b]] = p if a != b else 1.0
-    # symmetry is exact by construction (same BFS product either direction),
-    # but average to be safe against future edits
+    # path products taken from either end can differ in the last bit, so
+    # averaging is what makes the matrix exactly symmetric
     cov = (cov + cov.T) / 2.0
     try:
         np.linalg.cholesky(cov + 0.0)
@@ -321,10 +321,10 @@ def squared_gain_ratios(
     return ratios
 
 
-def _consistent_ratio(ratios: list[float], what: str, rtol: float) -> float:
+def _consistent_ratio(ratios: list[float], what: str) -> float:
     value = ratios[0]
     for r in ratios[1:]:
-        if abs(r - value) > rtol * max(abs(value), 1e-30):
+        if abs(r - value) > TRIPLE_RTOL * max(abs(value), 1e-30):
             raise InconsistentCovariance(
                 f"triple ratios for {what} disagree: {value!r} vs {r!r}"
             )
@@ -336,7 +336,6 @@ def _consistent_ratio(ratios: list[float], what: str, rtol: float) -> float:
 def recover_edge_magnitudes(
     sigma_x: np.ndarray,
     structure: GaussianTree,
-    rtol: float = TRIPLE_RTOL,
 ) -> dict[tuple[str, str], float]:
     """Recover |rho| for every edge of ``structure`` from the observed
     covariance alone.  Signs are not recoverable.
@@ -358,7 +357,7 @@ def recover_edge_magnitudes(
             raise InconsistentCovariance(
                 f"no witness triple for observed {x!r} and hidden {h!r}"
             )
-        return _consistent_ratio(ratios, f"({x!r}, {h!r})", rtol)
+        return _consistent_ratio(ratios, f"({x!r}, {h!r})")
 
     obs_pos = {o: i for i, o in enumerate(structure.observed)}
     hid = set(structure.hidden)
@@ -393,16 +392,14 @@ def random_tree(
     rng: np.random.Generator,
     max_observed: int = 8,
     max_hidden: int = 4,
-    min_abs_rho: float = 0.2,
-    max_abs_rho: float = 0.9,
-    signed: bool = True,
 ) -> GaussianTree:
     """Generate a random valid leaf-observed tree.
 
     Hidden nodes form a random subtree; observed leaves are attached until
     every hidden node reaches degree three, then a few extra leaves are
-    spread at random.  Magnitudes are uniform on [min_abs_rho, max_abs_rho]
-    to keep determinants and Monte Carlo estimators well conditioned.
+    spread at random.  Magnitudes are uniform on [0.2, 0.9], to keep
+    determinants and Monte Carlo estimators well conditioned, with random
+    signs.
     """
     while True:
         k = int(rng.integers(1, max_hidden + 1))
@@ -430,8 +427,8 @@ def random_tree(
             edges.append((owner, f"x{i+1}"))
         signs_and_mags = []
         for u, v in edges:
-            mag = rng.uniform(min_abs_rho, max_abs_rho)
-            sign = rng.choice([-1.0, 1.0]) if signed else 1.0
+            mag = rng.uniform(0.2, 0.9)
+            sign = rng.choice([-1.0, 1.0])
             signs_and_mags.append((u, v, sign * mag))
         return validate_tree(TreeSpec.make(nodes, signs_and_mags))
 
@@ -473,13 +470,7 @@ def load_tree(path) -> GaussianTree:
         return validate_tree(parse_tree_text(fh.read()))
 
 
-def format_tree(tree: GaussianTree, header: str | None = None) -> str:
-    lines = []
-    if header:
-        for h in header.splitlines():
-            lines.append(f"# {h}")
-    for n, kind in tree.spec.nodes:
-        lines.append(f"node {n} {kind}")
-    for u, v, rho in tree.spec.edges:
-        lines.append(f"edge {u} {v} {rho!r}")
+def format_tree(tree: GaussianTree) -> str:
+    lines = [f"node {n} {kind}" for n, kind in tree.spec.nodes]
+    lines += [f"edge {u} {v} {rho!r}" for u, v, rho in tree.spec.edges]
     return "\n".join(lines) + "\n"

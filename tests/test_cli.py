@@ -123,7 +123,7 @@ def test_mi_both_reports_direct_alone_on_a_tree_with_inner_observed_nodes():
     code, out, err = run_in_process("mi", PKG / "trees" / "two_layer.tree", "--deterministic")
     assert code == 0, err
     result = json.loads(out)["result"]
-    assert set(result) == {"seed", "direct"}
+    assert set(result) == {"direct"}
     assert result["direct"]["value_nats"] == lg.mi_direct(lg.load_tree(PKG / "trees" / "two_layer.tree")).value
 
 
@@ -131,6 +131,13 @@ def test_mi_closed_form_on_a_tree_with_inner_observed_nodes_exit_1():
     code, out, err = run_in_process("mi", PKG / "trees" / "two_layer.tree", "--method", "closed")
     assert (code, out) == (1, "")
     assert "NotLeafOnly" in err
+
+
+def test_mi_takes_no_seed():
+    # mi draws nothing random, so a seed would change nothing
+    code, out, err = run_in_process("mi", PKG / "trees" / "star.tree", "--seed", "3")
+    assert (code, out) == (1, "")
+    assert "ParseError: unrecognized arguments: --seed 3" in err
 
 
 def test_mi_units_bits():
@@ -415,7 +422,7 @@ OWN_FLAGS = {
     "covariance": (),
     "enumerate-signs": (),
     "sign-report": (),
-    "mi": ("--seed", "--method", "--units"),
+    "mi": ("--method", "--units"),
     "mi-conditional": ("--pi", "--samples", "--seed", "--units"),
     "optimize-pi": ("--grid", "--samples", "--seed", "--csv"),
     "rate-check": RATE_FLAGS,
@@ -447,7 +454,7 @@ def test_help_lists_exactly_the_command_flags():
         listed = set(re.findall(r"--[a-z][a-z-]*", out.getvalue())) - {"--help"}
         assert listed == set(own + COMMON_FLAGS), command
         pairs += len(listed)
-    assert pairs == 74
+    assert pairs == 73
 
 
 @pytest.mark.parametrize("command", OWN_FLAGS)
@@ -466,7 +473,7 @@ def test_every_foreign_flag_is_a_parse_error(tmp_path):
     values = flag_values(tmp_path)
     foreign = [(command, flag) for command, own in OWN_FLAGS.items()
                for flag in ALL_FLAGS if flag not in own + COMMON_FLAGS]
-    assert len(foreign) == 176 - 74
+    assert len(foreign) == 176 - 73
     for command, flag in foreign:
         code, out, err = run_in_process(command, PKG / "trees" / "star.tree", flag, values[flag])
         assert (code, out) == (1, ""), (command, flag)
@@ -475,10 +482,10 @@ def test_every_foreign_flag_is_a_parse_error(tmp_path):
 
 @pytest.mark.parametrize("command, flags, prefixes", [
     ("rate-check", ["--ry", "0.3", "--rb", "0.3"], ["--bl", "2", "--sa", "1000"]),
-    ("mi", [], ["--s", "3"]),
+    ("mi", [], ["--me", "both"]),
 ])
 def test_flag_abbreviations_are_parse_errors(command, flags, prefixes):
-    # each prefix is unambiguous: --blocklen, --samples, --seed
+    # each prefix is unambiguous: --blocklen, --samples, --method
     code, out, err = run_in_process(command, PKG / "trees" / "star.tree", *flags, *prefixes)
     assert (code, out) == (1, "")
     assert "ParseError: unrecognized arguments: " + " ".join(prefixes) in err
@@ -534,7 +541,7 @@ def test_non_finite_or_out_of_range_fields_exit_1(command, flags):
 
 @pytest.mark.parametrize("command, config", [
     ("report-all", {"margin": "x"}),
-    ("mi", {"seed": "7"}),
+    ("mi", {"method": 3}),
     ("optimize-pi", {"grid_step": "0.1"}),
     ("mi-conditional", {"samples": 2000.5}),
     ("mi-conditional", {"seed": 1.5, "samples": 2000}),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -546,6 +547,22 @@ def test_zero_prior_component_drops_out(star):
     chunk.factors[0][2][1] = 1e300
     for p in (0.0, 1.0):
         assert np.all(chunk.log_ratio(np.array([p])) == 0.0)
+
+
+def test_zero_prior_term_is_exact_past_the_exp_ceiling(star):
+    # a source 25 sigma from zero with its noise along the gain: the flip's
+    # log ratio is about 14,000, so the shift (13,342) underflows the drawn
+    # row, which alone carries prior weight at pi in {0, 1}
+    model = info._BlockModel(star, star.observed, star.hidden)
+    a = model.signal_gain
+    w = np.array([[-25.0], [0.5]])                  # the source has unit variance
+    e = np.array([200.0 * np.sign(a[:, 0]), [0.1]])
+    chunk = next(info._mixture_chunks(model, 2, _Scripted(np.array([[0.3], [0.6]]), w, e)))
+    assert chunk.factors[0][1][0] > 13000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (0.0, 1.0):
+            assert np.array_equal(chunk.log_ratio(np.array([p])), [0.0, 0.0])
 
 
 def test_sliced_evaluation_matches_whole_batches(two_layer, monkeypatch):

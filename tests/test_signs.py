@@ -40,9 +40,10 @@ def test_enumeration_counts(star, dumbbell, two_layer):
     assert len(lg.enumerate_equivalent_trees(two_layer)) == 64
 
 
-def test_enumeration_cap(two_layer):
+def test_enumeration_cap(two_layer, monkeypatch):
+    monkeypatch.setattr(lg.signs, "ENUMERATION_CAP", 5)
     with pytest.raises(TooManyHidden):
-        lg.enumerate_equivalent_trees(two_layer, cap=5)
+        lg.enumerate_equivalent_trees(two_layer)
 
 
 def test_enumeration_distinct_and_equivalent(dumbbell):

@@ -92,6 +92,17 @@ def test_joint_covariance_dumbbell_entry(dumbbell):
     assert np.asarray(model.joint)[i, j] == pytest.approx(0.245, abs=1e-15)
 
 
+def test_joint_covariance_is_exactly_symmetric(request):
+    # path products taken from either end can differ in the last bit
+    # (two_layer: 42 entries, up to 5.6e-17), so only the averaging makes
+    # the matrix symmetric bit for bit
+    fixtures = [request.getfixturevalue(n) for n in ("star", "dumbbell", "lowcorr", "two_layer")]
+    rng = np.random.default_rng(20)
+    for tree in fixtures + [random_tree(rng) for _ in range(200)]:
+        joint = lg.joint_covariance(tree).joint
+        assert np.array_equal(joint, joint.T), tree.spec
+
+
 def test_tree_determinant_star(star):
     det = lg.tree_determinant(star)
     assert det == pytest.approx(0.117504, rel=1e-12)
@@ -182,7 +193,7 @@ def test_two_layer_fixture_layers(two_layer):
 
 
 def test_parse_format_roundtrip(star):
-    text = lg.format_tree(star, header="roundtrip")
+    text = lg.format_tree(star)
     spec = lg.parse_tree_text(text)
     assert spec == star.spec
 
