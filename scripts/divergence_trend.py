@@ -2,7 +2,7 @@
 """Soft-covering trend experiment.
 
 For a tree and sign bias, sweep the block length at rates a fixed margin
-above the per-layer frontier and record the block KL estimate, its standard
+above the top layer's frontier and record the block KL estimate, its standard
 error, and the Pinsker bound.  Writes a CSV to stdout or --out.
 
 Example:
@@ -38,7 +38,7 @@ def main() -> int:
         )
         codebook = lg.build_codebooks(tree, rates, pi, args.seed)
         report = lg.estimate_divergence(tree, codebook, args.samples, 17)
-        my, mb = rates.codeword_counts()[-1]
+        my, mb = rates.codeword_counts()[0]
         rows.append(
             f"{n_uses},{report.kl_estimate!r},{report.kl_std_error!r},"
             f"{report.tv_upper_bound!r},{my * mb}"

@@ -189,26 +189,17 @@ def _parse_pi(spec: str, tree) -> "BernoulliParams":
     return BernoulliParams.make(table)
 
 
-def _parse_rates(config: ExperimentConfig, tree) -> "RateTuple":
+def _parse_rates(config: ExperimentConfig) -> "RateTuple":
+    """The top layer's (R_Y, R_B) pair, the only rates the scheme takes."""
     from .synthesis import RateTuple
 
     if config.ry is None or config.rb is None:
         raise ValidationError("cli: fields 'ry' and 'rb' are required for this command")
     try:
-        ry = [_to_nats(float(v), config.units) for v in str(config.ry).split(",")]
-        rb = [_to_nats(float(v), config.units) for v in str(config.rb).split(",")]
+        ry, rb = (_to_nats(float(v), config.units) for v in (config.ry, config.rb))
     except ValueError:
-        raise ValidationError("cli: fields 'ry' and 'rb' must be comma-separated numbers")
-    depth = tree.num_layers
-    if len(ry) == 1:
-        ry = ry * depth
-    if len(rb) == 1:
-        rb = rb * depth
-    if len(ry) != depth or len(rb) != depth:
-        raise ValidationError(
-            f"cli: fields 'ry'/'rb' need one rate per layer (tree has {depth})"
-        )
-    return RateTuple.make(list(zip(ry, rb)), config.block_length)
+        raise ValidationError("cli: fields 'ry' and 'rb' must each be one number")
+    return RateTuple.make([(ry, rb)], config.block_length)
 
 
 def _mi_json(result, units: str, seed: int | None = None) -> dict:
@@ -415,7 +406,7 @@ def _cmd_rate_check(config: ExperimentConfig, tree) -> dict:
     from .synthesis import rate_region_check
 
     pi = _parse_pi(config.pi, tree)
-    rates = _parse_rates(config, tree)
+    rates = _parse_rates(config)
     margins = rate_region_check(tree, rates, pi, samples=config.samples, seed=config.seed)
     return {"seed": config.seed, "pi": pi.as_dict(), "margins": margins}
 
@@ -424,7 +415,7 @@ def _run_synthesis(config: ExperimentConfig, tree):
     from .synthesis import build_codebooks, estimate_divergence
 
     pi = _parse_pi(config.pi, tree)
-    rates = _parse_rates(config, tree)
+    rates = _parse_rates(config)
     codebook = build_codebooks(tree, rates, pi, config.seed)
     return codebook, estimate_divergence(tree, codebook, config.samples, config.seed)
 

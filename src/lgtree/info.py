@@ -522,23 +522,18 @@ def _mixture_chunks(model: _BlockModel, samples: int, rng, groups=None):
             yield _MixtureChunk(model, enumerated, u[:, sl], g[:, sl], e[:, sl], buf)
 
 
-def _mixture_profiles(model: _BlockModel, priors, samples: int, rng) -> list[dict[str, MIResult]]:
-    """Gaussian-input MI, conditional sign MI and their total under each sign
-    prior vector in ``priors``, all from one draw."""
-    total = _Running()
-    sums = [(_Running(), _Running()) for _ in priors]
+def _mixture_profile(model: _BlockModel, p: np.ndarray, samples: int, rng) -> dict[str, MIResult]:
+    """Gaussian-input MI, conditional sign MI and their total under the sign
+    prior vector ``p``, from one draw."""
+    total, inputs, ratios = _Running(), _Running(), _Running()
     for chunk in _mixture_chunks(model, samples, rng):
+        ratio = chunk.log_ratio(p)
         total.add(chunk.tot)
-        for ratio, (inputs, ratios) in zip(chunk.log_ratios(priors), sums):
-            inputs.add(chunk.tot + ratio)         # log_pred - log p(x)
-            ratios.add(ratio)
-    total_mi = total.result()
+        inputs.add(chunk.tot + ratio)         # log_pred - log p(x)
+        ratios.add(ratio)
     # the sign term is -ratio, whose running sums are those of ratio negated
-    return [
-        {"inputs": inputs.result(), "signs_given_inputs": ratios.result(negated=True),
-         "total": total_mi}
-        for inputs, ratios in sums
-    ]
+    return {"inputs": inputs.result(), "signs_given_inputs": ratios.result(negated=True),
+            "total": total.result()}
 
 
 def mixture_mi_profile(
@@ -549,7 +544,7 @@ def mixture_mi_profile(
     closed-form value)."""
     _require_samples(samples)
     model = _block(tree, tree.observed, tree.hidden)
-    return _mixture_profiles(model, [pi.vector_for(model.sources)], samples, _rng(seed, 0))[0]
+    return _mixture_profile(model, pi.vector_for(model.sources), samples, _rng(seed, 0))
 
 
 def mi_direct(tree: GaussianTree) -> MIResult:
@@ -659,10 +654,10 @@ def block_mi_mixture(
     tree: GaussianTree, targets, sources, pi: BernoulliParams, samples: int, seed: int
 ) -> dict[str, MIResult]:
     """Mixture MI profile between arbitrary node blocks, with sign inputs on
-    the source block only.  Used for the per-layer rate bounds."""
+    the source block only.  Used for the top layer's rate bounds."""
     _require_samples(samples)
     model = _block(tree, targets, sources)
-    return _mixture_profiles(model, [pi.vector_for(model.sources)], samples, _rng(seed, 2))[0]
+    return _mixture_profile(model, pi.vector_for(model.sources), samples, _rng(seed, 2))
 
 
 def _dumbbell_groups(tree: GaussianTree) -> tuple[str, str, tuple, tuple]:
@@ -766,13 +761,16 @@ def optimize_pi(
 
     model = _block(tree, tree.observed, tree.hidden)
     params = [BernoulliParams.make(dict(zip(tree.hidden, point))) for point in grid]
-    profiles = _mixture_profiles(
-        model, [pi.vector_for(model.sources) for pi in params], samples, _rng(seed, 0)
-    )
+    priors = [pi.vector_for(model.sources) for pi in params]
+    # the sweep reads only the sign term, so it keeps only the ratio sums
+    sums = [_Running() for _ in priors]
+    for chunk in _mixture_chunks(model, samples, _rng(seed, 0)):
+        for ratio, running in zip(chunk.log_ratios(priors), sums):
+            running.add(ratio)
     curve = []
     best_idx = 0
-    for idx, (point, profile) in enumerate(zip(grid, profiles)):
-        est = profile["signs_given_inputs"]
+    for idx, (point, running) in enumerate(zip(grid, sums)):
+        est = running.result(negated=True)
         curve.append((point if tree.k == 2 else (point[0],), est))
         if est.value > curve[best_idx][1].value:
             best_idx = idx

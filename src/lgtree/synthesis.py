@@ -21,11 +21,13 @@ codebook, every lower layer is the sign-modulated regression of the layer
 above plus fresh Gaussian innovation noise, and the observed vector is the
 final regression step.  These regressions (observed | layer 1, layer 1 |
 layer 2, ...) are built once per tree and also give the codeword colouring
-and the per-layer rate bounds.  Flipping every edge at a hidden node is a
+and the top layer's rate bounds.  Flipping every edge at a hidden node is a
 sign-equivalence: a lower layer's sign multiplies the layer on its way in
 and again on its way out, and b^2 = 1 cancels it.  Only the top layer's
-codebook shapes the emitted law, so it is the only one built; lower-layer
-signs are drawn i.i.d. Bernoulli(pi) at emission.
+codebook shapes the emitted law, so it is the only one built, and its
+(R_Y, R_B) pair is the only rate the scheme takes; lower-layer signs and
+Gaussians are local randomness drawn afresh at emission, which costs no
+rate.
 
 The synthesized block density q is a finite, exactly evaluable Gaussian
 mixture over codeword pairs, which gives a direct Monte Carlo estimate of
@@ -44,7 +46,6 @@ evaluated in the full space, apart from the chain.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -81,20 +82,25 @@ THREE_SIGMA_MASS = 0.0026997960632601866       # two-sided normal mass beyond 3 
 
 @dataclass(frozen=True)
 class RateTuple:
-    """Per-layer (gaussian_rate, sign_rate) in nats per channel use, plus the
-    block length.  Codebook sizes are ceil(exp(N * R)), so N * R may not
-    exceed the log of the largest float."""
+    """The top layer's (gaussian_rate, sign_rate) in nats per channel use,
+    as the one pair in ``layers``, plus the block length.  Only the top
+    layer is coded, so no other layer takes a rate.  Codebook sizes are
+    ceil(exp(N * R)), so N * R may not exceed the log of the largest float."""
 
-    layers: tuple[tuple[float, float], ...]
+    layers: tuple[tuple[float, float]]
     block_length: int
 
     @staticmethod
     def make(layers, block_length: int) -> "RateTuple":
         layers = tuple((float(ry), float(rb)) for ry, rb in layers)
+        if len(layers) != 1:
+            raise ValidationError(
+                f"rates must be one (R_Y, R_B) pair, the top layer's, got {len(layers)} pairs"
+            )
         if (not isinstance(block_length, numbers.Integral) or isinstance(block_length, bool)
                 or block_length < 1):
             raise ValidationError(f"block length must be a positive integer, got {block_length!r}")
-        for rate in itertools.chain.from_iterable(layers):
+        for rate in layers[0]:
             if not 0.0 <= rate * block_length <= LOG_FLOAT_MAX:
                 raise ValidationError(
                     f"rate {rate} must be non-negative with N R at most {LOG_FLOAT_MAX:.2f}"
@@ -345,14 +351,9 @@ def _layer_blocks(tree: GaussianTree) -> list[_BlockModel]:
     return [_block(tree, t, tree.layer_nodes(d)) for d, t in enumerate(below, start=1)]
 
 
-def _require_layers(tree: GaussianTree, rates: RateTuple) -> None:
-    """Rates must give one (R_Y, R_B) pair to each of the tree's hidden layers."""
+def _require_layers(tree: GaussianTree) -> None:
     if tree.num_layers == 0:
         raise ValidationError("tree has no hidden nodes, so it has no layer to code")
-    if len(rates.layers) != tree.num_layers:
-        raise ValidationError(
-            f"rates cover {len(rates.layers)} layers but the tree has {tree.num_layers}"
-        )
 
 
 def build_codebooks(
@@ -367,12 +368,12 @@ def build_codebooks(
     :func:`synthesize` draws them i.i.d.  Raises CapExceeded when the table
     would exceed 2^16 codewords or 2^12 covariance patterns.
     """
-    _require_layers(tree, rates)
+    _require_layers(tree)
     depth = tree.num_layers
     block = _layer_blocks(tree)[-1]
     nodes = block.sources
     k = len(nodes)
-    my, mb = rates.codeword_counts()[-1]
+    my, mb = rates.codeword_counts()[0]
     if my > CODEBOOK_CAP or mb > CODEBOOK_CAP:
         raise CapExceeded(f"layer {depth} codebook sizes ({my}, {mb}) exceed the cap {CODEBOOK_CAP}")
     if 2 ** (k - 1) > PATTERN_CAP:
@@ -588,36 +589,32 @@ def rate_region_check(
     samples: int = 20000,
     seed: int = 0,
 ) -> list[dict]:
-    """Signed margins of the per-layer achievability inequalities.
-
-    Layer 1 compares against the MI between the observed block and the
-    layer-1 inputs; deeper layers compare against the MI between consecutive
-    hidden layers, conditioned on the shallower signs.  The Gaussian-rate
-    margin uses the mixture MI (Monte Carlo); the sum-rate margin uses the
-    fixed Gaussian MI.  Every layer's bounds belong to the paper's rate
-    region, but only the last entry's rates drive emission: lower-layer
-    signs cancel from the emitted law, so no codebook is built for them.
+    """Signed margins of the top layer L's achievability inequalities, as a
+    list of one entry: its inputs against the block below it (the observed
+    block when L = 1, else layer L - 1).  The Gaussian-rate margin uses the
+    mixture MI (Monte Carlo); the sum-rate margin uses the fixed Gaussian
+    MI.  Only the top layer is coded (module docstring), so the paper's
+    pair per layer, which belongs to a scheme coding every layer, is not
+    checked.
     """
-    _require_layers(tree, rates)
-    out = []
-    for depth, block in enumerate(_layer_blocks(tree), start=1):
-        profile = block_mi_mixture(
-            tree, block.targets, block.sources, pi, samples, _point_seed(seed, depth)
-        )
-        mix = profile["inputs"]
-        ry, rb = rates.layers[depth - 1]
-        fixed = block.gaussian_mi()
-        out.append({
-            "layer": depth,
-            "gaussian_rate": ry,
-            "sign_rate": rb,
-            "gaussian_mi": mix.value,
-            "gaussian_mi_se": mix.std_error,
-            "total_mi": fixed,
-            "gaussian_rate_margin": ry - mix.value,
-            "sum_rate_margin": ry + rb - fixed,
-        })
-    return out
+    _require_layers(tree)
+    depth = tree.num_layers
+    block = _layer_blocks(tree)[-1]
+    mix = block_mi_mixture(
+        tree, block.targets, block.sources, pi, samples, _point_seed(seed, depth)
+    )["inputs"]
+    ry, rb = rates.layers[0]
+    fixed = block.gaussian_mi()
+    return [{
+        "layer": depth,
+        "gaussian_rate": ry,
+        "sign_rate": rb,
+        "gaussian_mi": mix.value,
+        "gaussian_mi_se": mix.std_error,
+        "total_mi": fixed,
+        "gaussian_rate_margin": ry - mix.value,
+        "sum_rate_margin": ry + rb - fixed,
+    }]
 
 
 def _family_z(comparisons: int) -> float:
@@ -637,7 +634,7 @@ def frontier_rates(
     samples: int = 100000,
     seed: int = 0,
 ) -> RateTuple:
-    """Rates sitting ``margin`` nats above the per-layer frontier.
+    """The top layer's rates sitting ``margin`` nats above its frontier.
 
     The frontier is :func:`rate_region_check` at zero rates, so checking the
     returned rates with matching (pi, samples, seed) reports margins of
@@ -645,12 +642,10 @@ def frontier_rates(
     """
     if not math.isfinite(margin):
         raise ValidationError(f"margin must be a finite number, got {margin}")
-    zero = RateTuple.make([(0.0, 0.0)] * tree.num_layers, block_length)
-    layers = []
-    for bound in rate_region_check(tree, zero, pi, samples, seed):
-        mix, fixed = bound["gaussian_mi"], bound["total_mi"]
-        layers.append((max(mix, 0.0) + margin, max(fixed - mix, 0.0) + margin))
-    return RateTuple.make(layers, block_length)
+    zero = RateTuple.make([(0.0, 0.0)], block_length)
+    bound = rate_region_check(tree, zero, pi, samples, seed)[0]
+    mix, fixed = bound["gaussian_mi"], bound["total_mi"]
+    return RateTuple.make([(max(mix, 0.0) + margin, max(fixed - mix, 0.0) + margin)], block_length)
 
 
 def estimate_divergence(
@@ -665,8 +660,8 @@ def estimate_divergence(
     KL(q || product target) is estimated by averaging the exact log-density
     ratio over ``samples_count`` >= 2 draws from q; the total-variation bound
     is Pinsker's.  Also reports the Frobenius error of the pooled empirical
-    covariance and the rate margins.  It gives no verdict: the encoding
-    constraints are judged by :func:`verify_encoding_constraints`.
+    covariance and the top layer's rate margins.  It gives no verdict: the
+    encoding constraints are judged by :func:`verify_encoding_constraints`.
     """
     if samples_count < 2:
         raise ValidationError(f"samples_count must be at least 2, got {samples_count}")
@@ -720,7 +715,7 @@ def verify_encoding_constraints(
     tv_threshold: float = 0.5,
 ) -> list[ConstraintCheck]:
     """Checklist of the six encoding-scheme constraints, judged on ``runs``
-    blocks emitted here from ``codebook`` and on the report's TV bound.
+    >= 2 blocks emitted here from ``codebook`` and on the report's TV bound.
 
     1. outputs conditionally independent given the layer-1 inputs and signs
        (whitened residual correlations vanish);
@@ -734,6 +729,8 @@ def verify_encoding_constraints(
        arithmetic build_codebooks used, so only a codebook it did not build fails;
     6. the report's total-variation upper bound is at most ``tv_threshold``.
     """
+    if runs < 2:
+        raise ValidationError(f"runs must be at least 2, got {runs}")
     if not math.isfinite(tv_threshold):
         raise ValidationError(f"tv_threshold must be a finite number, got {tv_threshold}")
     checks: list[ConstraintCheck] = []
@@ -801,7 +798,7 @@ def verify_encoding_constraints(
         + ("" if n_uses >= 2 else " (single symbol per block)"),
     ))
 
-    my, mb = codebook.rates.codeword_counts()[-1]
+    my, mb = codebook.rates.codeword_counts()[0]
     for name, count, want, rate in (("gaussian", top.gauss_count, my, "R_Y"),
                                     ("sign", top.sign_count, mb, "R_B")):
         gap = abs(count - want)

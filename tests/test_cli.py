@@ -232,6 +232,20 @@ def test_rate_check_margins():
     )
 
 
+def test_rate_flags_take_the_top_layer_pair_alone():
+    # only the top layer is coded: one number per flag, one margin entry
+    tree = PKG / "trees" / "two_layer.tree"
+    code, out, err = run_in_process("rate-check", tree, "--ry", "0.3,0.4", "--rb", "0.2",
+                                    "--samples", "1000")
+    assert (code, out) == (1, "")
+    assert "ValidationError" in err
+    code, out, _ = run_in_process("rate-check", tree, "--ry", "0.4", "--rb", "0.2",
+                                  "--samples", "1000", "--deterministic")
+    assert code == 0
+    margins = json.loads(out)["result"]["margins"]
+    assert [(m["layer"], m["gaussian_rate"], m["sign_rate"]) for m in margins] == [(2, 0.4, 0.2)]
+
+
 def test_config_file_merge(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"samples": 4000, "seed": 5, "deterministic": True}))
