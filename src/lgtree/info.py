@@ -59,7 +59,12 @@ log N(a g + e; 0, I + a S_s a^T), and it never meets a flip, because
 z . W_j = e . a_j.  Each sample therefore draws k_s + r normals, not
 k_s + n_t, and the estimates are those of the full draw sample by sample:
 r = 1 on star, 2 on dumbbell, 5 on two_layer's observed | hidden block (its
-top node u is coupled to no target) and 1 on its layer 1 | layer 2 block.
+top node u is coupled to no target) and 1 on its observed | layer 2 block,
+the channel that synthesis codes.
+
+MIXTURE_ENUM_CAP caps each coupling group, not the block: a leaf-observed
+tree has one source per group and runs at any k.  The sign-marginal MI,
+which builds one covariance per joint sign vector, keeps the cap on k.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ CLOSED_FORM = "closed_form"
 DIRECT_GAUSSIAN = "direct_gaussian"
 MONTE_CARLO = "monte_carlo"
 
-MIXTURE_ENUM_CAP = 12   # cap on the k sign inputs of an exact mixture
+MIXTURE_ENUM_CAP = 12   # cap on jointly enumerated signs: per group, and mi_sign_marginal's k
 MIN_MC_SAMPLES = 1000   # below this the error bars are not worth reporting
 GRID_CAP = 2**12        # cap on optimize_pi grid points
 
@@ -293,16 +298,12 @@ def _block(tree: GaussianTree, targets, sources) -> _BlockModel:
     return tree._blocks[key]
 
 
-def _require_enum_cap(count: int):
+def _enumerate_signs(count: int) -> np.ndarray:
     if count > MIXTURE_ENUM_CAP:
         raise TooManyHidden(
             f"mixture enumeration over {count} sign inputs exceeds the cap of "
             f"{MIXTURE_ENUM_CAP}"
         )
-
-
-def _enumerate_signs(count: int) -> np.ndarray:
-    _require_enum_cap(count)
     return np.array(list(itertools.product((1.0, -1.0), repeat=count)))
 
 
@@ -490,12 +491,12 @@ def _mixture_chunks(model: _BlockModel, samples: int, rng, groups=None):
     freed before the next is made.  The batch is evaluated in slices of at
     most EVAL_CELLS (sample, enumerated flip) cells, counting the 2^|group|
     flips of every group.  ``groups`` lists the source positions enumerated
-    jointly, by default the model's coupling groups.
+    jointly, by default the model's coupling groups; a group of more than
+    MIXTURE_ENUM_CAP sources raises TooManyHidden.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     ks, r = len(model.sources), len(model.signal_gain)
-    _require_enum_cap(ks)
     coupling = model.signal_gain.T @ model.signal_gain
     enumerated = []
     for idx in model.groups if groups is None else groups:

@@ -19,29 +19,31 @@ realisations.
 Emission walks the layers top-down: the deepest layer is read from its
 codebook, every lower layer is the sign-modulated regression of the layer
 above plus fresh Gaussian innovation noise, and the observed vector is the
-final regression step.  These regressions (observed | layer 1, layer 1 |
-layer 2, ...) are built once per tree and also give the codeword colouring
-and the top layer's rate bounds.  Flipping every edge at a hidden node is a
+final regression step.  Flipping every edge at a hidden node is a
 sign-equivalence: a lower layer's sign multiplies the layer on its way in
 and again on its way out, and b^2 = 1 cancels it.  Only the top layer's
 codebook shapes the emitted law, so it is the only one built, and its
 (R_Y, R_B) pair is the only rate the scheme takes; lower-layer signs and
 Gaussians are local randomness drawn afresh at emission, which costs no
-rate.
+rate.  Every lower layer thus belongs to the coded channel p(x | top-layer
+inputs), the regression of the observed block on the top layer
+(:func:`_channel`).  That one regression, built once per tree, gives the
+codeword colouring, the block density, the target law, the rate bounds and
+the frontier.
 
 The synthesized block density q is a finite, exactly evaluable Gaussian
 mixture over codeword pairs, which gives a direct Monte Carlo estimate of
 KL(q || product of targets) and, through Pinsker's inequality, an upper
-bound on total variation.  Its components share the covariance S_c = L L^T
-and have means chain y, where chain is the regression of the observed block
-on the top layer and y a pair's signed top-layer symbols.  Whitened by L,
-every mean lies in the span of Q, the reduced-QR basis of L^-1 chain with
-r = min(n, k_top) columns per channel use, read off the structure.  So
+bound on total variation.  Its components share the channel's noise
+covariance S_c = L L^T and have means G y, where G is the channel's gain
+and y a pair's signed top-layer symbols.  Whitened by L, every mean lies in
+the span of the channel's signal basis Q, the reduced-QR basis of L^-1 G
+with r = min(n, k_top) columns per channel use, read off the structure.  So
 log N(x; m) = -|x_p - m_p|^2/2 - (|x_w|^2 - |x_p|^2)/2 + const with
 x_w = L^-1 x, x_p = Q^T x_w and m_p = Q^T L^-1 m, and q is evaluated on the
 N r projected coordinates: r = 1 on star, lowcorr and two_layer (44 -> 4
 coordinates at N = 4), 2 on dumbbell.  The target density log p is
-evaluated in the full space, apart from the chain.
+evaluated in the full space.
 """
 
 from __future__ import annotations
@@ -54,15 +56,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import CapExceeded, MixtureTooLarge, ValidationError
-from .info import (
-    BernoulliParams,
-    _BlockModel,
-    _Gauss,
-    _block,
-    _rng,
-    _signal_basis,
-    block_mi_mixture,
-)
+from .info import BernoulliParams, _BlockModel, _block, _rng, block_mi_mixture
 from .trees import GaussianTree, joint_covariance  # noqa: F401 (bench's tracer test asserts it)
 
 CODEBOOK_CAP = 2**16       # per-table codeword count cap
@@ -92,7 +86,12 @@ class RateTuple:
 
     @staticmethod
     def make(layers, block_length: int) -> "RateTuple":
-        layers = tuple((float(ry), float(rb)) for ry, rb in layers)
+        try:
+            layers = tuple((float(ry), float(rb)) for ry, rb in layers)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"rates must be (R_Y, R_B) pairs of numbers, got {layers!r}"
+            ) from None
         if len(layers) != 1:
             raise ValidationError(
                 f"rates must be one (R_Y, R_B) pair, the top layer's, got {len(layers)} pairs"
@@ -346,14 +345,18 @@ def _pattern_codes(signs: np.ndarray) -> np.ndarray:
 
 def _layer_blocks(tree: GaussianTree) -> list[_BlockModel]:
     """The regression of each layer's targets on the layer, from the bottom:
-    observed | layer 1, layer 1 | layer 2, ..., layer L-1 | layer L."""
+    observed | layer 1, layer 1 | layer 2, ..., layer L-1 | layer L.
+    Emission walks them, and constraints 1 and 2 read the first."""
     below = [tree.observed] + [tree.layer_nodes(d) for d in range(1, tree.num_layers)]
     return [_block(tree, t, tree.layer_nodes(d)) for d, t in enumerate(below, start=1)]
 
 
-def _require_layers(tree: GaussianTree) -> None:
+def _channel(tree: GaussianTree) -> _BlockModel:
+    """The coded channel: the regression of the observed block on the top
+    layer L, built once per tree (observed | layer 1 itself when L = 1)."""
     if tree.num_layers == 0:
         raise ValidationError("tree has no hidden nodes, so it has no layer to code")
+    return _block(tree, tree.observed, tree.layer_nodes(tree.num_layers))
 
 
 def build_codebooks(
@@ -368,10 +371,9 @@ def build_codebooks(
     :func:`synthesize` draws them i.i.d.  Raises CapExceeded when the table
     would exceed 2^16 codewords or 2^12 covariance patterns.
     """
-    _require_layers(tree)
+    channel = _channel(tree)
     depth = tree.num_layers
-    block = _layer_blocks(tree)[-1]
-    nodes = block.sources
+    nodes = channel.sources
     k = len(nodes)
     my, mb = rates.codeword_counts()[0]
     if my > CODEBOOK_CAP or mb > CODEBOOK_CAP:
@@ -387,7 +389,7 @@ def build_codebooks(
         gauss_count=my,
         signs=signs,
         pattern_codes=_pattern_codes(signs),
-        chol=block.marg_s.chol,
+        chol=channel.marg_s.chol,
     )
     return Codebook(rates=rates, pi=pi, layers=(top,))
 
@@ -449,15 +451,14 @@ def synthesize(
 # -- divergence estimation ----------------------------------------------------
 
 def _mixture_components(tree: GaussianTree, codebook: Codebook):
-    """The emitted-block mixture as (inputs, chain, cov): component (g, s)
-    has mean inputs[g M_B + s] @ chain.T and covariance cov at every
-    channel use.
+    """The emitted-block mixture as (inputs, model): component (g, s) has
+    mean inputs[g M_B + s] @ model.gain.T and covariance model.noise.cov at
+    every channel use.
 
     Signs below the top layer flip both edge groups incident to their layer
     and cancel from the emitted law, so the mixture is over the top layer's
     (gaussian, sign) codeword pairs; ``inputs`` (C, N, k) holds their signed
-    symbols b y, ``chain`` (n, k) the regression of the observed block on
-    the top layer and ``cov`` (n, n) the noise it leaves.
+    symbols b y, and ``model`` is the coded channel (:func:`_channel`).
     """
     top = codebook.layers[-1]
     my, mb = top.gauss_count, top.sign_count
@@ -465,16 +466,9 @@ def _mixture_components(tree: GaussianTree, codebook: Codebook):
         raise MixtureTooLarge(
             f"{my} x {mb} mixture components exceed the cap {MIXTURE_CAP}"
         )
-    # accumulate covariance and mean chain from the observed side upwards
-    blocks = _layer_blocks(tree)
-    chain, cov = blocks[0].gain, blocks[0].noise.cov
-    for model in blocks[1:]:
-        cov = cov + chain @ model.noise.cov @ chain.T
-        chain = chain @ model.gain
-
     y = top.gaussian_codeword(np.arange(my)[:, None], np.arange(mb))  # (M_Y, M_B, N, k)
     inputs = top.signs * y
-    return inputs.reshape((my * mb,) + inputs.shape[2:]), chain, cov
+    return inputs.reshape((my * mb,) + inputs.shape[2:]), _channel(tree)
 
 
 def _log_sum_exp_rows(x_aug: np.ndarray, m_aug: np.ndarray, count: int, shift: bool) -> np.ndarray:
@@ -498,17 +492,15 @@ def _log_sum_exp_rows(x_aug: np.ndarray, m_aug: np.ndarray, count: int, shift: b
         return np.log(sums) + shifts
 
 
-def _block_log_density(
-    x: np.ndarray, inputs: np.ndarray, chain: np.ndarray, cov: np.ndarray
-) -> np.ndarray:
+def _block_log_density(x: np.ndarray, inputs: np.ndarray, model: _BlockModel) -> np.ndarray:
     """log q for each sample block in x (S, N, n) under the mixture of
-    :func:`_mixture_components`, whose means are inputs @ chain.T and whose
-    covariance is cov at every channel use.
+    :func:`_mixture_components`, whose means are inputs @ model.gain.T and
+    whose covariance is model.noise.cov at every channel use.
 
-    Whitened by cov = L L^T, every mean lies in the span of Q, the
-    reduced-QR basis of L^-1 chain (:func:`info._signal_basis`), with
-    coordinates m_p = a y.  With x_p = Q^T x_w, the part of x_w orthogonal
-    to Q enters only as -(|x_w|^2 - |x_p|^2)/2.  One GEMM of
+    Whitened by that covariance L L^T, every mean lies in the span of the
+    channel's signal basis Q = ``model.basis``, with coordinates m_p = a y
+    for a = ``model.signal_gain``.  With x_p = Q^T x_w, the part of x_w
+    orthogonal to Q enters only as -(|x_w|^2 - |x_p|^2)/2.  One GEMM of
     [x_p, 1, -|x_p|^2/2] against [m_p; -|m_p|^2/2; 1] fills a slab with each
     cell's -|x_p - m_p|^2/2 <= 0, so exp cannot overflow and the slab needs
     no max shift; a row whose log-sum falls below UNDERFLOW_LOG, where its
@@ -520,8 +512,7 @@ def _block_log_density(
     some of them differently depending on how the rows were split among
     threads, and the output changed with the BLAS thread count.
     """
-    comp = _Gauss(cov, "component covariance")
-    basis, gain = _signal_basis(comp.inv_chol, chain)
+    comp, basis, gain = model.noise, model.basis, model.signal_gain
     s_count, n_uses, n_dim = x.shape
     comp_count = inputs.shape[0]
     dim = n_uses * basis.shape[1]
@@ -590,21 +581,20 @@ def rate_region_check(
     seed: int = 0,
 ) -> list[dict]:
     """Signed margins of the top layer L's achievability inequalities, as a
-    list of one entry: its inputs against the block below it (the observed
-    block when L = 1, else layer L - 1).  The Gaussian-rate margin uses the
-    mixture MI (Monte Carlo); the sum-rate margin uses the fixed Gaussian
-    MI.  Only the top layer is coded (module docstring), so the paper's
-    pair per layer, which belongs to a scheme coding every layer, is not
-    checked.
+    list of one entry: its inputs against the observed block, through the
+    coded channel (:func:`_channel`) that emission realises.  The
+    Gaussian-rate margin uses the mixture MI I(X; top-layer inputs) (Monte
+    Carlo); the sum-rate margin uses the fixed Gaussian MI.  Only the top
+    layer is coded (module docstring), so the paper's pair per layer, which
+    belongs to a scheme coding every layer, is not checked.
     """
-    _require_layers(tree)
+    channel = _channel(tree)
     depth = tree.num_layers
-    block = _layer_blocks(tree)[-1]
     mix = block_mi_mixture(
-        tree, block.targets, block.sources, pi, samples, _point_seed(seed, depth)
+        tree, channel.targets, channel.sources, pi, samples, _point_seed(seed, depth)
     )["inputs"]
     ry, rb = rates.layers[0]
-    fixed = block.gaussian_mi()
+    fixed = channel.gaussian_mi()
     return [{
         "layer": depth,
         "gaussian_rate": ry,
@@ -636,9 +626,9 @@ def frontier_rates(
 ) -> RateTuple:
     """The top layer's rates sitting ``margin`` nats above its frontier.
 
-    The frontier is :func:`rate_region_check` at zero rates, so checking the
-    returned rates with matching (pi, samples, seed) reports margins of
-    exactly ``margin``.
+    The frontier is :func:`rate_region_check` at zero rates, the bounds of
+    the coded channel observed | top layer, so checking the returned rates
+    with matching (pi, samples, seed) reports margins of exactly ``margin``.
     """
     if not math.isfinite(margin):
         raise ValidationError(f"margin must be a finite number, got {margin}")
@@ -666,9 +656,10 @@ def estimate_divergence(
     if samples_count < 2:
         raise ValidationError(f"samples_count must be at least 2, got {samples_count}")
     x = synthesize(tree, codebook, samples_count, _point_seed(seed, 1))
-    log_q = _block_log_density(x, *_mixture_components(tree, codebook))
+    inputs, channel = _mixture_components(tree, codebook)
+    log_q = _block_log_density(x, inputs, channel)
 
-    target = _layer_blocks(tree)[0].marg_t
+    target = channel.marg_t
     sigma_x = target.cov
     flat = x.reshape(-1, x.shape[-1])
     log_p = target.logpdf(flat).reshape(x.shape[0], x.shape[1]).sum(axis=1)

@@ -162,6 +162,28 @@ def test_sign_marginal_mi_refuses_past_the_enumeration_cap():
         lg.mi_sign_marginal(tree, BernoulliParams.uniform(tree, 0.5), 1000, 1)
 
 
+def test_mixture_profile_runs_past_the_cap_with_small_coupling_groups():
+    # every source of a leaf-observed chain is its own coupling group, so
+    # the per-group cap does not bind at k = 30
+    tree = _hidden_chain(30)
+    prof = lg.mixture_mi_profile(tree, BernoulliParams.uniform(tree, 0.5), 100_000, 3)
+    total = prof["total"]
+    assert abs(total.value - lg.mi_direct(tree).value) <= 3 * total.std_error
+
+
+def test_a_coupling_group_past_the_cap_is_refused():
+    # the inner observed node x joins 13 hidden nodes into one coupling group
+    k = info.MIXTURE_ENUM_CAP + 1
+    lines = ["node x observed"]
+    for i in range(k):
+        lines += [f"node y{i} hidden", f"node x{i}a observed", f"node x{i}b observed",
+                  f"edge x y{i} 0.3", f"edge y{i} x{i}a 0.7", f"edge y{i} x{i}b 0.6"]
+    tree = lg.validate_tree(lg.parse_tree_text("\n".join(lines) + "\n"))
+    assert info._block(tree, tree.observed, tree.hidden).groups == (tuple(range(k)),)
+    with pytest.raises(TooManyHidden):
+        lg.mixture_mi_profile(tree, BernoulliParams.uniform(tree, 0.5), 1000, 1)
+
+
 def test_sign_conditional_degenerate_pi(star):
     res = lg.mixture_mi_profile(star, BernoulliParams.uniform(star, 1.0), 2000, 3)[
         "signs_given_inputs"
@@ -390,9 +412,12 @@ def _assert_log_ratio_matches_enumeration(model, rng):
 
 
 def _mixture_blocks(tree):
-    from lgtree.synthesis import _layer_blocks
+    from lgtree.synthesis import _channel, _layer_blocks
 
-    return _layer_blocks(tree) + [info._block(tree, tree.observed, tree.hidden)]
+    # the coded channel observed | top layer, which the rate bounds read, is
+    # the first layer block itself on a one-layer tree
+    blocks = _layer_blocks(tree) + [_channel(tree), info._block(tree, tree.observed, tree.hidden)]
+    return list(dict.fromkeys(blocks))
 
 
 @pytest.mark.parametrize("name", ["star", "dumbbell", "two_layer", "four_hidden", "high_corr"])

@@ -43,6 +43,12 @@ def test_rate_validation():
         RateTuple.make([(1.0, 0.5)], 0)
 
 
+@pytest.mark.parametrize("pairs", [[(1, 2, 3)], [("a", 1)], [0.5], None, [(1, None)]])
+def test_malformed_rate_pairs_are_rejected(pairs):
+    with pytest.raises(ValidationError, match="pairs of numbers"):
+        RateTuple.make(pairs, 4)
+
+
 @pytest.mark.parametrize("block_length", [2.5, 2.0, True, "2", None])
 def test_non_integer_block_length_is_rejected(block_length):
     # int() would truncate 2.5 to 2 and count True as 1
@@ -166,12 +172,12 @@ def test_mixture_density_matches_bruteforce(star):
     pi = BernoulliParams.uniform(star, 0.5)
     rates = RateTuple.make([(0.4, 0.3)], 3)
     cb = lg.build_codebooks(star, rates, pi, 2)
-    inputs, chain, cov = _mixture_components(star, cb)
-    means = inputs @ chain.T
+    inputs, model = _mixture_components(star, cb)
+    means, cov = inputs @ model.gain.T, model.noise.cov
     x = lg.synthesize(star, cb, 6, 8)
     from lgtree.synthesis import _block_log_density
 
-    got = _block_log_density(x, inputs, chain, cov)
+    got = _block_log_density(x, inputs, model)
     for s in range(len(x)):
         comps = []
         for c in range(means.shape[0]):
@@ -225,32 +231,33 @@ def frontier_n8_codebook(star):
 @pytest.mark.parametrize("book", ["degenerate_codebook", "frontier_n8_codebook"])
 def test_block_log_density_matches_two_pass_formula(request, star, book):
     cb = request.getfixturevalue(book)
-    inputs, chain, cov = _mixture_components(star, cb)
-    means = inputs @ chain.T
+    inputs, model = _mixture_components(star, cb)
+    means = inputs @ model.gain.T
     x = lg.synthesize(star, cb, 300, 8)
-    got = synthesis._block_log_density(x, inputs, chain, cov)
-    np.testing.assert_allclose(got, _two_pass_log_density(x, means, cov), rtol=0, atol=1e-12)
+    got = synthesis._block_log_density(x, inputs, model)
+    np.testing.assert_allclose(got, _two_pass_log_density(x, means, model.noise.cov),
+                               rtol=0, atol=1e-12)
 
 
 def test_block_log_density_is_finite_and_exact_in_the_far_tail(star, frontier_n8_codebook):
-    inputs, chain, cov = _mixture_components(star, frontier_n8_codebook)
-    means = inputs @ chain.T
+    inputs, model = _mixture_components(star, frontier_n8_codebook)
+    means = inputs @ model.gain.T
     x = 30 * lg.synthesize(star, frontier_n8_codebook, 300, 8)
-    want = _two_pass_log_density(x, means, cov)
+    want = _two_pass_log_density(x, means, model.noise.cov)
     # log q >= max_c log N(x; m_c) - log C: every component underflows exp
     assert (want + math.log(len(means)) < -745).all()
-    got = synthesis._block_log_density(x, inputs, chain, cov)
+    got = synthesis._block_log_density(x, inputs, model)
     assert np.isfinite(got).all()
     # |log q| reaches ~1e4 here, where one ulp is ~2e-12: compare in ulps
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-12)
 
 
 def test_block_log_density_memory_is_bounded_by_one_slab(star, degenerate_codebook):
-    inputs, chain, cov = _mixture_components(star, degenerate_codebook)
+    inputs, model = _mixture_components(star, degenerate_codebook)
     x = lg.synthesize(star, degenerate_codebook, 5000, 8)
     tracemalloc.start()
     try:
-        synthesis._block_log_density(x, inputs, chain, cov)
+        synthesis._block_log_density(x, inputs, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -261,9 +268,9 @@ def test_block_log_density_memory_is_bounded_by_one_slab(star, degenerate_codebo
 @pytest.mark.filterwarnings("error")
 def test_far_tail_rows_are_recomputed_without_warnings(star, frontier_n8_codebook):
     # every row's unshifted sum underflows to 0 here, and its log is -inf
-    inputs, chain, cov = _mixture_components(star, frontier_n8_codebook)
+    inputs, model = _mixture_components(star, frontier_n8_codebook)
     x = 30 * lg.synthesize(star, frontier_n8_codebook, 300, 8)
-    assert np.isfinite(synthesis._block_log_density(x, inputs, chain, cov)).all()
+    assert np.isfinite(synthesis._block_log_density(x, inputs, model)).all()
 
 
 def test_block_log_density_bytes_do_not_depend_on_the_blas_thread_count():
@@ -296,21 +303,22 @@ def test_projected_log_density_matches_two_pass_formula(request, name, rates, bl
     tree = request.getfixturevalue(name)
     pi = BernoulliParams.uniform(tree, 0.5)
     cb = lg.build_codebooks(tree, RateTuple.make(rates, block_length), pi, 11)
-    inputs, chain, cov = _mixture_components(tree, cb)
-    basis = np.linalg.qr(np.linalg.solve(np.linalg.cholesky(cov), chain))[0]
-    assert (block_length * chain.shape[0], block_length * basis.shape[1]) == dims
+    inputs, model = _mixture_components(tree, cb)
+    gain, cov = model.gain, model.noise.cov
+    basis = np.linalg.qr(np.linalg.solve(np.linalg.cholesky(cov), gain))[0]
+    assert (block_length * gain.shape[0], block_length * basis.shape[1]) == dims
     x = lg.synthesize(tree, cb, 400, 8)
-    got = synthesis._block_log_density(x, inputs, chain, cov)
-    want = _two_pass_log_density(x, inputs @ chain.T, cov)
+    got = synthesis._block_log_density(x, inputs, model)
+    want = _two_pass_log_density(x, inputs @ gain.T, cov)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_block_log_density_peak_memory_stays_within_two_slabs(star, degenerate_codebook):
-    inputs, chain, cov = _mixture_components(star, degenerate_codebook)
+    inputs, model = _mixture_components(star, degenerate_codebook)
     x = lg.synthesize(star, degenerate_codebook, 5000, 8)
     tracemalloc.start()
     try:
-        synthesis._block_log_density(x, inputs, chain, cov)
+        synthesis._block_log_density(x, inputs, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -511,12 +519,33 @@ def test_two_layer_rate_check_has_the_top_layer_entry_only(two_layer):
     assert m["total_mi"] >= m["gaussian_mi"] - 3 * m["gaussian_mi_se"]
 
 
+def test_two_layer_rate_bounds_match_the_channel_oracle(two_layer):
+    # the bounds are those of the channel observed | u, apart from lgtree: u
+    # reaches x through a whitened gain of squared norm a^2, so the total is
+    # 1/2 log(1 + a^2), and a +/-1 sign on u at prior 1/2 is seen as the
+    # binary input C(1/2, y a), y ~ N(0, 1), which the Gaussian-input MI
+    # leaves out
+    oracles = _bench_oracles()
+    tree = oracles.read_tree(ROOT / "trees" / "two_layer.tree")
+    cov = oracles.path_product_covariance(tree)
+    obs = [tree.nodes.index(v) for v in tree.observed]
+    top = tree.nodes.index("u")
+    s_xu = cov[obs, top]
+    a_sq = s_xu @ np.linalg.solve(cov[np.ix_(obs, obs)] - np.outer(s_xu, s_xu), s_xu)
+    total = 0.5 * math.log1p(a_sq)
+    pi = BernoulliParams.uniform(two_layer, 0.5)
+    bound, = lg.rate_region_check(two_layer, RateTuple.make([(0.5, 0.5)], 4), pi)
+    assert bound["total_mi"] == pytest.approx(total, rel=0, abs=1e-12)
+    want = total - oracles._group_sign_mi(0.5, a_sq)
+    assert abs(bound["gaussian_mi"] - want) <= 3 * bound["gaussian_mi_se"]
+
+
 def test_two_layer_frontier_matches_the_recorded_top_pair(two_layer):
-    # recorded when the frontier also estimated layer 1: the top entry keeps
-    # its block and its seed, so its pair must not move by a bit
+    # recorded from the bounds of the channel observed | top layer; the pair
+    # must not move by a bit
     pi = BernoulliParams.uniform(two_layer, 0.5)
     rates = lg.frontier_rates(two_layer, pi, 0.2, 6, samples=50000, seed=3)
-    assert rates.layers == ((0.4248770292552986, 0.5345145159469133),)
+    assert rates.layers == ((0.3119929171092221, 0.4449076349038436),)
 
 
 def test_independence_stat_null_for_skewed_pi(star):
@@ -618,8 +647,8 @@ def test_mixture_means_are_codewords_through_the_chain(four_hidden, two_layer):
     for tree, rates in ((four_hidden, [(0.5, 0.5)]), (two_layer, [(0.6, 0.4)])):
         pi = BernoulliParams.uniform(tree, 0.5)
         cb = lg.build_codebooks(tree, RateTuple.make(rates, 3), pi, 7)
-        inputs, chain, _ = _mixture_components(tree, cb)
-        means = inputs @ chain.T
+        inputs, model = _mixture_components(tree, cb)
+        means = inputs @ model.gain.T
         top = cb.layers[0]
         assert len(means) == top.gauss_count * top.sign_count
         x, internals = lg.synthesize(tree, cb, 60, 4, noise=False, return_internals=True)
@@ -801,7 +830,9 @@ def test_each_regression_is_built_once_per_tree(tree_dir, monkeypatch):
     report = lg.estimate_divergence(tree, cb, 200, 2, rate_margin_samples=1000)
     lg.verify_encoding_constraints(tree, cb, report, runs=200, seed=3)
     layers = [tree.observed] + [tree.layer_nodes(d) for d in range(1, tree.num_layers + 1)]
-    assert built == {(t, s): 1 for t, s in zip(layers, layers[1:])}
+    want = {(t, s): 1 for t, s in zip(layers, layers[1:])}
+    want[(tree.observed, layers[-1])] = 1         # the coded channel
+    assert built == want
     assert not cb.layers[0].chol.flags.writeable   # shared with the memo
 
 
