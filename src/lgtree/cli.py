@@ -362,23 +362,26 @@ def _cmd_mi(config: ExperimentConfig, tree) -> dict:
 
 
 def _cmd_mi_conditional(config: ExperimentConfig, tree) -> dict:
-    from .info import mixture_mi_profile, mi_direct, mi_sign_marginal
+    from .info import MIXTURE_ENUM_CAP, mixture_mi_profile, mi_direct, mi_sign_marginal
 
     pi = _parse_pi(config.pi, tree)
     profile = mixture_mi_profile(tree, pi, config.samples, config.seed)
-    marginal = mi_sign_marginal(tree, pi, config.samples, config.seed)
     fixed = mi_direct(tree)
     chain = profile["inputs"].value + profile["signs_given_inputs"].value
-    return {
+    out = {
         "seed": config.seed,
         "pi": pi.as_dict(),
         "signs_given_inputs": _mi_json(profile["signs_given_inputs"], config.units, config.seed),
         "inputs": _mi_json(profile["inputs"], config.units, config.seed),
-        "signs_marginal": _mi_json(marginal, config.units),
         "chain_sum_nats": chain,
         "fixed_total_nats": fixed.value,
         "chain_gap_nats": chain - fixed.value,
     }
+    # the sign-marginal MI enumerates all 2^k sign vectors; the profile does not
+    if tree.k <= MIXTURE_ENUM_CAP:
+        marginal = mi_sign_marginal(tree, pi, config.samples, config.seed)
+        out["signs_marginal"] = _mi_json(marginal, config.units)
+    return out
 
 
 def _cmd_optimize_pi(config: ExperimentConfig, tree) -> dict:
@@ -449,7 +452,7 @@ def _cmd_verify(config: ExperimentConfig, tree) -> dict:
 
 
 def _cmd_report_all(config: ExperimentConfig, tree) -> dict:
-    from .info import mixture_mi_profile
+    from .info import MIXTURE_ENUM_CAP, mixture_mi_profile
     from .signs import enumerate_equivalent_trees, verify_equivalence
     from .synthesis import (
         build_codebooks,
@@ -461,7 +464,7 @@ def _cmd_report_all(config: ExperimentConfig, tree) -> dict:
     out: dict = {"validate": _cmd_validate(config, tree),
                  "covariance": _cmd_covariance(config, tree),
                  "sign_report": _cmd_sign_report(config, tree)}
-    if tree.k <= 12:
+    if tree.k <= MIXTURE_ENUM_CAP:
         variants = enumerate_equivalent_trees(tree)
         out["enumeration"] = {
             "count": len(variants),

@@ -313,8 +313,41 @@ def _log_prior(signs: np.ndarray, p: np.ndarray) -> np.ndarray:
     return lp.sum(axis=1)
 
 
-def _rng(seed: int, *tags: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(tags)))
+# Every seeded draw in the library takes one named substream of the caller's
+# seed: SeedSequence((seed,) + STREAMS[name] + index).  The tuples fix every
+# seeded output, so an entry never changes.  "mixture" is shared on purpose:
+# optimize_pi reweights the draw of mixture_mi_profile, so each curve point
+# equals the profile.  The "*_seed" entries give the integer seed of a nested
+# seeded call, which then takes entries of its own; "rate_bound_seed" at
+# layers 1 to 3 spells the same tuples as the other three, but each feeds a
+# different nested call, so no draw is shared.
+STREAMS = {
+    "mixture": (0,),             # mixture_mi_profile and optimize_pi
+    "block_mixture": (2,),       # block_mi_mixture
+    "decomposition": (3,),       # decomposition_check
+    "codebook_signs": (11,),     # + layer: build_codebooks' sign table
+    "codeword_noise": (13,),     # + layer: Philox key of the pair codewords
+    "pair_index": (21,),         # synthesize: the top-layer pair of each run
+    "innovation": (22,),         # synthesize: lower layers' and outputs' noise
+    "lower_signs": (23,),        # synthesize: signs below the top layer
+    "emission_seed": (31, 1),    # estimate_divergence -> synthesize
+    "rate_check_seed": (31, 2),  # estimate_divergence -> rate_region_check
+    "constraint_seed": (31, 3),  # verify_encoding_constraints -> synthesize
+    "rate_bound_seed": (31,),    # + layer: rate_region_check -> block_mi_mixture
+}
+
+
+def _stream(seed: int, name: str, *index: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence((int(seed),) + STREAMS[name] + index)
+
+
+def _rng(seed: int, name: str, *index: int) -> np.random.Generator:
+    return np.random.default_rng(_stream(seed, name, *index))
+
+
+def _seed(seed: int, name: str, *index: int) -> int:
+    """The integer seed handed to a nested seeded call."""
+    return int(_stream(seed, name, *index).generate_state(1)[0])
 
 
 SAMPLE_BATCH = 8192    # samples drawn per batch; the draw order is part of the contract
@@ -545,7 +578,7 @@ def mixture_mi_profile(
     closed-form value)."""
     _require_samples(samples)
     model = _block(tree, tree.observed, tree.hidden)
-    return _mixture_profile(model, pi.vector_for(model.sources), samples, _rng(seed, 0))
+    return _mixture_profile(model, pi.vector_for(model.sources), samples, _rng(seed, "mixture"))
 
 
 def mi_direct(tree: GaussianTree) -> MIResult:
@@ -658,7 +691,7 @@ def block_mi_mixture(
     the source block only.  Used for the top layer's rate bounds."""
     _require_samples(samples)
     model = _block(tree, targets, sources)
-    return _mixture_profile(model, pi.vector_for(model.sources), samples, _rng(seed, 2))
+    return _mixture_profile(model, pi.vector_for(model.sources), samples, _rng(seed, "block_mixture"))
 
 
 def _dumbbell_groups(tree: GaussianTree) -> tuple[str, str, tuple, tuple]:
@@ -703,7 +736,7 @@ def decomposition_check(
     # the left side enumerates both signs jointly, so the split is tested
     # here, not assumed by the coupling groups
     joint = (tuple(range(len(model.sources))),)
-    for chunk in _mixture_chunks(model, samples, _rng(seed, 3), joint):
+    for chunk in _mixture_chunks(model, samples, _rng(seed, "decomposition"), joint):
         lhs.add(0.0 - chunk.log_ratio(p))
         y = chunk.signs(p) * chunk.g
         rhs_vals = np.zeros(len(y))
@@ -765,7 +798,7 @@ def optimize_pi(
     priors = [pi.vector_for(model.sources) for pi in params]
     # the sweep reads only the sign term, so it keeps only the ratio sums
     sums = [_Running() for _ in priors]
-    for chunk in _mixture_chunks(model, samples, _rng(seed, 0)):
+    for chunk in _mixture_chunks(model, samples, _rng(seed, "mixture")):
         for ratio, running in zip(chunk.log_ratios(priors), sums):
             running.add(ratio)
     curve = []

@@ -7,9 +7,11 @@ channel use its symbol follows the Gaussian law fixed by the sign codeword's
 realisation there, so for every fixed sign codeword the Gaussian sub-codebook
 is an i.i.d. sample of the conditional input law.  Pair codewords are never
 stored.  Their white noise comes from a counter-based stream (Philox4x64-10)
-keyed by (seed, layer) and counted by (pair, block), so any set of pairs
-regenerates in one vectorised call with the same values as one pair at a
-time, and desk-scale codebooks stay within memory.  A symbol with sign
+keyed by the top layer's "codeword_noise" substream and counted by (pair,
+block), so any set of pairs regenerates in one vectorised call with the
+same values as one pair at a time, and desk-scale codebooks stay within
+memory.  Every seeded draw here takes a named substream of the caller's
+seed from the one table in ``info.STREAMS``.  A symbol with sign
 realisation b is coloured by D L D, where L is the Cholesky factor of the
 layer covariance and D = diag(b b_1) the canonical pattern (b up to a global
 flip); D L D is the Cholesky factor of D Sigma D.  Sub-blocks are keyed by
@@ -56,7 +58,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import CapExceeded, MixtureTooLarge, ValidationError
-from .info import BernoulliParams, _BlockModel, _block, _rng, block_mi_mixture
+from .info import BernoulliParams, _BlockModel, _block, _rng, _seed, _stream, block_mi_mixture
 from .trees import GaussianTree, joint_covariance  # noqa: F401 (bench's tracer test asserts it)
 
 CODEBOOK_CAP = 2**16       # per-table codeword count cap
@@ -243,11 +245,13 @@ class LayerCodebook:
         """The (..., N, k) white-noise sources behind the pair codewords of
         broadcast index arrays; a scalar pair gives one (N, k) source.
 
-        Pair (g, s) reads Philox4x64-10 keyed by (seed, layer) at counters
-        (j, g M_B + s, 0, 0) for blocks j = 0, 1, ...; each output word w
-        becomes the centred uniform q = ((w >> 11) - 2^52 + 1/2) 2^-53, which
-        is exact and lies strictly inside (-1/2, 1/2), and then the normal
-        quantile of 1/2 + q (AS241, :func:`_ndtri`).  Every word gives a finite
+        Pair (g, s) reads Philox4x64-10 keyed by the first two 64-bit words
+        of the layer's "codeword_noise" substream of the seed (``info.STREAMS``)
+        at counters (j, g M_B + s, 0, 0) for blocks j = 0, 1, ...; each
+        output word w becomes the centred uniform
+        q = ((w >> 11) - 2^52 + 1/2) 2^-53, which is exact and lies strictly
+        inside (-1/2, 1/2), and then the normal quantile of 1/2 + q (AS241,
+        :func:`_ndtri`).  Every word gives a finite
         value, and words w and 2^64 - 1 - w give exact negatives.  A pair's
         noise is a pure function of its indices, so one pair and a batch
         holding it give the same values."""
@@ -260,7 +264,7 @@ class LayerCodebook:
         zero = np.zeros(shape, dtype=np.uint64)
         counter = (np.broadcast_to(np.arange(blocks, dtype=np.uint64), shape),
                    np.broadcast_to(pair[:, None], shape), zero, zero)
-        key = np.random.SeedSequence((self.seed, 13, self.depth)).generate_state(2, np.uint64)
+        key = _stream(self.seed, "codeword_noise", self.depth).generate_state(2, np.uint64)
         words = np.stack(philox4x64(counter, key), axis=-1).reshape(pair.size, 4 * blocks)
         centred = ((words[:, :size] >> np.uint64(11)).view(np.int64) - 2**52 + 0.5) * 2.0**-53
         return _ndtri(centred).reshape(g.shape + (n_uses, k))
@@ -364,8 +368,9 @@ def build_codebooks(
 ) -> Codebook:
     """Draw the top layer's sign codeword table and pin its Gaussian pair
     ensemble.  Deterministic given the seed: the sign codewords come from
-    substream (seed, 11, L), and the white noise of pair codeword (g, s) is
-    block j of a Philox4x64-10 stream keyed by (seed, L) at counter
+    the seed's "codebook_signs" substream at layer L (``info.STREAMS``), and
+    the white noise of pair codeword (g, s) is block j of a Philox4x64-10
+    stream keyed by its "codeword_noise" substream at layer L, at counter
     (j, g M_B + s, 0, 0); see :meth:`LayerCodebook.white_noise`.  Lower
     layers get no table: their signs cancel from the emitted law, and
     :func:`synthesize` draws them i.i.d.  Raises CapExceeded when the table
@@ -380,7 +385,7 @@ def build_codebooks(
         raise CapExceeded(f"layer {depth} codebook sizes ({my}, {mb}) exceed the cap {CODEBOOK_CAP}")
     if 2 ** (k - 1) > PATTERN_CAP:
         raise CapExceeded(f"layer with {k} nodes needs too many covariance patterns")
-    draws = _rng(seed, 11, depth).random((mb, rates.block_length, k))
+    draws = _rng(seed, "codebook_signs", depth).random((mb, rates.block_length, k))
     signs = np.where(draws < pi.vector_for(nodes), 1.0, -1.0)
     top = LayerCodebook(
         depth=depth,
@@ -401,23 +406,23 @@ def synthesize(
     codebook: Codebook,
     runs: int,
     seed: int,
-    noise: bool = True,
     return_internals: bool = False,
 ):
     """Emit ``runs`` observed blocks of shape (N, n).
 
     Every run draws one uniform (Gaussian, sign) pair index from the top
-    layer's codebook, then walks the layers down with fresh innovation noise
-    and i.i.d. Bernoulli(pi) signs per run and channel use.  The lower-layer
-    signs cancel from the output (see the module docstring); with
+    layer's codebook (substream "pair_index"), then walks the layers down
+    with fresh innovation noise ("innovation") and i.i.d. Bernoulli(pi)
+    signs ("lower_signs") per run and channel use.  The lower-layer signs
+    cancel from the output (see the module docstring); with
     ``return_internals`` they are returned with each layer's inputs.
     """
     if runs < 1:
         raise ValidationError("runs must be >= 1")
     depth_count = tree.num_layers
-    idx_rng = _rng(seed, 21)
-    noise_rng = _rng(seed, 22)
-    sign_rng = _rng(seed, 23)   # lower-layer signs
+    idx_rng = _rng(seed, "pair_index")
+    noise_rng = _rng(seed, "innovation")
+    sign_rng = _rng(seed, "lower_signs")
 
     top = codebook.layers[-1]
     gauss_index = idx_rng.integers(0, top.gauss_count, size=runs)
@@ -431,8 +436,7 @@ def synthesize(
     blocks = _layer_blocks(tree)
     for depth in range(depth_count - 1, 0, -1):
         mean = np.einsum("ij,rtj->rti", blocks[depth].gain, cur_b * y)
-        if noise:
-            mean = mean + noise_rng.standard_normal(mean.shape) @ blocks[depth].noise.chol.T
+        mean = mean + noise_rng.standard_normal(mean.shape) @ blocks[depth].noise.chol.T
         bias = codebook.pi.vector_for(blocks[depth - 1].sources)
         cur_b = np.where(sign_rng.random(mean.shape) < bias, 1.0, -1.0)
         y = cur_b * mean
@@ -440,8 +444,7 @@ def synthesize(
         internals["b"][depth] = cur_b
 
     x = np.einsum("ij,rtj->rti", blocks[0].gain, cur_b * y)
-    if noise:
-        x = x + noise_rng.standard_normal(x.shape) @ blocks[0].noise.chol.T
+    x = x + noise_rng.standard_normal(x.shape) @ blocks[0].noise.chol.T
 
     if return_internals:
         return x, internals
@@ -591,7 +594,7 @@ def rate_region_check(
     channel = _channel(tree)
     depth = tree.num_layers
     mix = block_mi_mixture(
-        tree, channel.targets, channel.sources, pi, samples, _point_seed(seed, depth)
+        tree, channel.targets, channel.sources, pi, samples, _seed(seed, "rate_bound_seed", depth)
     )["inputs"]
     ry, rb = rates.layers[0]
     fixed = channel.gaussian_mi()
@@ -610,10 +613,6 @@ def rate_region_check(
 def _family_z(comparisons: int) -> float:
     """z threshold giving a 3-sigma family-wise level over many comparisons."""
     return NormalDist().inv_cdf(1.0 - THREE_SIGMA_MASS / (2 * comparisons))
-
-
-def _point_seed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence((int(seed), 31, tag)).generate_state(1)[0])
 
 
 def frontier_rates(
@@ -655,7 +654,7 @@ def estimate_divergence(
     """
     if samples_count < 2:
         raise ValidationError(f"samples_count must be at least 2, got {samples_count}")
-    x = synthesize(tree, codebook, samples_count, _point_seed(seed, 1))
+    x = synthesize(tree, codebook, samples_count, _seed(seed, "emission_seed"))
     inputs, channel = _mixture_components(tree, codebook)
     log_q = _block_log_density(x, inputs, channel)
 
@@ -673,7 +672,7 @@ def estimate_divergence(
 
     bounds = rate_region_check(
         tree, codebook.rates, codebook.pi,
-        samples=rate_margin_samples, seed=_point_seed(seed, 2),
+        samples=rate_margin_samples, seed=_seed(seed, "rate_check_seed"),
     )
     sub_blocks = tuple(
         {
@@ -727,7 +726,7 @@ def verify_encoding_constraints(
     checks: list[ConstraintCheck] = []
     top = codebook.layers[-1]
     x, internals = synthesize(
-        tree, codebook, runs, _point_seed(seed, 3), return_internals=True
+        tree, codebook, runs, _seed(seed, "constraint_seed"), return_internals=True
     )
     obs_model = _layer_blocks(tree)[0]
     resid = x - np.einsum(

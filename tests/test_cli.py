@@ -93,6 +93,27 @@ def test_mi_conditional_reports_the_closed_form_sign_marginal(name):
     assert "seed" not in marginal
 
 
+@pytest.mark.parametrize("k", [lg.info.MIXTURE_ENUM_CAP, lg.info.MIXTURE_ENUM_CAP + 1])
+def test_mi_conditional_leaves_out_the_sign_marginal_past_the_enumeration_cap(
+    k, tmp_path, monkeypatch
+):
+    from test_info import _hidden_chain
+
+    tree = tmp_path / "chain.tree"
+    tree.write_text(lg.format_tree(_hidden_chain(k)))
+    if k <= lg.info.MIXTURE_ENUM_CAP:
+        # the gate is under test here, not the seconds-long 2^12-variant enumeration
+        monkeypatch.setattr(lg.info, "mi_sign_marginal",
+                            lambda *args: lg.info.MIResult(0.0, 0.0, "closed_form", 0))
+    code, out, err = run_in_process("mi-conditional", tree, "--samples", "20000", "--seed", "7",
+                                    "--deterministic")
+    assert code == 0, err
+    result = strict_json(out)["result"]
+    assert ("signs_marginal" in result) == (k <= lg.info.MIXTURE_ENUM_CAP)
+    se = math.hypot(result["inputs"]["std_error"], result["signs_given_inputs"]["std_error"])
+    assert abs(result["chain_gap_nats"]) <= 3 * se
+
+
 def test_validate_invalid_tree_exit_1(tmp_path):
     bad = tmp_path / "bad.tree"
     bad.write_text("node x1 observed\nnode y hidden\nedge y x1 0.5\n")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 import tracemalloc
@@ -376,6 +378,50 @@ def test_optimize_pi_curve_matches_profile(request, name):
         assert abs(val - 0.5) <= 0.25
 
 
+def test_stream_tags_are_pairwise_distinct_prefixes():
+    tags = info.STREAMS
+    assert len(set(tags.values())) == len(tags)
+    for a, b in itertools.combinations(tags, 2):
+        n = min(len(tags[a]), len(tags[b]))
+        if tags[a][:n] == tags[b][:n]:
+            # only the layer-indexed rate-bound seed begins other entries'
+            # tuples, and all of them seed nested calls that take their own
+            # entries; the one draw shared on purpose is one entry,
+            # "mixture" (test_optimize_pi_curve_matches_profile)
+            assert "rate_bound_seed" in (a, b) and a.endswith("_seed") and b.endswith("_seed")
+
+
+def test_every_seeded_draw_takes_an_entry_of_the_table(tree_dir, dumbbell, monkeypatch):
+    from lgtree import cli, synthesis
+
+    names, built = [], []
+    real_stream, real_sequence, real_rng = info._stream, np.random.SeedSequence, np.random.default_rng
+
+    def recording(seed, name, *index):
+        names.append(name)
+        return real_stream(seed, name, *index)
+
+    def counted(entropy):
+        built.append(entropy)
+        return real_sequence(entropy)
+
+    def named_only(seed):
+        assert isinstance(seed, real_sequence), f"a generator seeded by {seed!r}, not by the table"
+        return real_rng(seed)
+
+    for module in (info, synthesis):
+        monkeypatch.setattr(module, "_stream", recording)
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    monkeypatch.setattr(np.random, "default_rng", named_only)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["report-all", str(tree_dir / "two_layer.tree"), "--deterministic",
+                         "--samples", "2000", "--blocklen", "3"]) == 0
+    info.decomposition_check(dumbbell, BernoulliParams.uniform(dumbbell, 0.5), 1000, 1)
+    # every entry is used, and every SeedSequence is built by the accessor
+    assert set(names) == set(info.STREAMS)
+    assert len(built) == len(names)
+
+
 def _full_space_targets(model, chunk, rng):
     # the targets x = gain g + L (Q e + z_perp) that the signal-subspace draw
     # stands for, with z_perp drawn here, orthogonal to Q
@@ -394,7 +440,7 @@ def _assert_log_ratio_matches_enumeration(model, rng):
               np.r_[0.0, 1.0, rng.uniform(size=ks)][:ks],
               np.r_[1.0, 0.0, rng.uniform(size=ks)][:ks]]
     enum = info._enumerate_signs(ks)
-    for chunk in info._mixture_chunks(model, 500, info._rng(4, 0)):
+    for chunk in info._mixture_chunks(model, 500, info._rng(4, "mixture")):
         x = _full_space_targets(model, chunk, rng)
         log_cond = model.noise.logpdf(x - chunk.g @ model.gain.T)
         assert np.max(np.abs(chunk.tot - (log_cond - model.marg_t.logpdf(x)))) <= 1e-12
@@ -458,7 +504,7 @@ def test_flips_are_enumerated_per_coupling_group(request, name, block, rows):
             "layer 1": tree.layer_nodes(1), "layer 2": tree.layer_nodes(2)}
     targets, sources = block.split("|")
     model = info._block(tree, side[targets], side[sources])
-    chunk = next(info._mixture_chunks(model, 1000, info._rng(0, 0)))
+    chunk = next(info._mixture_chunks(model, 1000, info._rng(0, "mixture")))
     assert _enumerated_rows(chunk) == rows
 
 
@@ -568,7 +614,7 @@ def test_zero_prior_component_drops_out(star):
     from lgtree import info
 
     model = info._BlockModel(star, star.observed, star.hidden)
-    chunk = next(info._mixture_chunks(model, 1000, info._rng(0, 0)))
+    chunk = next(info._mixture_chunks(model, 1000, info._rng(0, "mixture")))
     chunk.factors[0][2][1] = 1e300
     for p in (0.0, 1.0):
         assert np.all(chunk.log_ratio(np.array([p])) == 0.0)
@@ -600,7 +646,8 @@ def test_sliced_evaluation_matches_whole_batches(two_layer, monkeypatch):
     model = info._block(two_layer, two_layer.observed, two_layer.hidden)
     rows = sum(2 ** len(g) for g in model.groups)
     monkeypatch.setattr(info, "EVAL_CELLS", rows * 700)
-    widths = [chunk.u.shape[1] for chunk in info._mixture_chunks(model, 3000, info._rng(2, 0))]
+    chunks = info._mixture_chunks(model, 3000, info._rng(2, "mixture"))
+    widths = [chunk.u.shape[1] for chunk in chunks]
     assert widths == [700, 700, 700, 700, 200]
     sliced = lg.mixture_mi_profile(two_layer, pi, 3000, 2)
     for key, est in whole.items():

@@ -18,3 +18,19 @@ def test_divergence_trend_script_writes_a_finite_csv_row():
     assert len(rows) == 1
     values = [float(v) for v in rows[0].split(",")]
     assert values[0] == 2 and all(math.isfinite(v) for v in values)
+
+
+def test_cli_digests_script_prints_one_reproducible_line_per_subcommand():
+    def digests():
+        proc = subprocess.run([sys.executable, "scripts/cli_digests.py", "star"],
+                              capture_output=True, text=True, cwd=PKG)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    first = digests()
+    lines = [line.split() for line in first.splitlines()]
+    assert len(lines) == 11
+    assert all(fixture == "star" and code == "0" and len(sha) == 64
+               for _, fixture, code, sha in lines)
+    assert len({command for command, *_ in lines}) == 11
+    assert digests() == first

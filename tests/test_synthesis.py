@@ -24,6 +24,22 @@ from lgtree.synthesis import RateTuple, _layer_blocks, _mixture_components
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+@pytest.fixture
+def no_innovation(monkeypatch):
+    """Emission with the "innovation" substream swapped for a generator of
+    zeros, so every layer is the signed regression of the one above."""
+
+    class Zeros:
+        def standard_normal(self, shape):
+            return np.zeros(shape)
+
+    def zero_innovation(seed, name, *index):
+        return Zeros() if name == "innovation" else real(seed, name, *index)
+
+    real = synthesis._rng
+    monkeypatch.setattr(synthesis, "_rng", zero_innovation)
+
+
 @pytest.fixture(scope="module")
 def star_codebook(star):
     pi = BernoulliParams.uniform(star, 0.5)
@@ -122,9 +138,9 @@ def test_zero_noise_identity(star):
     assert np.allclose(x, want, atol=1e-15)
 
 
-def test_synthesize_noise_free_matches_signal_model(star, star_codebook):
+def test_synthesize_noise_free_matches_signal_model(star, star_codebook, no_innovation):
     cb, _, _ = star_codebook
-    x, internals = lg.synthesize(star, cb, 25, 3, noise=False, return_internals=True)
+    x, internals = lg.synthesize(star, cb, 25, 3, return_internals=True)
     want = (internals["b"][1] * internals["y"][1]) @ _layer_blocks(star)[0].gain.T
     assert np.allclose(x, want, atol=1e-14)
 
@@ -642,7 +658,7 @@ def test_codeword_batch_matches_single(four_hidden, monkeypatch):
     assert np.array_equal(lay.gaussian_codeword(g, s), batch)
 
 
-def test_mixture_means_are_codewords_through_the_chain(four_hidden, two_layer):
+def test_mixture_means_are_codewords_through_the_chain(four_hidden, two_layer, no_innovation):
     # eight covariance patterns in one layer; one top node above a second layer
     for tree, rates in ((four_hidden, [(0.5, 0.5)]), (two_layer, [(0.6, 0.4)])):
         pi = BernoulliParams.uniform(tree, 0.5)
@@ -651,7 +667,7 @@ def test_mixture_means_are_codewords_through_the_chain(four_hidden, two_layer):
         means = inputs @ model.gain.T
         top = cb.layers[0]
         assert len(means) == top.gauss_count * top.sign_count
-        x, internals = lg.synthesize(tree, cb, 60, 4, noise=False, return_internals=True)
+        x, internals = lg.synthesize(tree, cb, 60, 4, return_internals=True)
         comp = internals["gauss_index"] * top.sign_count + internals["sign_index"][top.depth]
         assert np.allclose(x, means[comp], rtol=0, atol=1e-12)
 
@@ -931,15 +947,15 @@ def test_two_layer_frontier_codebook_builds_at_block_length_8(two_layer):
 def test_only_the_top_sign_table_is_drawn(two_layer, monkeypatch):
     tags = []
 
-    def recording(seed, *rest):
-        tags.append((seed,) + rest)
-        return real(seed, *rest)
+    def recording(seed, name, *index):
+        tags.append((seed, name) + index)
+        return real(seed, name, *index)
 
     real = synthesis._rng
     monkeypatch.setattr(synthesis, "_rng", recording)
     pi = BernoulliParams.uniform(two_layer, 0.5)
     cb = lg.build_codebooks(two_layer, RateTuple.make([(0.6, 0.4)], 3), pi, 7)
-    assert tags == [(7, 11, 2)]
+    assert tags == [(7, "codebook_signs", 2)]
     assert [lay.depth for lay in cb.layers] == [2]
     assert cb.layers[0].nodes == two_layer.layer_nodes(2)
 
@@ -955,8 +971,8 @@ def test_emitted_blocks_ignore_the_lower_layer_signs(two_layer, monkeypatch):
     draws = (b1 > 0).reshape(-1, b1.shape[-1])
     assert np.all(np.abs(draws.mean(axis=0) - 0.3) < 4 * math.sqrt(0.3 * 0.7 / len(draws)))
 
-    def other_lower_signs(seed, *tags):
-        return real(seed + 1 if tags == (23,) else seed, *tags)
+    def other_lower_signs(seed, name, *index):
+        return real(seed + 1 if name == "lower_signs" else seed, name, *index)
 
     real = synthesis._rng
     monkeypatch.setattr(synthesis, "_rng", other_lower_signs)
