@@ -234,9 +234,13 @@ def _signal_basis(inv_chol: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, n
     """Q, the reduced-QR basis of the whitened gain W = L^-1 gain, and the
     gain a = Q^T W within it.  Q has min(n, k) columns for an (n, k) gain:
     its size is read off the structure, never off numerical zeros, and every
-    W g lies in its span."""
+    W g lies in its span.  Each column's sign is fixed so that diag(R) < 0,
+    which makes the QR unique (Golub and Van Loan, *Matrix Computations*,
+    5.2); Householder would otherwise take it from rounding noise wherever
+    a column's leading entry is an exact zero."""
     white_gain = inv_chol @ gain
-    basis = np.linalg.qr(white_gain)[0]
+    basis, r = np.linalg.qr(white_gain)
+    basis = basis * np.where(np.diag(r) > 0.0, -1.0, 1.0)
     return basis, basis.T @ white_gain
 
 

@@ -164,6 +164,21 @@ def test_sign_marginal_mi_refuses_past_the_enumeration_cap():
         lg.mi_sign_marginal(tree, BernoulliParams.uniform(tree, 0.5), 1000, 1)
 
 
+def test_signal_basis_ignores_rounding_noise_in_the_gain():
+    # the chain's whitened gain has exact zeros where Householder reads a
+    # column's sign, so without a sign convention on diag(R) noise of 1e-17
+    # flips basis columns
+    tree = _hidden_chain(12)
+    block = info._block(tree, tree.observed, tree.hidden)
+    assert len(block.groups) == tree.k     # every source is coupled
+    basis = info._signal_basis(block.noise.inv_chol, block.gain)[0]
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        noise = 1e-17 * rng.standard_normal(block.gain.shape)
+        noisy = info._signal_basis(block.noise.inv_chol, block.gain + noise)[0]
+        assert np.max(np.abs(noisy - basis)) <= 1e-12
+
+
 def test_mixture_profile_runs_past_the_cap_with_small_coupling_groups():
     # every source of a leaf-observed chain is its own coupling group, so
     # the per-group cap does not bind at k = 30
@@ -765,17 +780,19 @@ def test_a_sweep_contracts_a_group_only_when_its_prior_entries_change(dumbbell, 
 # Estimates of the mixture core, recorded before its row layout: star,
 # dumbbell and two_layer at pi = 1/2 (20000 samples, seed 7), two_layer's
 # layer 1 | layer 2 block (same draw settings) and the dumbbell sweep
-# optimize_pi(dumbbell, 0.25, 5000, 3), as (value, std_error) pairs
+# optimize_pi(dumbbell, 0.25, 5000, 3), as (value, std_error) pairs.  The
+# dumbbell and two_layer entries were recorded again when the signal basis
+# took its sign convention, diag(R) < 0
 GOLDEN_PROFILES = {
     "star": {"inputs": (0.33578820963426786, 0.004969053071057421),
              "signs_given_inputs": (0.39417371824230235, 0.003134827921726834),
              "total": (0.7299619278765702, 0.006090707500201602)},
-    "dumbbell": {"inputs": (0.3010212450001512, 0.005432426526097359),
-                 "signs_given_inputs": (0.5898550690293554, 0.004773119949053243),
-                 "total": (0.8908763140295066, 0.007480979011030843)},
-    "two_layer": {"inputs": (0.8356259316922293, 0.008864773390687676),
-                  "signs_given_inputs": (1.5388440859012484, 0.007596734363079089),
-                  "total": (2.374470017593478, 0.0120223849112156)},
+    "dumbbell": {"inputs": (0.29678995194904073, 0.005424990278211408),
+                 "signs_given_inputs": (0.5878825692188065, 0.0048396935554347225),
+                 "total": (0.8846725211678472, 0.007528028844274009)},
+    "two_layer": {"inputs": (0.8351329143904823, 0.008955154052395883),
+                  "signs_given_inputs": (1.5350852836340723, 0.0076810943297164124),
+                  "total": (2.3702181980245545, 0.012136891884263836)},
     "two_layer layer 1|layer 2": {
         "inputs": (0.225947607132859, 0.004354966610279768),
         "signs_given_inputs": (0.3273792744661098, 0.0034009752061614365),
@@ -783,29 +800,29 @@ GOLDEN_PROFILES = {
 }
 GOLDEN_DUMBBELL_CURVE = {
     (0.0, 0.0): (0.0, 0.0),
-    (0.0, 0.25): (0.23507181882121503, 0.007163826068962994),
-    (0.0, 0.5): (0.28714750994179417, 0.0068815517442757336),
-    (0.0, 0.75): (0.226648333744633, 0.007094417140158891),
+    (0.0, 0.25): (0.2330219268067137, 0.006980839800179768),
+    (0.0, 0.5): (0.29095609419238344, 0.0065686161197775015),
+    (0.0, 0.75): (0.23467438155938644, 0.006966313187033235),
     (0.0, 1.0): (0.0, 0.0),
     (0.25, 0.0): (0.238878386173921, 0.006904018740528528),
-    (0.25, 0.25): (0.473950204995136, 0.010118548641834734),
-    (0.25, 0.5): (0.5260258961157152, 0.009975545436758706),
-    (0.25, 0.75): (0.46552671991855404, 0.0100582882240459),
+    (0.25, 0.25): (0.4719003129806347, 0.010037988158220634),
+    (0.25, 0.5): (0.5298344803663044, 0.009831292519214897),
+    (0.25, 0.75): (0.4735527677333074, 0.010047279409821456),
     (0.25, 1.0): (0.238878386173921, 0.006904018740528528),
     (0.5, 0.0): (0.2941462031636406, 0.0065576202554537485),
-    (0.5, 0.25): (0.5292180219848557, 0.009926712570080792),
-    (0.5, 0.5): (0.5812937131054347, 0.009796740191901986),
-    (0.5, 0.75): (0.5207945369082736, 0.00992237922416516),
+    (0.5, 0.25): (0.5271681299703543, 0.009819885592160299),
+    (0.5, 0.5): (0.585102297356024, 0.009605150543628925),
+    (0.5, 0.75): (0.5288205847230271, 0.009864822484399138),
     (0.5, 1.0): (0.2941462031636406, 0.0065576202554537485),
     (0.75, 0.0): (0.23537422438321082, 0.006969754395260077),
-    (0.75, 0.25): (0.4704460432044258, 0.010126152675952202),
-    (0.75, 0.5): (0.5225217343250049, 0.009993902506245414),
-    (0.75, 0.75): (0.4620225581278439, 0.010147039279578463),
+    (0.75, 0.25): (0.46839615118992445, 0.010071687095957634),
+    (0.75, 0.5): (0.5263303185755943, 0.009876306050651954),
+    (0.75, 0.75): (0.4700486059425973, 0.010145896017891665),
     (0.75, 1.0): (0.23537422438321082, 0.006969754395260077),
     (1.0, 0.0): (0.0, 0.0),
-    (1.0, 0.25): (0.23507181882121503, 0.007163826068962994),
-    (1.0, 0.5): (0.28714750994179417, 0.0068815517442757336),
-    (1.0, 0.75): (0.226648333744633, 0.007094417140158891),
+    (1.0, 0.25): (0.2330219268067137, 0.006980839800179768),
+    (1.0, 0.5): (0.29095609419238344, 0.0065686161197775015),
+    (1.0, 0.75): (0.23467438155938644, 0.006966313187033235),
     (1.0, 1.0): (0.0, 0.0),
 }
 
