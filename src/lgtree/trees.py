@@ -208,19 +208,6 @@ def validate_tree(spec: TreeSpec) -> GaussianTree:
     )
 
 
-def _path_products(tree: GaussianTree, start: str) -> dict[str, float]:
-    """Product of edge correlations from ``start`` to every other node."""
-    prod = {start: 1.0}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nbr, rho in tree.adjacency[cur]:
-            if nbr not in prod:
-                prod[nbr] = prod[cur] * rho
-                queue.append(nbr)
-    return prod
-
-
 def pairwise_correlation(tree: GaussianTree, i: str, j: str) -> float:
     """Correlation between two distinct nodes: the path product between them."""
     if i not in tree.node_order:
@@ -229,22 +216,32 @@ def pairwise_correlation(tree: GaussianTree, i: str, j: str) -> float:
         raise UnknownNode(f"node {j!r} is not part of the tree")
     if i == j:
         raise UnknownNode("pairwise correlation needs two distinct nodes")
-    return _path_products(tree, i)[j]
+    return float(joint_covariance(tree).joint[tree.node_order[i], tree.node_order[j]])
 
 
 def joint_covariance(tree: GaussianTree) -> CovarianceModel:
-    """Assemble the full path-product covariance and its observed block."""
-    nodes = tree.nodes
-    m = len(nodes)
-    cov = np.eye(m)
-    for a in nodes:
-        prods = _path_products(tree, a)
-        ia = tree.node_order[a]
-        for b, p in prods.items():
-            cov[ia, tree.node_order[b]] = p if a != b else 1.0
-    # path products taken from either end can differ in the last bit, so
-    # averaging is what makes the matrix exactly symmetric
-    cov = (cov + cov.T) / 2.0
+    """Assemble the full path-product covariance and its observed block.
+
+    One breadth-first pass from the first node: when node i joins through
+    the edge (parent p, rho), every node placed so far lies on p's side of
+    that edge, so i's row over them is rho times p's row.  Written to the
+    row and the column together, the matrix is symmetric with a unit
+    diagonal by construction.  It is filled in the order nodes are placed,
+    so that those rows are slices, and then permuted to node order.
+    """
+    placed = [tree.nodes[0]]
+    pos = {placed[0]: 0}
+    cov = np.eye(len(tree.node_order))
+    for p, parent in enumerate(placed):     # the loop reaches nodes placed in it
+        for node, rho in tree.adjacency[parent]:
+            if node in pos:
+                continue
+            i = pos[node] = len(placed)
+            cov[i, :i] = rho * cov[p, :i]
+            cov[:i, i] = cov[i, :i]
+            placed.append(node)
+    perm = [pos[n] for n in tree.nodes]
+    cov = cov.take(perm, axis=0).take(perm, axis=1)
     try:
         np.linalg.cholesky(cov + 0.0)
     except np.linalg.LinAlgError:

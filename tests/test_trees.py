@@ -1,3 +1,7 @@
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +18,7 @@ from lgtree.errors import (
 )
 from lgtree.trees import TreeSpec, random_tree
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 STAR_NODES = [("x1", "observed"), ("x2", "observed"), ("x3", "observed"), ("y", "hidden")]
 STAR_EDGES = [("y", "x1", 0.6), ("y", "x2", 0.7), ("y", "x3", 0.8)]
 
@@ -93,14 +98,40 @@ def test_joint_covariance_dumbbell_entry(dumbbell):
 
 
 def test_joint_covariance_is_exactly_symmetric(request):
-    # path products taken from either end can differ in the last bit
-    # (two_layer: 42 entries, up to 5.6e-17), so only the averaging makes
-    # the matrix symmetric bit for bit
+    # each new row is written to the row and the column together, so the
+    # matrix is symmetric bit for bit by construction
     fixtures = [request.getfixturevalue(n) for n in ("star", "dumbbell", "lowcorr", "two_layer")]
     rng = np.random.default_rng(20)
     for tree in fixtures + [random_tree(rng) for _ in range(200)]:
         joint = lg.joint_covariance(tree).joint
         assert np.array_equal(joint, joint.T), tree.spec
+
+
+def _bench_oracles():
+    """``bench/oracles.py``, which shares no code with lgtree."""
+    spec = importlib.util.spec_from_file_location("bench_oracles", ROOT / "bench" / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_joint_covariance_matches_the_path_product_oracle(request):
+    oracles = _bench_oracles()
+    fixtures = [request.getfixturevalue(n) for n in ("star", "dumbbell", "lowcorr", "two_layer")]
+    rng = np.random.default_rng(24)
+    trees = fixtures + [random_tree(rng) for _ in range(150)]
+    trees += [random_tree(rng, max_observed=30, max_hidden=12) for _ in range(50)]
+    for tree in trees:
+        want = oracles.path_product_covariance(
+            oracles.TreeFile(tree.nodes, tree.observed, tree.hidden, tree.spec.edges))
+        model = lg.joint_covariance(tree)
+        joint = np.asarray(model.joint)
+        assert np.max(np.abs(joint - want)) <= 1e-15, tree.spec
+        assert np.all(np.diag(joint) == 1.0)
+        i, j = rng.choice(len(tree.nodes), size=2, replace=False)
+        u, v = tree.nodes[i], tree.nodes[j]
+        assert lg.pairwise_correlation(tree, u, v) == joint[i, j]
 
 
 def test_tree_determinant_star(star):
