@@ -278,15 +278,16 @@ def _cmd_covariance(config: ExperimentConfig, tree) -> dict:
     model = joint_covariance(tree)
     import numpy as np
 
-    direct = float(np.linalg.det(np.asarray(model.joint)))
-    product = tree_determinant(tree)
+    # the relative error is read off the log-determinants, which stay finite
+    # where both determinants underflow to 0.0
+    log_product = sum(math.log1p(-rho * rho) for _, _, rho in tree.spec.edges)
     return {
         "node_order": [n for n, _ in tree.spec.nodes],
         "joint": np.asarray(model.joint).tolist(),
         "observed_block": np.asarray(model.observed_block).tolist(),
-        "determinant_product": product,
-        "determinant_direct": direct,
-        "determinant_rel_err": abs(direct - product) / abs(product),
+        "determinant_product": tree_determinant(tree),
+        "determinant_direct": float(np.linalg.det(model.joint)),
+        "determinant_rel_err": abs(math.expm1(np.linalg.slogdet(model.joint)[1] - log_product)),
     }
 
 
@@ -339,14 +340,17 @@ def _cmd_sign_report(config: ExperimentConfig, tree) -> dict:
 def _mi_report(tree, method: str, units: str) -> dict:
     """The direct and closed-form MI that ``method`` asks for.  ``both``
     reports the closed form only on trees whose observed nodes are all
-    leaves, which it needs; ``closed`` asks for it on any tree."""
+    leaves of hidden nodes, which it needs; ``closed`` asks for it on any
+    tree."""
     from .info import mi_closed_form, mi_direct
     from .trees import joint_covariance
 
     out: dict = {}
     if method in ("both", "direct"):
         out["direct"] = _mi_json(mi_direct(tree), units)
-    leaves = all(len(tree.adjacency[o]) == 1 for o in tree.observed)
+    hidden = set(tree.hidden)
+    leaves = all(len(tree.adjacency[o]) == 1 and tree.adjacency[o][0][0] in hidden
+                 for o in tree.observed)
     if method == "closed" or (method == "both" and leaves):
         sigma = joint_covariance(tree).observed_block
         out["closed_form"] = _mi_json(mi_closed_form(sigma, tree), units)

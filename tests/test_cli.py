@@ -154,6 +154,30 @@ def test_mi_closed_form_on_a_tree_with_inner_observed_nodes_exit_1():
     assert "NotLeafOnly" in err
 
 
+def test_mi_on_a_tree_with_no_hidden_nodes_reports_direct_alone(tmp_path):
+    tree = tmp_path / "pair.tree"
+    tree.write_text("node a observed\nnode b observed\nedge a b 0.5\n")
+    code, out, err = run_in_process("mi", tree, "--deterministic")
+    assert code == 0, err
+    result = strict_json(out)["result"]
+    assert set(result) == {"direct"} and result["direct"]["value_nats"] == 0.0
+    code, out, err = run_in_process("mi", tree, "--method", "closed")
+    assert (code, out) == (1, "")
+    assert "NotLeafOnly" in err
+
+
+def test_covariance_reports_the_determinant_error_when_both_determinants_underflow(tmp_path):
+    # prod (1 - rho^2) over 400 edges at rho = 0.95 underflows to 0.0
+    tree = tmp_path / "wide.tree"
+    tree.write_text("node y hidden\n" + "".join(f"node x{i} observed\n" for i in range(400))
+                    + "".join(f"edge y x{i} 0.95\n" for i in range(400)))
+    code, out, err = run_in_process("covariance", tree, "--deterministic")
+    assert code == 0, err
+    result = strict_json(out)["result"]
+    assert result["determinant_product"] == 0.0
+    assert result["determinant_rel_err"] <= 1e-9
+
+
 def test_mi_takes_no_seed():
     # mi draws nothing random, so a seed would change nothing
     code, out, err = run_in_process("mi", PKG / "trees" / "star.tree", "--seed", "3")
