@@ -77,7 +77,6 @@ import numpy as np
 
 from .errors import (
     IllConditioned,
-    InconsistentCovariance,
     MissingAssignment,
     NotLeafOnly,
     TooManyHidden,
@@ -85,13 +84,7 @@ from .errors import (
     WrongShape,
 )
 from .signs import SignAssignment, apply_sign_assignment
-from .trees import (
-    GaussianTree,
-    PD_EIG_FLOOR,
-    _consistent_ratio,
-    joint_covariance,
-    squared_gain_ratios,
-)
+from .trees import GaussianTree, PD_EIG_FLOOR, joint_covariance, squared_gain
 
 CLOSED_FORM = "closed_form"
 DIRECT_GAUSSIAN = "direct_gaussian"
@@ -614,11 +607,7 @@ def mi_closed_form(
 
     log_den = 0.0
     for o in structure.observed:
-        h = structure.adjacency[o][0][0]
-        ratios = squared_gain_ratios(sigma_x, structure, o, h)
-        if not ratios:
-            raise InconsistentCovariance(f"no witness triple for observed {o!r}")
-        log_den += math.log1p(-_consistent_ratio(ratios, repr(o)))
+        log_den += math.log1p(-squared_gain(sigma_x, structure, o, structure.adjacency[o][0][0]))
 
     sign, logdet = np.linalg.slogdet(sigma_x)
     if sign <= 0:

@@ -330,6 +330,15 @@ def _consistent_ratio(ratios: list[float], what: str) -> float:
     return value
 
 
+def squared_gain(sigma_x: np.ndarray, tree: GaussianTree, x: str, h: str) -> float:
+    """The squared path gain between observed ``x`` and hidden ``h``: the
+    first triple ratio, with every other one checked against it."""
+    ratios = squared_gain_ratios(sigma_x, tree, x, h)
+    if not ratios:
+        raise InconsistentCovariance(f"no witness triple for observed {x!r} and hidden {h!r}")
+    return _consistent_ratio(ratios, f"({x!r}, {h!r})")
+
+
 def recover_edge_magnitudes(
     sigma_x: np.ndarray,
     structure: GaussianTree,
@@ -348,14 +357,6 @@ def recover_edge_magnitudes(
             f"covariance shape {sigma_x.shape} does not match {structure.n} observed nodes"
         )
 
-    def gain2(x: str, h: str) -> float:
-        ratios = squared_gain_ratios(sigma_x, structure, x, h)
-        if not ratios:
-            raise InconsistentCovariance(
-                f"no witness triple for observed {x!r} and hidden {h!r}"
-            )
-        return _consistent_ratio(ratios, f"({x!r}, {h!r})")
-
     obs_pos = {o: i for i, o in enumerate(structure.observed)}
     hid = set(structure.hidden)
     out: dict[tuple[str, str], float] = {}
@@ -367,8 +368,8 @@ def recover_edge_magnitudes(
             witness = next(
                 o for o in structure.observed if branches_v.get(o) == side_u
             )
-            g_near = gain2(witness, u)
-            g_far = gain2(witness, v)
+            g_near = squared_gain(sigma_x, structure, witness, u)
+            g_far = squared_gain(sigma_x, structure, witness, v)
             val = g_far / g_near
             if not (0.0 < val < 1.0):
                 raise RatioOutOfRange(
@@ -377,7 +378,7 @@ def recover_edge_magnitudes(
             out[(u, v)] = float(np.sqrt(val))
         elif u in hid or v in hid:
             x, h = (v, u) if u in hid else (u, v)
-            out[(u, v)] = float(np.sqrt(gain2(x, h)))
+            out[(u, v)] = float(np.sqrt(squared_gain(sigma_x, structure, x, h)))
         else:
             out[(u, v)] = float(abs(sigma_x[obs_pos[u], obs_pos[v]]))
     return out
