@@ -1,7 +1,3 @@
-import importlib.util
-import pathlib
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +14,6 @@ from lgtree.errors import (
 )
 from lgtree.trees import TreeSpec, random_tree
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 STAR_NODES = [("x1", "observed"), ("x2", "observed"), ("x3", "observed"), ("y", "hidden")]
 STAR_EDGES = [("y", "x1", 0.6), ("y", "x2", 0.7), ("y", "x3", 0.8)]
 
@@ -107,16 +102,9 @@ def test_joint_covariance_is_exactly_symmetric(request):
         assert np.array_equal(joint, joint.T), tree.spec
 
 
-def _bench_oracles():
-    """``bench/oracles.py``, which shares no code with lgtree."""
-    spec = importlib.util.spec_from_file_location("bench_oracles", ROOT / "bench" / "oracles.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module     # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_joint_covariance_matches_the_path_product_oracle(request):
+    from test_synthesis import _bench_oracles
+
     oracles = _bench_oracles()
     fixtures = [request.getfixturevalue(n) for n in ("star", "dumbbell", "lowcorr", "two_layer")]
     rng = np.random.default_rng(24)
@@ -125,13 +113,11 @@ def test_joint_covariance_matches_the_path_product_oracle(request):
     for tree in trees:
         want = oracles.path_product_covariance(
             oracles.TreeFile(tree.nodes, tree.observed, tree.hidden, tree.spec.edges))
-        model = lg.joint_covariance(tree)
-        joint = np.asarray(model.joint)
+        joint = np.asarray(lg.joint_covariance(tree).joint)
         assert np.max(np.abs(joint - want)) <= 1e-15, tree.spec
         assert np.all(np.diag(joint) == 1.0)
         i, j = rng.choice(len(tree.nodes), size=2, replace=False)
-        u, v = tree.nodes[i], tree.nodes[j]
-        assert lg.pairwise_correlation(tree, u, v) == joint[i, j]
+        assert lg.pairwise_correlation(tree, tree.nodes[i], tree.nodes[j]) == joint[i, j]
 
 
 def test_tree_determinant_star(star):
