@@ -84,7 +84,7 @@ from .errors import (
     WrongShape,
 )
 from .signs import SignAssignment, apply_sign_assignment
-from .trees import GaussianTree, PD_EIG_FLOOR, joint_covariance, squared_gain
+from .trees import GaussianTree, PD_EIG_FLOOR, checked_observed_block, joint_covariance, squared_gain
 
 CLOSED_FORM = "closed_form"
 DIRECT_GAUSSIAN = "direct_gaussian"
@@ -490,17 +490,24 @@ class _MixtureChunk:
     def log_ratios(self, priors):
         """log sum_c pi(b o c) p(x | c o g) - log p(x | g) at each sign prior
         in ``priors`` in turn: the sum of the groups' terms, and exactly 0 at
-        p in {0, 1}.  A group whose prior entries equal the previous prior's
-        reuses that prior's term, so a grid that steps one node at a time
-        contracts only that node's group.  With a single group the yielded
-        array is that group's term itself: read it, do not write it."""
-        last = [None] * len(self.factors)     # (prior entries, term) per group
-        for p in priors:
-            for i, (idx, shift, s) in enumerate(self.factors):
-                key = tuple(p[idx])
-                if last[i] is None or last[i][0] != key:
-                    last[i] = (key, self._group_term(idx, shift, s, p))
-            terms = [term for _, term in last]
+        p in {0, 1}.  A group's term is kept while a later prior has the same
+        entries for that group, so a grid contracts each group once per
+        distinct value of its own entries (11 times for each of dumbbell's two
+        groups on an 11 x 11 sweep), and a sweep whose entries never recur
+        holds no terms.  With a single group the yielded array is that
+        group's term itself: read it, do not write it."""
+        priors = list(priors)
+        keys = [[tuple(p[idx]) for p in priors] for idx, _, _ in self.factors]
+        last = [{key: n for n, key in enumerate(col)} for col in keys]   # last use
+        held = [{} for _ in self.factors]      # prior entries -> term, per group
+        for n, p in enumerate(priors):
+            terms = []
+            for col, ends, kept, (idx, shift, s) in zip(keys, last, held, self.factors):
+                key = col[n]
+                term = kept.pop(key) if key in kept else self._group_term(idx, shift, s, p)
+                if ends[key] > n:
+                    kept[key] = term
+                terms.append(term)
             yield sum(terms[1:], terms[0]) if terms else np.zeros(self.u.shape[1])
 
     def log_ratio(self, p: np.ndarray) -> np.ndarray:
@@ -597,7 +604,7 @@ def mi_closed_form(
     triple must agree.  The structure argument supplies only the tree shape;
     its stored edge weights are never read.
     """
-    sigma_x = np.asarray(sigma_x, dtype=float)
+    sigma_x = checked_observed_block(sigma_x, structure)
     hid = set(structure.hidden)
     for o in structure.observed:
         if len(structure.adjacency[o]) != 1:
@@ -612,7 +619,7 @@ def mi_closed_form(
     sign, logdet = np.linalg.slogdet(sigma_x)
     if sign <= 0:
         raise IllConditioned("observed covariance is not positive definite")
-    return MIResult(0.5 * (logdet - log_den), 0.0, CLOSED_FORM, 0)
+    return MIResult(float(0.5 * (logdet - log_den)), 0.0, CLOSED_FORM, 0)
 
 
 def _mixture_entropy_gap(weights, covs) -> float:

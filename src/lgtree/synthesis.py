@@ -10,13 +10,15 @@ stored.  Their white noise comes from a counter-based stream (Philox4x64-10)
 keyed by the top layer's "codeword_noise" substream and counted by (pair,
 block), so any set of pairs regenerates in one vectorised call with the
 same values as one pair at a time, and desk-scale codebooks stay within
-memory.  Every seeded draw here takes a named substream of the caller's
-seed from the one table in ``info.STREAMS``.  A symbol with sign
-realisation b is coloured by D L D, where L is the Cholesky factor of the
-layer covariance and D = diag(b b_1) the canonical pattern (b up to a global
-flip); D L D is the Cholesky factor of D Sigma D.  Sub-blocks are keyed by
-that pattern, and their sizes follow the empirical sign-codeword
-realisations.
+memory.  A call regenerates each distinct pair once and gathers its
+repeats, so emission pays for the pairs drawn, not for the runs, and adds
+each layer's innovation noise to its output in place.  Every seeded draw
+here takes a named substream of the caller's seed from the one table in
+``info.STREAMS``.  A symbol with sign realisation b is coloured by D L D,
+where L is the Cholesky factor of the layer covariance and D = diag(b b_1)
+the canonical pattern (b up to a global flip); D L D is the Cholesky factor
+of D Sigma D.  Sub-blocks are keyed by that pattern, and their sizes follow
+the empirical sign-codeword realisations.
 
 Emission walks the layers top-down: the deepest layer is read from its
 codebook, every lower layer is the sign-modulated regression of the layer
@@ -275,19 +277,30 @@ class LayerCodebook:
         is coloured by D L D, the Cholesky factor of D Sigma D, where D is
         the sign codeword's canonical pattern there (its realisation times
         its first entry) and L the Cholesky factor of the layer covariance
-        Sigma.  Evaluated CODEWORD_ROWS pairs at a time, so transient memory
-        does not grow with the number of pairs."""
+        Sigma.  Each distinct pair of a call is regenerated once and its
+        repeats are gathered from it, so a call costs the distinct pairs, not
+        the requested ones; a pair's codeword is a pure function of its
+        indices, so the values are those of one pair at a time."""
         g, s = self._pairs(gauss_index, sign_index)
-        shape = self.signs.shape[1:]
-        out = np.empty(g.shape + shape)
-        g, s, rows = g.ravel(), s.ravel(), out.reshape((-1,) + shape)
+        pair = g.astype(np.int64) * self.sign_count + s.astype(np.int64)
+        ids, inverse = np.unique(pair.ravel(), return_inverse=True)
+        distinct = self._distinct_codewords(*np.divmod(ids, self.sign_count))
+        out = np.empty(g.shape + distinct.shape[1:])
+        np.take(distinct, inverse, axis=0, out=out.reshape((-1,) + distinct.shape[1:]))
+        return out
+
+    def _distinct_codewords(self, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The codewords (P, N, k) of the pairs (g[i], s[i]), regenerated
+        CODEWORD_ROWS pairs at a time, so transient memory does not grow with
+        the number of pairs."""
+        rows = np.empty((len(g),) + self.signs.shape[1:])
         for lo in range(0, len(rows), CODEWORD_ROWS):
             sl = slice(lo, lo + CODEWORD_ROWS)
             signs = self.signs[s[sl]]
             canon = signs * signs[..., :1]
             w = self.white_noise(g[sl], s[sl])
             rows[sl] = canon * np.einsum("ij,rtj->rti", self.chol, canon * w)
-        return out
+        return rows
 
     def _pairs(self, gauss_index, sign_index) -> tuple[np.ndarray, ...]:
         """Both pair indices, range-checked and broadcast together."""
@@ -416,6 +429,13 @@ def synthesize(
     signs ("lower_signs") per run and channel use.  The lower-layer signs
     cancel from the output (see the module docstring); with
     ``return_internals`` they are returned with each layer's inputs.
+
+    Each distinct pair drawn is regenerated once
+    (:meth:`LayerCodebook.gaussian_codeword`).  Each layer's innovation
+    noise is drawn and added in place, CODEWORD_ROWS runs at a time in run
+    order, so the stream is read as by one draw of the whole layer.
+    Without ``return_internals`` the pair indices, codewords and signs are
+    released before the output step.
     """
     if runs < 1:
         raise ValidationError("runs must be >= 1")
@@ -435,20 +455,32 @@ def synthesize(
 
     blocks = _layer_blocks(tree)
     for depth in range(depth_count - 1, 0, -1):
-        mean = np.einsum("ij,rtj->rti", blocks[depth].gain, cur_b * y)
-        mean = mean + noise_rng.standard_normal(mean.shape) @ blocks[depth].noise.chol.T
+        y = np.einsum("ij,rtj->rti", blocks[depth].gain, cur_b * y)
+        _add_innovation(y, blocks[depth].noise.chol, noise_rng)
         bias = codebook.pi.vector_for(blocks[depth - 1].sources)
-        cur_b = np.where(sign_rng.random(mean.shape) < bias, 1.0, -1.0)
-        y = cur_b * mean
+        cur_b = np.where(sign_rng.random(y.shape) < bias, 1.0, -1.0)
+        y *= cur_b
         internals["y"][depth] = y
         internals["b"][depth] = cur_b
 
-    x = np.einsum("ij,rtj->rti", blocks[0].gain, cur_b * y)
-    x = x + noise_rng.standard_normal(x.shape) @ blocks[0].noise.chol.T
+    signed = cur_b * y
+    if not return_internals:
+        del internals, gauss_index, sign_index, y, cur_b
+    x = np.einsum("ij,rtj->rti", blocks[0].gain, signed)
+    del signed
+    _add_innovation(x, blocks[0].noise.chol, noise_rng)
 
     if return_internals:
         return x, internals
     return x
+
+
+def _add_innovation(out: np.ndarray, chol: np.ndarray, rng) -> None:
+    """Add N(0, chol chol^T) noise to every (run, channel use) row of ``out``
+    in place, drawn from ``rng`` CODEWORD_ROWS runs at a time in run order."""
+    for lo in range(0, len(out), CODEWORD_ROWS):
+        rows = out[lo:lo + CODEWORD_ROWS]
+        rows += rng.standard_normal(rows.shape) @ chol.T
 
 
 # -- divergence estimation ----------------------------------------------------

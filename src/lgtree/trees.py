@@ -339,6 +339,17 @@ def squared_gain(sigma_x: np.ndarray, tree: GaussianTree, x: str, h: str) -> flo
     return _consistent_ratio(ratios, f"({x!r}, {h!r})")
 
 
+def checked_observed_block(sigma_x, structure: GaussianTree) -> np.ndarray:
+    """``sigma_x`` as a float array, checked to be n x n for the n observed
+    nodes of ``structure``; raises InconsistentCovariance otherwise."""
+    sigma_x = np.asarray(sigma_x, dtype=float)
+    if sigma_x.shape != (structure.n, structure.n):
+        raise InconsistentCovariance(
+            f"covariance shape {sigma_x.shape} does not match {structure.n} observed nodes"
+        )
+    return sigma_x
+
+
 def recover_edge_magnitudes(
     sigma_x: np.ndarray,
     structure: GaussianTree,
@@ -351,12 +362,7 @@ def recover_edge_magnitudes(
     directly.  The first valid witness triple supplies the value and every
     other one is used as a consistency check.
     """
-    sigma_x = np.asarray(sigma_x, dtype=float)
-    if sigma_x.shape != (structure.n, structure.n):
-        raise InconsistentCovariance(
-            f"covariance shape {sigma_x.shape} does not match {structure.n} observed nodes"
-        )
-
+    sigma_x = checked_observed_block(sigma_x, structure)
     obs_pos = {o: i for i, o in enumerate(structure.observed)}
     hid = set(structure.hidden)
     out: dict[tuple[str, str], float] = {}

@@ -37,6 +37,15 @@ def test_mi_closed_form_star_golden(star):
     sigma = lg.joint_covariance(star).observed_block
     res = lg.mi_closed_form(sigma, star)
     assert res.value == pytest.approx(STAR_MI, abs=1e-12)
+    assert type(res.value) is float
+
+
+def test_closed_form_rejects_a_block_of_the_wrong_shape(star):
+    # the whole 4 x 4 joint matrix once gave 0.0, and a 2 x 2 block an IndexError
+    cov = lg.joint_covariance(star)
+    for sigma in (cov.joint, cov.observed_block[:2, :2]):
+        with pytest.raises(InconsistentCovariance, match="does not match 3 observed nodes"):
+            lg.mi_closed_form(sigma, star)
 
 
 def test_cross_method_dumbbell(dumbbell):
@@ -762,8 +771,8 @@ def test_hidden_free_tree_draws_no_target_noise_and_gives_exact_zeros():
 
 
 def test_a_sweep_contracts_a_group_only_when_its_prior_entries_change(dumbbell, monkeypatch):
-    # the 11 x 11 grid steps y2's bias fastest: y1's group is contracted once
-    # per value of its bias, y2's at every point, 132 in all instead of 242
+    # the 11 x 11 grid steps y2's bias fastest: each group is contracted once
+    # per distinct value of its own bias, 22 in all instead of 242
     calls = []
     term = info._MixtureChunk._group_term
 
@@ -774,7 +783,21 @@ def test_a_sweep_contracts_a_group_only_when_its_prior_entries_change(dumbbell, 
     monkeypatch.setattr(info._MixtureChunk, "_group_term", counting)
     _, curve = lg.optimize_pi(dumbbell, 0.1, 1000, 3)
     assert len(curve) == 121
-    assert (calls.count((0,)), calls.count((1,)), len(calls)) == (11, 121, 132)
+    assert (calls.count((0,)), calls.count((1,)), len(calls)) == (11, 11, 22)
+
+
+def test_a_sweep_holds_no_group_term_that_does_not_recur(star):
+    # star's one group sees each of the 1001 priors once; keeping every term
+    # of a chunk would hold 1001 x SAMPLE_BATCH floats, 66 MB
+    lg.optimize_pi(star, 0.25, 1000, 3)
+    tracemalloc.start()
+    try:
+        _, curve = lg.optimize_pi(star, 0.001, SAMPLE_BATCH, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) == 1001
+    assert peak < 2**23
 
 
 # Estimates of the mixture core, recorded before its row layout: star,

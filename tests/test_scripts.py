@@ -1,7 +1,10 @@
+import ast
 import math
 import pathlib
 import subprocess
 import sys
+
+from lgtree import cli
 
 PKG = pathlib.Path(__file__).resolve().parent.parent
 
@@ -34,3 +37,11 @@ def test_cli_digests_script_prints_one_reproducible_line_per_subcommand():
                for _, fixture, code, sha in lines)
     assert len({command for command, *_ in lines}) == 11
     assert digests() == first
+
+
+def test_cli_digests_script_runs_every_subcommand():
+    # a subcommand missing from ARGS would drop out of the byte-identity diff
+    script = ast.parse((PKG / "scripts" / "cli_digests.py").read_text())
+    args = next(node.value for node in script.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "ARGS" for t in node.targets))
+    assert [ast.literal_eval(key) for key in args.keys] == list(cli._COMMANDS)
