@@ -38,7 +38,7 @@ def main() -> int:
         )
         codebook = lg.build_codebooks(tree, rates, pi, args.seed)
         report = lg.estimate_divergence(tree, codebook, args.samples, 17)
-        my, mb = rates.codeword_counts()[0]
+        my, mb = rates.codeword_counts()
         rows.append(
             f"{n_uses},{report.kl_estimate!r},{report.kl_std_error!r},"
             f"{report.tv_upper_bound!r},{my * mb}"

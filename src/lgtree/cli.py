@@ -180,7 +180,14 @@ def _parse_pi(spec: str, tree) -> "BernoulliParams":
             node, _, val = part.partition("=")
             if not val:
                 raise ValidationError(f"cli: field 'pi' entry {part!r} is not node=value")
-            table[node.strip()] = float(val)
+            node = node.strip()
+            if node not in tree.hidden:
+                kind = "an observed node" if node in tree.observed else "not in the tree"
+                raise ValidationError(f"cli: field 'pi' names {node!r} ({kind}); "
+                                      f"it takes hidden nodes only")
+            if node in table:
+                raise ValidationError(f"cli: field 'pi' names hidden node {node!r} twice")
+            table[node] = float(val)
     except ValueError:
         raise ValidationError(f"cli: field 'pi' value {spec!r} is not a number")
     missing = [h for h in tree.hidden if h not in table]
@@ -383,7 +390,7 @@ def _cmd_mi_conditional(config: ExperimentConfig, tree) -> dict:
     }
     # the sign-marginal MI enumerates all 2^k sign vectors; the profile does not
     if tree.k <= MIXTURE_ENUM_CAP:
-        marginal = mi_sign_marginal(tree, pi, config.samples, config.seed)
+        marginal = mi_sign_marginal(tree, pi, config.samples)
         out["signs_marginal"] = _mi_json(marginal, config.units)
     return out
 

@@ -447,6 +447,7 @@ class _MixtureChunk:
         # rows g_j (a^T e)_j and g_j g_l of the group
         ea = np.dot(a.T, e, out=buf.rows("ea", len(a.T), m))
         self.factors = []
+        self._shifted_logs = {}     # group -> unshifted log ratios, where the max shift ran
         for i, (idx, flips, pair_gram) in enumerate(enumerated):
             k = len(idx)
             gs = g[idx]
@@ -458,6 +459,7 @@ class _MixtureChunk:
             log_dens += np.dot(pair_gram, quad, out=buf.rows("pairs", len(flips), m))
             if log_dens.max() > EXP_CEILING:
                 shift = np.maximum(log_dens.max(axis=0) - EXP_CEILING, 0.0)
+                self._shifted_logs[tuple(idx)] = np.vstack([np.zeros(m), log_dens])
                 log_dens -= shift
                 np.exp(-shift, out=dens[0])
             else:
@@ -475,17 +477,35 @@ class _MixtureChunk:
         group whose prior entries are all 0 or 1 weights only the drawn flip,
         of ratio 1: its term is exactly 0 whatever the shift.  With only some
         entries in {0, 1}, a shift set by a zero-weight flip can underflow
-        every weighted row, and the term is -inf."""
+        every weighted row of a sample; only those samples are contracted
+        again, in the log domain (:meth:`_log_term`)."""
         if all(p[j] in (0.0, 1.0) for j in idx):
             return np.zeros(s.shape[-1])
         for j in reversed(idx):
             r = np.where(self.u[j] < p[j], p[j], 1.0 - p[j])
             s = s.reshape(-1, 2, s.shape[-1])
             s = s[:, 0] * r + s[:, 1] * (1.0 - r)
-        term = np.log(s[0])
-        if np.ndim(shift):      # the max shift ran on this chunk
-            term += shift
+        if not np.ndim(shift):      # the max shift did not run on this chunk
+            return np.log(s[0])
+        term = s[0]
+        under = np.flatnonzero(term == 0.0)
+        term[under] = 1.0
+        np.log(term, out=term)
+        term += shift
+        if under.size:
+            term[under] = self._log_term(idx, under, p)
         return term
+
+    def _log_term(self, idx, cols, p: np.ndarray) -> np.ndarray:
+        """:meth:`_group_term` of the samples ``cols`` of a shifted group,
+        contracted in the log domain from the unshifted log ratios."""
+        s = self._shifted_logs[tuple(idx)][:, cols]
+        with np.errstate(divide="ignore"):      # a zero-prior weight is log 0 = -inf
+            for j in reversed(idx):
+                r = np.where(self.u[j, cols] < p[j], p[j], 1.0 - p[j])
+                s = s.reshape(-1, 2, len(cols))
+                s = np.logaddexp(s[:, 0] + np.log(r), s[:, 1] + np.log1p(-r))
+        return s[0]
 
     def log_ratios(self, priors):
         """log sum_c pi(b o c) p(x | c o g) - log p(x | g) at each sign prior
@@ -645,9 +665,7 @@ def _mixture_entropy_gap(weights, covs) -> float:
     return 0.5 * float(w @ (logdet[0] - logdet[1:]))
 
 
-def mi_sign_marginal(
-    tree: GaussianTree, pi: BernoulliParams, samples: int, seed: int
-) -> MIResult:
+def mi_sign_marginal(tree: GaussianTree, pi: BernoulliParams, samples: int) -> MIResult:
     """MI between the observed vector and the sign vector, in closed form.
 
     Each sign vector b with prior pi(b) > 0 is applied to the tree with
@@ -663,10 +681,9 @@ def mi_sign_marginal(
     variant and gives exactly 0.0.  More than MIXTURE_ENUM_CAP hidden nodes
     raise TooManyHidden.
 
-    ``samples`` and ``seed`` keep the signature of the Monte Carlo
-    estimators, which the benchmark's span tracer (``bench/spans.py``) binds
-    by name; ``samples`` must still reach MIN_MC_SAMPLES, and ``seed`` is
-    not read.
+    ``samples`` keeps the signature of the Monte Carlo estimators, whose
+    ``samples`` the benchmark's span tracer (``bench/spans.py``) binds by
+    name, and must still reach MIN_MC_SAMPLES.
     """
     _require_samples(samples)
     signs = _enumerate_signs(tree.k)

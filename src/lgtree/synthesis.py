@@ -80,39 +80,49 @@ THREE_SIGMA_MASS = 0.0026997960632601866       # two-sided normal mass beyond 3 
 
 @dataclass(frozen=True)
 class RateTuple:
-    """The top layer's (gaussian_rate, sign_rate) in nats per channel use,
-    as the one pair in ``layers``, plus the block length.  Only the top
-    layer is coded, so no other layer takes a rate.  Codebook sizes are
-    ceil(exp(N * R)), so N * R may not exceed the log of the largest float."""
+    """The top layer's Gaussian and sign rates R_Y and R_B, in nats per
+    channel use, and the block length N.  Only the top layer is coded, so no
+    other layer takes a rate.  Codebook sizes are ceil(exp(N * R)), so N * R
+    may not exceed the log of the largest float."""
 
-    layers: tuple[tuple[float, float]]
+    gaussian_rate: float
+    sign_rate: float
     block_length: int
 
     @staticmethod
-    def make(layers, block_length: int) -> "RateTuple":
+    def make(pairs, block_length: int) -> "RateTuple":
+        """The rates from ``pairs``, which must hold exactly one (R_Y, R_B)
+        pair: the top layer's."""
         try:
-            layers = tuple((float(ry), float(rb)) for ry, rb in layers)
+            pairs = tuple((float(ry), float(rb)) for ry, rb in pairs)
         except (TypeError, ValueError):
             raise ValidationError(
-                f"rates must be (R_Y, R_B) pairs of numbers, got {layers!r}"
+                f"rates must be (R_Y, R_B) pairs of numbers, got {pairs!r}"
             ) from None
-        if len(layers) != 1:
+        if len(pairs) != 1:
             raise ValidationError(
-                f"rates must be one (R_Y, R_B) pair, the top layer's, got {len(layers)} pairs"
+                f"rates must be one (R_Y, R_B) pair, the top layer's, got {len(pairs)} pairs"
             )
         if (not isinstance(block_length, numbers.Integral) or isinstance(block_length, bool)
                 or block_length < 1):
             raise ValidationError(f"block length must be a positive integer, got {block_length!r}")
-        for rate in layers[0]:
+        for rate in pairs[0]:
             if not 0.0 <= rate * block_length <= LOG_FLOAT_MAX:
                 raise ValidationError(
                     f"rate {rate} must be non-negative with N R at most {LOG_FLOAT_MAX:.2f}"
                 )
-        return RateTuple(layers, int(block_length))
+        return RateTuple(*pairs[0], int(block_length))
 
-    def codeword_counts(self) -> list[tuple[int, int]]:
+    @property
+    def layers(self) -> tuple[tuple[float, float]]:
+        """The pair as a one-element tuple.  Its only reader is
+        ``bench/workloads.py``; remove it when the benchmark may change."""
+        return ((self.gaussian_rate, self.sign_rate),)
+
+    def codeword_counts(self) -> tuple[int, int]:
+        """(M_Y, M_B) = (ceil(exp(N R_Y)), ceil(exp(N R_B)))."""
         n = self.block_length
-        return [(math.ceil(math.exp(n * ry)), math.ceil(math.exp(n * rb))) for ry, rb in self.layers]
+        return math.ceil(math.exp(n * self.gaussian_rate)), math.ceil(math.exp(n * self.sign_rate))
 
 
 PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
@@ -321,7 +331,13 @@ class LayerCodebook:
 class Codebook:
     rates: RateTuple
     pi: BernoulliParams
-    layers: tuple[LayerCodebook, ...]   # the top layer's table alone
+    top: LayerCodebook          # the top layer's table, the only one coded
+
+    @property
+    def layers(self) -> tuple[LayerCodebook]:
+        """The top table as a one-element tuple.  Its only reader is
+        ``bench/workloads.py``; remove it when the benchmark may change."""
+        return (self.top,)
 
 
 @dataclass(frozen=True)
@@ -343,8 +359,8 @@ class SynthesisReport:
     kl_std_error: float
     tv_upper_bound: float
     empirical_cov_error: float
-    bound_check: tuple[dict, ...]
-    sub_blocks: tuple[dict, ...]
+    bound_check: dict
+    sub_blocks: dict
 
 
 # -- codebook construction ---------------------------------------------------
@@ -393,7 +409,7 @@ def build_codebooks(
     depth = tree.num_layers
     nodes = channel.sources
     k = len(nodes)
-    my, mb = rates.codeword_counts()[0]
+    my, mb = rates.codeword_counts()
     if my > CODEBOOK_CAP or mb > CODEBOOK_CAP:
         raise CapExceeded(f"layer {depth} codebook sizes ({my}, {mb}) exceed the cap {CODEBOOK_CAP}")
     if 2 ** (k - 1) > PATTERN_CAP:
@@ -409,7 +425,7 @@ def build_codebooks(
         pattern_codes=_pattern_codes(signs),
         chol=channel.marg_s.chol,
     )
-    return Codebook(rates=rates, pi=pi, layers=(top,))
+    return Codebook(rates=rates, pi=pi, top=top)
 
 
 # -- emission ----------------------------------------------------------------
@@ -427,8 +443,10 @@ def synthesize(
     layer's codebook (substream "pair_index"), then walks the layers down
     with fresh innovation noise ("innovation") and i.i.d. Bernoulli(pi)
     signs ("lower_signs") per run and channel use.  The lower-layer signs
-    cancel from the output (see the module docstring); with
-    ``return_internals`` they are returned with each layer's inputs.
+    cancel from the output (see the module docstring).  With
+    ``return_internals`` it returns (x, internals): ``gauss_index`` and
+    ``sign_index`` hold each run's top-layer pair indices, and ``y`` and
+    ``b`` map each depth to that layer's inputs and signs.
 
     Each distinct pair drawn is regenerated once
     (:meth:`LayerCodebook.gaussian_codeword`).  Each layer's innovation
@@ -444,13 +462,13 @@ def synthesize(
     noise_rng = _rng(seed, "innovation")
     sign_rng = _rng(seed, "lower_signs")
 
-    top = codebook.layers[-1]
+    top = codebook.top
     gauss_index = idx_rng.integers(0, top.gauss_count, size=runs)
     sign_index = idx_rng.integers(0, top.sign_count, size=runs)
 
     y = top.gaussian_codeword(gauss_index, sign_index)
     cur_b = top.signs[sign_index]
-    internals = {"gauss_index": gauss_index, "sign_index": {depth_count: sign_index},
+    internals = {"gauss_index": gauss_index, "sign_index": sign_index,
                  "y": {depth_count: y}, "b": {depth_count: cur_b}}
 
     blocks = _layer_blocks(tree)
@@ -495,7 +513,7 @@ def _mixture_components(tree: GaussianTree, codebook: Codebook):
     (gaussian, sign) codeword pairs; ``inputs`` (C, N, k) holds their signed
     symbols b y, and ``model`` is the coded channel (:func:`_channel`).
     """
-    top = codebook.layers[-1]
+    top = codebook.top
     my, mb = top.gauss_count, top.sign_count
     if my * mb > MIXTURE_CAP:
         raise MixtureTooLarge(
@@ -614,12 +632,12 @@ def rate_region_check(
     pi: BernoulliParams,
     samples: int = 20000,
     seed: int = 0,
-) -> list[dict]:
-    """Signed margins of the top layer L's achievability inequalities, as a
-    list of one entry: its inputs against the observed block, through the
-    coded channel (:func:`_channel`) that emission realises.  The
-    Gaussian-rate margin uses the mixture MI I(X; top-layer inputs) (Monte
-    Carlo); the sum-rate margin uses the fixed Gaussian MI.  Only the top
+) -> dict:
+    """Signed margins of the top layer L's achievability inequalities, as
+    one dict: its inputs against the observed block, through the coded
+    channel (:func:`_channel`) that emission realises.  The Gaussian-rate
+    margin uses the mixture MI I(X; top-layer inputs) (Monte Carlo); the
+    sum-rate margin uses the fixed Gaussian MI.  Only the top
     layer is coded (module docstring), so the paper's pair per layer, which
     belongs to a scheme coding every layer, is not checked.
     """
@@ -628,9 +646,9 @@ def rate_region_check(
     mix = block_mi_mixture(
         tree, channel.targets, channel.sources, pi, samples, _seed(seed, "rate_bound_seed", depth)
     )["inputs"]
-    ry, rb = rates.layers[0]
+    ry, rb = rates.gaussian_rate, rates.sign_rate
     fixed = channel.gaussian_mi()
-    return [{
+    return {
         "layer": depth,
         "gaussian_rate": ry,
         "sign_rate": rb,
@@ -639,7 +657,7 @@ def rate_region_check(
         "total_mi": fixed,
         "gaussian_rate_margin": ry - mix.value,
         "sum_rate_margin": ry + rb - fixed,
-    }]
+    }
 
 
 def _family_z(comparisons: int) -> float:
@@ -664,7 +682,7 @@ def frontier_rates(
     if not math.isfinite(margin):
         raise ValidationError(f"margin must be a finite number, got {margin}")
     zero = RateTuple.make([(0.0, 0.0)], block_length)
-    bound = rate_region_check(tree, zero, pi, samples, seed)[0]
+    bound = rate_region_check(tree, zero, pi, samples, seed)
     mix, fixed = bound["gaussian_mi"], bound["total_mi"]
     return RateTuple.make([(max(mix, 0.0) + margin, max(fixed - mix, 0.0) + margin)], block_length)
 
@@ -706,14 +724,12 @@ def estimate_divergence(
         tree, codebook.rates, codebook.pi,
         samples=rate_margin_samples, seed=_seed(seed, "rate_check_seed"),
     )
-    sub_blocks = tuple(
-        {
-            "layer": layer.depth,
-            "pattern_count": layer.sub_block_count,
-            "realized_sizes": layer.realized_sub_block_sizes(),
-        }
-        for layer in codebook.layers
-    )
+    top = codebook.top
+    sub_blocks = {
+        "layer": top.depth,
+        "pattern_count": top.sub_block_count,
+        "realized_sizes": top.realized_sub_block_sizes(),
+    }
     return SynthesisReport(
         rates=codebook.rates,
         pi=codebook.pi.as_dict(),
@@ -723,7 +739,7 @@ def estimate_divergence(
         kl_std_error=kl_se,
         tv_upper_bound=float(math.sqrt(max(kl, 0.0) / 2.0)),
         empirical_cov_error=cov_err,
-        bound_check=tuple(bounds),
+        bound_check=bounds,
         sub_blocks=sub_blocks,
     )
 
@@ -756,7 +772,7 @@ def verify_encoding_constraints(
     if not math.isfinite(tv_threshold):
         raise ValidationError(f"tv_threshold must be a finite number, got {tv_threshold}")
     checks: list[ConstraintCheck] = []
-    top = codebook.layers[-1]
+    top = codebook.top
     x, internals = synthesize(
         tree, codebook, runs, _seed(seed, "constraint_seed"), return_internals=True
     )
@@ -780,7 +796,7 @@ def verify_encoding_constraints(
     ))
 
     # one run per drawn top-layer pair, since runs sharing a pair share its codeword
-    pair = internals["gauss_index"] * top.sign_count + internals["sign_index"][top.depth]
+    pair = internals["gauss_index"] * top.sign_count + internals["sign_index"]
     clusters, first, cluster = np.unique(pair, return_index=True, return_inverse=True)
     b1 = internals["b"][1][first]
     labels = (b1 < 0).reshape(-1, b1.shape[-1]) @ (2 ** np.arange(b1.shape[-1]))
@@ -820,7 +836,7 @@ def verify_encoding_constraints(
         + ("" if n_uses >= 2 else " (single symbol per block)"),
     ))
 
-    my, mb = codebook.rates.codeword_counts()[0]
+    my, mb = codebook.rates.codeword_counts()
     for name, count, want, rate in (("gaussian", top.gauss_count, my, "R_Y"),
                                     ("sign", top.sign_count, mb, "R_B")):
         gap = abs(count - want)

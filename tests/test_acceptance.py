@@ -112,7 +112,7 @@ def test_criterion_4_sign_marginal_mi(star, dumbbell):
     ok = True
     for tree in (star, dumbbell):
         for p in (0.3, 0.5, 0.9):
-            res = lg.mi_sign_marginal(tree, BernoulliParams.uniform(tree, p), 100000, 23)
+            res = lg.mi_sign_marginal(tree, BernoulliParams.uniform(tree, p), 100000)
             # 1e-12 floor absorbs log-sum float noise when all components tie
             ok &= abs(res.value) <= max(3 * res.std_error, 1e-12)
     _finish(4, "sign-marginal MI consistent with zero on star/dumbbell, pi in {.3,.5,.9}",
@@ -241,21 +241,21 @@ def test_criterion_9_constraint_checklist(star, star_trend):
     ok = all(c.passed for c in checks) and len(checks) == 6
 
     # tamper 1: drop one Gaussian codeword -> only the gaussian cardinality fails
-    layer = dataclasses.replace(codebook.layers[0], gauss_count=codebook.layers[0].gauss_count - 1)
-    tampered = dataclasses.replace(codebook, layers=(layer,))
+    layer = dataclasses.replace(codebook.top, gauss_count=codebook.top.gauss_count - 1)
+    tampered = dataclasses.replace(codebook, top=layer)
     t_checks = {c.name: c for c in lg.verify_encoding_constraints(star, tampered, report, runs=2000, seed=99)}
     ok &= not t_checks["gaussian_codebook_cardinality"].passed
     ok &= t_checks["sign_codebook_cardinality"].passed
 
     # tamper 2: hard-wire signs to +1 with pi=0.5 declared -> independence is
     # trivially clean but the sign cardinality no longer matches
-    lay = codebook.layers[0]
+    lay = codebook.top
     ones = dataclasses.replace(
         lay,
         signs=np.ones((1,) + lay.signs.shape[1:]),
         pattern_codes=np.zeros((1, lay.signs.shape[1]), dtype=np.int64),
     )
-    wired = dataclasses.replace(codebook, layers=(ones,))
+    wired = dataclasses.replace(codebook, top=ones)
     rep_w = lg.estimate_divergence(star, wired, 1500, DIVERGENCE_SEED)
     w_checks = {c.name: c for c in lg.verify_encoding_constraints(star, wired, rep_w, runs=2000, seed=99)}
     ok &= w_checks["output_independent_of_signs"].passed

@@ -271,14 +271,14 @@ def test_rate_check_margins():
         "rate-check", "trees/star.tree", "--ry", "0.93", "--rb", "0.1",
         "--samples", "5000", "--deterministic",
     )
-    margins = load_result(proc)["margins"][0]
+    margins = load_result(proc)["margins"]
     assert margins["sum_rate_margin"] == pytest.approx(
         1.03 - 0.7294309951122713, abs=1e-9
     )
 
 
 def test_rate_flags_take_the_top_layer_pair_alone():
-    # only the top layer is coded: one number per flag, one margin entry
+    # only the top layer is coded: one number per flag, one margin object
     tree = PKG / "trees" / "two_layer.tree"
     code, out, err = run_in_process("rate-check", tree, "--ry", "0.3,0.4", "--rb", "0.2",
                                     "--samples", "1000")
@@ -287,8 +287,8 @@ def test_rate_flags_take_the_top_layer_pair_alone():
     code, out, _ = run_in_process("rate-check", tree, "--ry", "0.4", "--rb", "0.2",
                                   "--samples", "1000", "--deterministic")
     assert code == 0
-    margins = json.loads(out)["result"]["margins"]
-    assert [(m["layer"], m["gaussian_rate"], m["sign_rate"]) for m in margins] == [(2, 0.4, 0.2)]
+    m = json.loads(out)["result"]["margins"]
+    assert (m["layer"], m["gaussian_rate"], m["sign_rate"]) == (2, 0.4, 0.2)
 
 
 def test_config_file_merge(tmp_path):
@@ -386,11 +386,11 @@ def test_rate_units_bits():
     nats = load_result(run_cli(
         "rate-check", "trees/star.tree", "--ry", "0.6931471805599453", "--rb", "0.5",
         "--samples", "3000", "--deterministic",
-    ))["margins"][0]
+    ))["margins"]
     bits = load_result(run_cli(
         "rate-check", "trees/star.tree", "--ry", "1.0", "--rb", "0.7213475204444817",
         "--units", "bits", "--samples", "3000", "--deterministic",
-    ))["margins"][0]
+    ))["margins"]
     assert bits["gaussian_rate"] == pytest.approx(nats["gaussian_rate"], abs=1e-12)
     assert bits["sum_rate_margin"] == pytest.approx(nats["sum_rate_margin"], abs=1e-12)
 
@@ -586,6 +586,9 @@ def test_readme_commands_parse():
     ("synthesize", ["--samples", "1"]),          # one sample has no standard error
     ("verify-constraints", ["--samples", "1"]),
     ("optimize-pi", ["--grid", "1e-5"]),         # 100,001 grid points
+    ("mi-conditional", ["--pi", "y=0.5,zz=0.3"]),   # not a node of the tree
+    ("mi-conditional", ["--pi", "x1=0.5,y=0.9"]),   # an observed node
+    ("mi-conditional", ["--pi", "y=0.5,y=0.9"]),    # a hidden node twice
 ])
 def test_non_finite_or_out_of_range_fields_exit_1(command, flags):
     rates = ["--ry", "0.5", "--rb", "0.5"] if "--ry" in OWN_FLAGS[command] else []
@@ -596,6 +599,15 @@ def test_non_finite_or_out_of_range_fields_exit_1(command, flags):
     assert code == 1 and out == ""
     # synthesize reads no margin or TV threshold, so those flags stop at the parser
     assert ("ValidationError" if flags[0] in OWN_FLAGS[command] else "ParseError") in err
+
+
+@pytest.mark.parametrize("spec, node", [("y=0.5,zz=0.3", "'zz'"), ("x1=0.5,y=0.9", "'x1'"),
+                                        ("y=0.5,y=0.9", "'y' twice")])
+def test_pi_names_each_hidden_node_once(spec, node):
+    code, out, err = run_in_process("mi-conditional", PKG / "trees" / "star.tree", "--pi", spec,
+                                    "--samples", "1000")
+    assert (code, out) == (1, "")
+    assert node in err
 
 
 @pytest.mark.parametrize("command, config", [

@@ -98,7 +98,7 @@ def test_cross_method_random_leaf_trees():
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
 def test_sign_marginal_mi_is_zero(star, p):
-    res = lg.mi_sign_marginal(star, BernoulliParams.uniform(star, p), 20000, 3)
+    res = lg.mi_sign_marginal(star, BernoulliParams.uniform(star, p), 20000)
     assert abs(res.value) <= max(3 * res.std_error, 1e-12)
 
 
@@ -106,13 +106,13 @@ def test_sign_marginal_mi_is_zero(star, p):
 def test_sign_marginal_mi_streams_exact_zero(request, name):
     tree = request.getfixturevalue(name)
     pi = BernoulliParams.make({h: 0.2 + 0.1 * i for i, h in enumerate(tree.hidden)})
-    res = lg.mi_sign_marginal(tree, pi, 3 * SAMPLE_BATCH + 17, 5)
+    res = lg.mi_sign_marginal(tree, pi, 3 * SAMPLE_BATCH + 17)
     assert abs(res.value) <= 1e-12 and res.std_error == 0.0
     assert res.samples_used == 0 and res.method == "closed_form"
 
 
 def test_sign_marginal_mi_degenerate(star):
-    res = lg.mi_sign_marginal(star, BernoulliParams.uniform(star, 1.0), 2000, 3)
+    res = lg.mi_sign_marginal(star, BernoulliParams.uniform(star, 1.0), 2000)
     assert res.value == 0.0 and res.std_error == 0.0
 
 
@@ -131,7 +131,7 @@ def test_sign_marginal_mi_detects_a_tampered_variant(request, monkeypatch, name,
         return out
 
     monkeypatch.setattr(info, "apply_sign_assignment", tampered)
-    res = lg.mi_sign_marginal(tree, BernoulliParams.uniform(tree, p), 100000, 23)
+    res = lg.mi_sign_marginal(tree, BernoulliParams.uniform(tree, p), 100000)
     assert not abs(res.value) <= max(3 * res.std_error, 1e-12)   # criterion 4's predicate
 
 
@@ -170,7 +170,7 @@ def _hidden_chain(k):
 def test_sign_marginal_mi_refuses_past_the_enumeration_cap():
     tree = _hidden_chain(info.MIXTURE_ENUM_CAP + 1)
     with pytest.raises(TooManyHidden):
-        lg.mi_sign_marginal(tree, BernoulliParams.uniform(tree, 0.5), 1000, 1)
+        lg.mi_sign_marginal(tree, BernoulliParams.uniform(tree, 0.5), 1000)
 
 
 def test_signal_basis_ignores_rounding_noise_in_the_gain():
@@ -348,7 +348,7 @@ def test_mc_sample_floor(star):
     with pytest.raises(ValidationError):
         lg.mixture_mi_profile(star, pi, 500, 1)
     with pytest.raises(ValidationError):
-        lg.mi_sign_marginal(star, pi, 999, 1)
+        lg.mi_sign_marginal(star, pi, 999)
 
 
 HIGH_CORRELATION_TREE = """
@@ -658,6 +658,37 @@ def test_zero_prior_term_is_exact_past_the_exp_ceiling(star):
         warnings.simplefilter("error")
         for p in (0.0, 1.0):
             assert np.array_equal(chunk.log_ratio(np.array([p])), [0.0, 0.0])
+
+
+def test_partly_zero_prior_term_is_finite_past_the_exp_ceiling():
+    # one group (y1, y2) through the inner observed x0; y1's source 25 sigma
+    # from zero with the noise along its gain sets a shift of about 22,000
+    # by its own flip, so a prior that gives that flip weight 0 underflows
+    # every weighted row, and the term is contracted in the log domain
+    from scipy.special import logsumexp
+
+    tree = lg.validate_tree(lg.parse_tree_text(
+        "node x0 observed\nnode a1 observed\nnode a2 observed\n"
+        "node b1 observed\nnode b2 observed\nnode y1 hidden\nnode y2 hidden\n"
+        "edge y1 x0 0.8\nedge y1 a1 0.7\nedge y1 a2 0.6\n"
+        "edge y2 x0 0.75\nedge y2 b1 0.7\nedge y2 b2 0.65\n"))
+    model = info._BlockModel(tree, tree.observed, tree.hidden)
+    assert [list(g) for g in model.groups] == [[0, 1]]
+    u, w = np.array([[0.3, 0.6]]), np.array([[-25.0, 0.3]])
+    e = 200.0 * np.sign(model.signal_gain[:, :1].T)
+    chunk = next(info._mixture_chunks(model, 1, _Scripted(u, w, e)))
+    assert chunk.factors[0][1][0] > 20000.0
+    x = _full_space_targets(model, chunk, np.random.default_rng(6))
+    flips = info._enumerate_signs(2)
+    log_cond = np.array([model.noise.logpdf(x - (c * chunk.g) @ model.gain.T)[0] for c in flips])
+    for p in (np.array([0.0, 0.5]), np.array([0.5, 0.0])):
+        drawn = np.where(u[0] < p, p, 1.0 - p)          # prior of each drawn sign
+        with np.errstate(divide="ignore"):
+            log_w = np.log(np.where(flips > 0, drawn, 1.0 - drawn)).sum(axis=1)
+        want = logsumexp(log_w + log_cond) - log_cond[0]
+        got = chunk.log_ratio(p)
+        assert np.isfinite(got[0])
+        assert got[0] == pytest.approx(want, rel=1e-9)
 
 
 def test_sliced_evaluation_matches_whole_batches(two_layer, monkeypatch):
