@@ -900,3 +900,29 @@ def test_mixture_core_estimates_match_the_golden_values(star, dumbbell, two_laye
     assert [pt for pt, _ in curve] == list(GOLDEN_DUMBBELL_CURVE)
     for pt, est in curve:
         _assert_golden(est, GOLDEN_DUMBBELL_CURVE[pt])
+
+
+# The two consumers of the mixture core that the goldens above miss, recorded
+# before the batch evaluation was stacked: the symmetric sweep
+# optimize_pi(two_layer, 0.25, 5000, 3), the only sweep over a multi-source
+# group (y1, y5), and the joint-enumeration path of
+# decomposition_check(dumbbell, uniform 1/2, 20000, 11), as (lhs, rhs)
+GOLDEN_TWO_LAYER_CURVE = {
+    (0.0,): (0.0, 0.0),
+    (0.25,): (1.2293434348792756, 0.016530183642442665),
+    (0.5,): (1.5218394559778243, 0.01563003953893112),
+    (0.75,): (1.1921361224756672, 0.016149406232846678),
+    (1.0,): (0.0, 0.0),
+}
+GOLDEN_DUMBBELL_DECOMPOSITION = ((0.586009055866308, 0.004871067320132728),
+                                 (0.586009055866308, 0.004871067320132728))
+
+
+def test_sweep_and_decomposition_match_the_golden_values(dumbbell, two_layer):
+    _, curve = lg.optimize_pi(two_layer, 0.25, 5000, 3)
+    assert [pt for pt, _ in curve] == list(GOLDEN_TWO_LAYER_CURVE)
+    for pt, est in curve:
+        _assert_golden(est, GOLDEN_TWO_LAYER_CURVE[pt])
+    sides = lg.decomposition_check(dumbbell, BernoulliParams.uniform(dumbbell, 0.5), 20000, 11)
+    for est, want in zip(sides, GOLDEN_DUMBBELL_DECOMPOSITION):
+        _assert_golden(est, want)
