@@ -350,31 +350,54 @@ def _seed(seed: int, name: str, *index: int) -> int:
 SAMPLE_BATCH = 8192    # samples drawn per batch; the draw order is part of the contract
 EVAL_CELLS = 2**20     # (sample, enumerated flip) cells evaluated at once
 EXP_CEILING = 700.0    # log density ratios are shifted below this before exp()
+_SWEEP_POINTS = 16     # sweep points per block: 16 x SAMPLE_BATCH floats, 1 MiB
 
 
 class _Running:
-    """Count, mean and sum of squared deviations of a per-sample estimate,
-    merged chunk by chunk (Chan et al.), so no estimate keeps its samples."""
+    """Count, means and centred second moments of the rows of (rows,
+    samples) blocks of per-sample estimates, merged block by block (Chan et
+    al.), so no estimate keeps its samples.  ``m2`` holds each row's sum of
+    squared deviations; with ``cross`` it holds the sums of products of
+    every pair of rows, from which the moments of a sum of rows follow."""
 
-    def __init__(self):
-        self.n, self.mean, self.m2 = 0, 0.0, 0.0
+    def __init__(self, rows: int, cross: bool = False):
+        self.n = 0
+        self.mean = np.zeros(rows)
+        self.m2 = np.zeros((rows, rows) if cross else rows)
 
-    def add(self, values: np.ndarray) -> "_Running":
-        m = values.size
-        mean = float(values.sum()) / m
-        dev = values - mean
+    def add(self, block: np.ndarray) -> None:
+        """Merge the samples along the columns of ``block``: one row sum,
+        one centring (in place) and one call for the row dot products."""
+        m = block.shape[1]
+        mean = block.sum(axis=1) / m
+        block -= mean[:, None]
+        if self.m2.ndim == 2:
+            m2, outer = np.vecdot(block[:, None], block[None]), np.multiply.outer
+        else:
+            m2, outer = np.vecdot(block, block), np.multiply
         n = self.n + m
         delta = mean - self.mean
         self.mean += delta * (m / n)
-        self.m2 += float(dev @ dev) + delta * delta * (self.n * m / n)
+        self.m2 += m2 + outer(delta, delta) * (self.n * m / n)
         self.n = n
-        return self
 
-    def result(self, negated: bool = False) -> MIResult:
-        """The mean and its standard error; ``negated`` gives those of the
-        negated estimate, which negation carries exactly through every merge."""
-        se = math.sqrt(self.m2 / (self.n - 1) / self.n) if self.n > 1 else 0.0
-        return MIResult(0.0 - self.mean if negated else self.mean, se, MONTE_CARLO, self.n)
+    def result(self, row: int, negated: bool = False) -> MIResult:
+        """The mean of one row and its standard error; ``negated`` gives those
+        of the negated estimate, which negation carries exactly through every
+        merge."""
+        m2 = self.m2[row, row] if self.m2.ndim == 2 else self.m2[row]
+        mean = float(self.mean[row])
+        return self._result(0.0 - mean if negated else mean, float(m2))
+
+    def result_of_sum(self) -> MIResult:
+        """The estimate whose per-sample value is the sum of rows 0 and 1: its
+        squared deviations are those of the two rows and twice their products."""
+        m2 = self.m2[0, 0] + self.m2[1, 1] + 2.0 * self.m2[0, 1]
+        return self._result(float(self.mean[0] + self.mean[1]), float(m2))
+
+    def _result(self, mean: float, m2: float) -> MIResult:
+        se = math.sqrt(m2 / (self.n - 1) / self.n) if self.n > 1 else 0.0
+        return MIResult(mean, se, MONTE_CARLO, self.n)
 
 
 class _Buffers:
@@ -394,6 +417,132 @@ class _Buffers:
         return flat[:n * m].reshape(n, m)
 
 
+class _Stack:
+    """The coupling groups of one size k, scored together as one block.
+
+    ``groups`` holds their source positions, also as the (n, k) array
+    ``pos``.  Their sources take the rows ``rows`` of the product's g and h
+    rows, group after group, so each of those is an (n, k, samples) view;
+    the sign uniforms, kept in the sources' order, are a view too where the
+    stack's sources run in order (``span``), and are gathered otherwise.  The log ratio of flip f (f_j = 1 flips source j)
+    is sum_j f_j g_j h_j - 4 sum_{j<l} f_j f_l (a^T a)_jl g_j g_l
+    (:class:`_MixtureChunk`); ``mix`` (n, 2^k - 1, k + pairs) maps each
+    group's k single-flip terms g_j h_j and its cross products g_j g_l, for
+    the source pairs (``first``, ``second``), to the log ratios of every
+    flip but the drawn one.  A singleton's one flip is its single-flip term.
+    """
+
+    def __init__(self, groups, lo: int, coupling: np.ndarray):
+        self.groups = tuple(groups)
+        self.pos = np.array(self.groups, dtype=int).reshape(len(self.groups), -1)
+        n, k = self.pos.shape
+        self.rows = slice(lo, lo + n * k)
+        # the sources' own rows of the sign uniforms, when they run in order
+        first = int(self.pos[0, 0])
+        in_order = np.array_equal(self.pos.ravel(), np.arange(first, first + n * k))
+        self.span = slice(first, first + n * k) if in_order else None
+        flips = (1.0 - _enumerate_signs(k)[1:]) / 2.0   # row 0, the drawn flip, is left out
+        pairs = list(itertools.combinations(range(k), 2))
+        self.first = np.array([j for j, _ in pairs], dtype=int)
+        self.second = np.array([l for _, l in pairs], dtype=int)
+        cross = -4.0 * coupling[self.pos[:, self.first], self.pos[:, self.second]]
+        self.mix = np.concatenate([np.broadcast_to(flips, (n,) + flips.shape),
+                                   cross[:, None, :] * (flips[:, self.first] * flips[:, self.second])],
+                                  axis=2)
+
+
+class _DrawPlan:
+    """What a draw of one block model evaluates, fixed before its first batch.
+
+    The coupling groups are stacked by size (:class:`_Stack`).  ``order``
+    lists the grouped sources stack by stack and group by group, then the
+    sources in no group; the product's rows g and h are in that order, and
+    ``inverse`` maps them back to the sources'.
+    ``product`` is the one matrix that takes a batch's drawn rows, the k_s
+    source normals n and then the r signal normals e, to the rows g = C n
+    (C the Cholesky factor of the source covariance), h_j = -2 (a^T e +
+    diag(a^T a) g)_j for each grouped source j, and W v with v = a g + e
+    and W = signal.inv_chol.  ``cells`` counts the 2^|group| flips of every
+    group.
+    """
+
+    def __init__(self, model: _BlockModel, groups):
+        a, chol = model.signal_gain, model.marg_s.chol
+        self.ks, self.r = len(model.sources), len(a)
+        coupling = a.T @ a
+        by_size: dict[int, list] = {}
+        for idx in groups:
+            by_size.setdefault(len(idx), []).append(tuple(idx))
+        self.stacks, order = [], []
+        for k in sorted(by_size):
+            self.stacks.append(_Stack(by_size[k], len(order), coupling))
+            order.extend(itertools.chain.from_iterable(by_size[k]))
+        self.kc = len(order)
+        self.cells = sum(len(s.groups) << s.pos.shape[1] for s in self.stacks)
+        grouped = order[:]
+        order.extend(j for j in range(self.ks) if j not in set(grouped))
+        self.order = np.array(order, dtype=int)
+        self.inverse = np.argsort(self.order)
+        ks, kc, r = self.ks, self.kc, self.r
+        self.product = np.zeros((ks + kc + r, ks + r))
+        self.product[:ks, :ks] = chol[self.order]
+        # the factor -2 is a power of two, so it scales each entry exactly
+        self.product[ks:ks + kc, :ks] = -2.0 * np.diag(coupling)[grouped, None] * chol[grouped]
+        self.product[ks:ks + kc, ks:] = -2.0 * a[:, grouped].T
+        inv_chol = model.signal.inv_chol
+        self.product[ks + kc:, :ks] = inv_chol @ a @ chol
+        self.product[ks + kc:, ks:] = inv_chol
+
+
+class _StackScores:
+    """One stack's flip table on a chunk: ``dens[i, c]`` is exp(-shift)
+    p(x | c o g) / p(x | g) for the flips c of its group i, and ``u`` the
+    sign uniforms of its sources, an (n, k, samples) view.  The drawn flip,
+    row 0, has log ratio exactly 0, so only the other rows are computed and
+    row 0 is exp(-shift).  The shift brings every log ratio of a sample
+    below EXP_CEILING; the max-shift pass runs only when some ratio in the
+    stack exceeds the ceiling, and then ``shift`` is an (n, samples) array
+    and ``logs`` keeps the unshifted log ratios; otherwise ``shift`` is the
+    scalar 0.0 and ``logs`` is None.  The contraction over the last source
+    of each group pairs the rows that differ in its flip: ``low`` holds the
+    rows where it is not flipped and ``step`` the flipped rows minus those,
+    both prior-free."""
+
+    def __init__(self, stack: _Stack, u, g, h, buf: _Buffers):
+        n, k = stack.pos.shape
+        w = g.shape[1]
+        self.stack = stack
+        if stack.span is not None:
+            self.u = u[stack.span].reshape(n, k, w)
+        else:
+            self.u = np.take(u, stack.pos.ravel(), axis=0, mode="clip",
+                             out=buf.rows(("u", stack.rows.start), n * k, w)).reshape(n, k, w)
+        gs = g[stack.rows].reshape(n, k, w)
+        hs = h[stack.rows].reshape(n, k, w)
+        self.dens = buf.rows(("dens", stack.rows.start), n << k, w).reshape(n, 1 << k, w)
+        logs = self.dens[:, 1:]
+        if k == 1:
+            np.multiply(gs, hs, out=logs)
+        else:
+            terms = buf.rows(("terms", stack.rows.start), n * stack.mix.shape[2], w)
+            terms = terms.reshape(n, -1, w)
+            np.multiply(gs, hs, out=terms[:, :k])
+            np.multiply(gs[:, stack.first], gs[:, stack.second], out=terms[:, k:])
+            np.matmul(stack.mix, terms, out=logs)
+        self.shift, self.logs = 0.0, None
+        if logs.max() > EXP_CEILING:
+            self.shift = np.maximum(logs.max(axis=1) - EXP_CEILING, 0.0)
+            self.logs = np.concatenate([np.zeros((n, 1, w)), logs], axis=1)
+            logs -= self.shift[:, None]
+            np.exp(-self.shift, out=self.dens[:, 0])
+        else:
+            self.dens[:, 0] = 1.0
+        np.exp(logs, out=logs)
+        self.low = self.dens[:, 0::2]
+        self.step = buf.rows(("step", stack.rows.start), n << (k - 1), w).reshape(n, -1, w)
+        np.subtract(self.dens[:, 1::2], self.low, out=self.step)
+
+
 class _MixtureChunk:
     """A slice of the mixture draw with its prior-free per-sample terms.
 
@@ -406,192 +555,240 @@ class _MixtureChunk:
     all of x that any estimate reads.  ``tot`` is
     log p(x | g) - log p(x) = log N(e; 0, I_r) - log N(v; 0, I_r + a S_s a^T).
     Since v does not involve b, neither does the density ratio of each
-    relative flip c of the sources.  The ratio is a product over the
-    coupling groups, so ``factors`` holds one (positions, shift, dens) per
-    group, where dens[c] = exp(-shift) p(x | c o g) / p(x | g) for the flips
-    c of that group alone.
+    relative flip c of the sources.  Whitened, x - gain (c o g) =
+    z + 2 W (f o g) with f = (1 - c) / 2, and z . W_j = e . a_j,
+    W_j . W_l = a_j . a_l, so the log ratio of flip f is
+    -2 [f . (g o a^T e) + (f o g)^T a^T a (f o g)]
+    = sum_j f_j g_j h_j - 4 sum_{j<l} f_j f_l (a^T a)_jl g_j g_l.
+    The ratio is a product over the coupling groups, and ``stacks`` holds
+    one :class:`_StackScores` per group size.
 
     Layout: sources, signal coordinates and flips index the rows and samples
-    the columns, so every product is a small (k, k) matrix times a (k, m)
-    block of contiguous rows, written in place into the draw's
-    :class:`_Buffers`; ``g``, ``e`` and ``v`` are sample-major (transposed)
-    views of those rows.  The products go through ``np.dot``: ``np.matmul``
-    leaves BLAS for a slow generic loop when the inner dimension is 1, as it
-    is for a singleton group or a block with r = 1.  The drawn flip c = +1, row 0 of ``dens``, has log
-    ratio exactly 0, so only the other 2^|group| - 1 rows are computed and
-    row 0 is exp(-shift).  The shift brings every log ratio of a sample
-    below EXP_CEILING; the max-shift pass runs only when some ratio in the
-    chunk exceeds the ceiling, and otherwise ``shift`` is the scalar 0.0.
+    the columns.  One matrix product of the drawn rows gives g, h and W v
+    at once (:class:`_DrawPlan`), written into the draw's :class:`_Buffers`;
+    ``scores`` is a (2, samples) buffer whose row 0 is ``tot`` and whose
+    row 1 takes a log ratio.  ``u`` holds the sign uniforms as rows;
+    ``g``, ``e`` and ``v`` are sample-major, in the sources' order.
     A chunk's arrays alias the draw's buffers: read them before the next
     chunk is drawn.
     """
 
-    def __init__(self, model: _BlockModel, enumerated, u, g, e, buf: _Buffers):
-        r, m = e.shape
-        a = model.signal_gain
-        self.u = u
-        v = np.dot(a, g, out=buf.rows("v", r, m))
-        v += e
-        self.g, self.e, self.v = g.T, e.T, v.T
-        # tot = 1/2 (log det + |W v|^2 - |e|^2), W = signal.inv_chol, each
-        # squared norm summed over the rows in turn
-        sq = np.dot(model.signal.inv_chol, v, out=buf.rows("sq", r, m))
-        sums = buf.rows("sums", 2, m)
-        self.tot = np.add.reduce(np.square(sq, out=sq), axis=0, out=sums[0])
+    def __init__(self, model: _BlockModel, plan: _DrawPlan, u, drawn, buf: _Buffers):
+        ks, kc = plan.ks, plan.kc
+        self.model, self.plan, self.u, self._buf = model, plan, u, buf
+        self.width = w = drawn.shape[1]
+        prod = np.dot(plan.product, drawn, out=buf.rows("product", len(plan.product), w))
+        self._g, self._e = prod[:ks], drawn[ks:]
+        # tot = 1/2 (log det + |W v|^2 - |e|^2), each squared norm per sample
+        wv = prod[ks + kc:]
+        self.scores = buf.rows("scores", 2, w)
+        self.tot = np.einsum("ij,ij->j", wv, wv, out=self.scores[0])
+        self.tot -= np.einsum("ij,ij->j", self._e, self._e, out=self.scores[1])
         self.tot += model.signal.logdet
-        self.tot -= np.add.reduce(np.square(e, out=sq), axis=0, out=sums[1])
         self.tot *= 0.5
-        # whitened, x - gain (c o g) = z + 2 W (f o g) with f = (1 - c) / 2, and
-        # z . W_j = e . a_j, W_j . W_l = a_j . a_l, so the log ratio of flip f
-        # is -2 [f . (g o a^T e) + (f o g)^T a^T a (f o g)], taken over the
-        # rows g_j (a^T e)_j and g_j g_l of the group
-        ea = np.dot(a.T, e, out=buf.rows("ea", len(a.T), m))
-        self.factors = []
-        self._shifted_logs = {}     # group -> unshifted log ratios, where the max shift ran
-        for i, (idx, flips, pair_gram) in enumerate(enumerated):
-            k = len(idx)
-            gs = g[idx]
-            linear = np.multiply(gs, ea[idx], out=buf.rows("linear", k, m))
-            quad = buf.rows("quad", k * k, m)
-            np.multiply(gs[:, None], gs[None, :], out=quad.reshape(k, k, m))
-            dens = buf.rows(("dens", i), len(flips) + 1, m)
-            log_dens = np.dot(flips, linear, out=dens[1:])
-            log_dens += np.dot(pair_gram, quad, out=buf.rows("pairs", len(flips), m))
-            if log_dens.max() > EXP_CEILING:
-                shift = np.maximum(log_dens.max(axis=0) - EXP_CEILING, 0.0)
-                self._shifted_logs[tuple(idx)] = np.vstack([np.zeros(m), log_dens])
-                log_dens -= shift
-                np.exp(-shift, out=dens[0])
-            else:
-                shift = 0.0
-                dens[0] = 1.0
-            np.exp(log_dens, out=log_dens)
-            self.factors.append((idx, shift, dens))
+        self.stacks = [_StackScores(s, u, self._g, prod[ks:ks + kc], buf) for s in plan.stacks]
 
-    def _group_term(self, idx, shift, s, p: np.ndarray) -> np.ndarray:
-        """One group's log sum_c pi(b o c) p(x | c o g) / p(x | g).
+    @property
+    def g(self) -> np.ndarray:
+        return self._g[self.plan.inverse].T
+
+    @property
+    def e(self) -> np.ndarray:
+        return self._e.T
+
+    @property
+    def v(self) -> np.ndarray:
+        return (self.model.signal_gain @ self._g[self.plan.inverse] + self._e).T
+
+    def _contract(self, s: _StackScores, need, entries: np.ndarray, live) -> np.ndarray:
+        """The terms log sum_c pi(b o c) p(x | c o g) / p(x | g) of the
+        groups ``need`` of the stack ``s``, one row each, given the prior
+        entries of every group of the stack, an (n, k) array, and whether
+        each group has an entry outside {0, 1} (``live``).
 
         The prior is a product over sources, so the sum contracts one source
-        at a time, weighting the drawn sign by its prior r and the flipped
-        one by 1 - r.  A zero-prior component gets weight exactly 0, so a
-        group whose prior entries are all 0 or 1 weights only the drawn flip,
-        of ratio 1: its term is exactly 0 whatever the shift.  With only some
-        entries in {0, 1}, a shift set by a zero-weight flip can underflow
-        every weighted row of a sample; only those samples are contracted
-        again, in the log domain (:meth:`_log_term`)."""
-        if all(p[j] in (0.0, 1.0) for j in idx):
-            return np.zeros(s.shape[-1])
-        for j in reversed(idx):
-            r = np.where(self.u[j] < p[j], p[j], 1.0 - p[j])
-            s = s.reshape(-1, 2, s.shape[-1])
-            s = s[:, 0] * r + s[:, 1] * (1.0 - r)
-        if not np.ndim(shift):      # the max shift did not run on this chunk
-            return np.log(s[0])
-        term = s[0]
-        under = np.flatnonzero(term == 0.0)
-        term[under] = 1.0
-        np.log(term, out=term)
-        term += shift
-        if under.size:
-            term[under] = self._log_term(idx, under, p)
-        return term
+        at a time, for all the groups at once: with weight r on the drawn
+        sign and q = 1 - r on the flipped one, the pair (t0, t1) of rows
+        that differ in that flip becomes t0 + q (t1 - t0).  A zero-prior
+        component gets weight q = 0 exactly, and so contributes exactly
+        nothing; a group whose prior entries are all 0 or 1 weights only
+        the drawn flip, of ratio 1, so its term is exactly 0 whatever the
+        shift, and it is not contracted.  With only some entries in {0, 1},
+        a shift set by a zero-weight flip can underflow every weighted row
+        of a sample; only those samples are contracted again, in the log
+        domain (:meth:`_log_terms`)."""
+        weighted = [i for i in need if live[i]]
+        if len(weighted) == len(need):
+            return self._weighted(s, need, entries)
+        terms = np.zeros((len(need), self.width))
+        if weighted:
+            terms[[i for i, j in enumerate(need) if live[j]]] = self._weighted(s, weighted, entries)
+        return terms
 
-    def _log_term(self, idx, cols, p: np.ndarray) -> np.ndarray:
-        """:meth:`_group_term` of the samples ``cols`` of a shifted group,
-        contracted in the log domain from the unshifted log ratios."""
-        s = self._shifted_logs[tuple(idx)][:, cols]
+    def _weighted(self, s: _StackScores, need, entries: np.ndarray) -> np.ndarray:
+        """:meth:`_contract` of groups with some prior entry outside {0, 1}."""
+        if len(need) == len(s.stack.groups):                # the whole stack: views
+            u, low, step, shift = s.u, s.low, s.step, s.shift
+        else:
+            u, low, step, entries = s.u[need], s.low[need], s.step[need], entries[need]
+            shift = s.shift[need] if s.logs is not None else s.shift
+        q = _flip_weight(u, entries[:, :, None])
+        k = u.shape[1]
+        t = np.multiply(step, q[:, k - 1, None])
+        t += low
+        for j in reversed(range(k - 1)):
+            t = t.reshape(len(need), -1, 2, self.width)
+            low = t[:, :, 0]
+            t = np.subtract(t[:, :, 1], low)
+            t *= q[:, j, None]
+            t += low
+        t = t[:, 0]
+        if s.logs is None:                      # the max shift did not run on this chunk
+            return np.log(t, out=t)
+        under = t == 0.0
+        t[under] = 1.0
+        np.log(t, out=t)
+        t += shift
+        if under.any():
+            rows, cols = np.nonzero(under)
+            t[under] = self._log_terms(s, np.asarray(need)[rows], cols, entries[rows])
+        return t
+
+    def _log_terms(self, s: _StackScores, groups, cols, entries: np.ndarray) -> np.ndarray:
+        """:meth:`_contract` of the (group, sample) cells (``groups``,
+        ``cols``) of a shifted stack, whose prior entries are the rows of
+        ``entries``, in the log domain from the unshifted log ratios."""
+        t = s.logs[groups, :, cols]
+        q = _flip_weight(s.u[groups, :, cols], entries)
         with np.errstate(divide="ignore"):      # a zero-prior weight is log 0 = -inf
-            for j in reversed(idx):
-                r = np.where(self.u[j, cols] < p[j], p[j], 1.0 - p[j])
-                s = s.reshape(-1, 2, len(cols))
-                s = np.logaddexp(s[:, 0] + np.log(r), s[:, 1] + np.log1p(-r))
-        return s[0]
+            for j in reversed(range(q.shape[1])):
+                t = t.reshape(len(cols), -1, 2)
+                t = np.logaddexp(t[:, :, 0] + np.log1p(-q[:, j, None]),
+                                 t[:, :, 1] + np.log(q[:, j, None]))
+        return t[:, 0]
+
+    def _terms(self, priors):
+        """For each prior in ``priors`` in turn, the list of every group's
+        term, stack by stack.  A group's term is kept while a later prior has
+        the same entries for that group, so a grid contracts each group once
+        per distinct value of its own entries (11 times for each of
+        dumbbell's two groups on an 11 x 11 sweep), and a sweep whose entries
+        never recur holds no terms."""
+        table = np.array(priors, dtype=float).reshape(len(priors), -1)
+        states = []
+        for s in self.stacks:
+            entries = table[:, s.stack.pos]                 # (points, n, k)
+            keys = [[tuple(row) for row in point] for point in entries.tolist()]
+            live = (~np.all((entries == 0.0) | (entries == 1.0), axis=2)).tolist()
+            last = [{} for _ in s.stack.groups]          # entries -> last prior using them
+            for n, row in enumerate(keys):
+                for ends, key in zip(last, row):
+                    ends[key] = n
+            states.append((s, entries, keys, live, last, [{} for _ in s.stack.groups]))
+        for n in range(len(priors)):
+            terms = []
+            for s, entries, keys, live, last, held in states:
+                need = [i for i, key in enumerate(keys[n]) if key not in held[i]]
+                fresh = iter(self._contract(s, need, entries[n], live[n]) if need else ())
+                for key, ends, kept in zip(keys[n], last, held):
+                    term = kept.pop(key) if key in kept else next(fresh)
+                    if ends[key] > n:
+                        kept[key] = term
+                    terms.append(term)
+            yield terms
 
     def log_ratios(self, priors):
         """log sum_c pi(b o c) p(x | c o g) - log p(x | g) at each sign prior
-        in ``priors`` in turn: the sum of the groups' terms, and exactly 0 at
-        p in {0, 1}.  A group's term is kept while a later prior has the same
-        entries for that group, so a grid contracts each group once per
-        distinct value of its own entries (11 times for each of dumbbell's two
-        groups on an 11 x 11 sweep), and a sweep whose entries never recur
-        holds no terms.  With a single group the yielded array is that
-        group's term itself: read it, do not write it."""
+        in ``priors`` in turn, the sum of the groups' terms and exactly 0 at
+        p in {0, 1}, written as the rows of (points, samples) blocks of
+        _SWEEP_POINTS rows (fewer in the last).  Each yielded block is a view
+        of one buffer: use it before asking for the next."""
         priors = list(priors)
-        keys = [[tuple(p[idx]) for p in priors] for idx, _, _ in self.factors]
-        last = [{key: n for n, key in enumerate(col)} for col in keys]   # last use
-        held = [{} for _ in self.factors]      # prior entries -> term, per group
-        for n, p in enumerate(priors):
-            terms = []
-            for col, ends, kept, (idx, shift, s) in zip(keys, last, held, self.factors):
-                key = col[n]
-                term = kept.pop(key) if key in kept else self._group_term(idx, shift, s, p)
-                if ends[key] > n:
-                    kept[key] = term
-                terms.append(term)
-            yield sum(terms[1:], terms[0]) if terms else np.zeros(self.u.shape[1])
+        block = self._buf.rows("sweep", min(_SWEEP_POINTS, len(priors)), self.width)
+        filled = 0
+        for terms in self._terms(priors):
+            _sum_rows(terms, block[filled])
+            filled += 1
+            if filled == len(block):
+                yield block
+                filled = 0
+        if filled:
+            yield block[:filled]
 
-    def log_ratio(self, p: np.ndarray) -> np.ndarray:
-        """:meth:`log_ratios` at the single prior ``p``."""
-        return next(self.log_ratios([p]))
+    def log_ratio(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`log_ratios` at the single prior ``p``, written into ``out``."""
+        out = np.empty(self.width) if out is None else out
+        return _sum_rows(next(self._terms([p])), out)
 
     def signs(self, p: np.ndarray) -> np.ndarray:
-        """The +/-1 sign inputs drawn at prior ``p``."""
+        """The +/-1 sign inputs drawn at prior ``p``, sample-major."""
         return np.where(self.u.T < p, 1.0, -1.0)
+
+
+def _flip_weight(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The prior q = 1 - r of each flipped sign, where r, the prior of the
+    drawn sign, is p where u < p and 1 - p elsewhere: q = p - (2 p - 1)
+    [u < p], a multiply and a subtraction where np.where would broadcast p.
+    It is exactly 0 at p in {0, 1}, since u < 0 never holds and u < 1 always
+    does."""
+    q = np.multiply(u < p, 2.0 * p - 1.0)
+    return np.subtract(p, q, out=q)
+
+
+def _sum_rows(terms, out: np.ndarray) -> np.ndarray:
+    """The sum of the arrays ``terms``, in order, written into ``out``."""
+    if not terms:
+        out[...] = 0.0
+    elif len(terms) == 1:
+        np.copyto(out, terms[0])
+    else:
+        np.add(terms[0], terms[1], out=out)
+        for term in terms[2:]:
+            out += term
+    return out
 
 
 def _mixture_chunks(model: _BlockModel, samples: int, rng, groups=None):
     """Stream a deterministic draw of the (signs, sources, targets) model.
 
     Each batch of SAMPLE_BATCH samples draws the sign uniforms, the source
-    values and the signal-subspace target noise, in that order, off one
+    normals and the signal-subspace target noise, in that order, off one
     generator; each draw is copied into the rows of the draw's buffers and
-    freed before the next is made.  The batch is evaluated in slices of at
-    most EVAL_CELLS (sample, enumerated flip) cells, counting the 2^|group|
-    flips of every group.  ``groups`` lists the source positions enumerated
-    jointly, by default the model's coupling groups; a group of more than
+    freed before the next is made.  The batch is evaluated in slices of at most EVAL_CELLS
+    (sample, enumerated flip) cells, counting the 2^|group| flips of every
+    group.  ``groups`` lists the source positions enumerated jointly, by
+    default the model's coupling groups; a group of more than
     MIXTURE_ENUM_CAP sources raises TooManyHidden.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    ks, r = len(model.sources), len(model.signal_gain)
-    coupling = model.signal_gain.T @ model.signal_gain
-    enumerated = []
-    for idx in model.groups if groups is None else groups:
-        idx = list(idx)
-        flips = (1.0 - _enumerate_signs(len(idx))) / 2.0  # 1 marks a flipped source
-        pair_gram = (flips[:, :, None] * flips[:, None, :]
-                     * coupling[np.ix_(idx, idx)]).reshape(len(flips), -1)
-        # row 0 is the drawn flip, whose log ratio is exactly 0; the factor -2
-        # of the log ratio is a power of two, so scaling the tables by it
-        # scales every product exactly
-        enumerated.append((idx, -2.0 * flips[1:], -2.0 * pair_gram[1:]))
-    rows = max(1, EVAL_CELLS // max(1, sum(len(flips) + 1 for _, flips, _ in enumerated)))
+    plan = _DrawPlan(model, model.groups if groups is None else groups)
+    ks, r = plan.ks, plan.r
+    rows = max(1, EVAL_CELLS // max(1, plan.cells))
     buf = _Buffers()
     for start in range(0, samples, SAMPLE_BATCH):
         m = min(SAMPLE_BATCH, samples - start)
         u = buf.rows("u", ks, m)
         u[...] = rng.random((m, ks)).T
-        g = buf.rows("g", ks, m)
-        np.dot(model.marg_s.chol, rng.standard_normal((m, ks)).T, out=g)
-        e = buf.rows("e", r, m)
-        e[...] = rng.standard_normal((m, r)).T
+        drawn = buf.rows("drawn", ks + r, m)
+        drawn[:ks] = rng.standard_normal((m, ks)).T
+        drawn[ks:] = rng.standard_normal((m, r)).T
         for lo in range(0, m, rows):
             sl = slice(lo, lo + rows)
-            yield _MixtureChunk(model, enumerated, u[:, sl], g[:, sl], e[:, sl], buf)
+            yield _MixtureChunk(model, plan, u[:, sl], drawn[:, sl], buf)
 
 
 def _mixture_profile(model: _BlockModel, p: np.ndarray, samples: int, rng) -> dict[str, MIResult]:
     """Gaussian-input MI, conditional sign MI and their total under the sign
-    prior vector ``p``, from one draw."""
-    total, inputs, ratios = _Running(), _Running(), _Running()
+    prior vector ``p``, from one draw.  Each chunk makes one update of the
+    pair (tot, ratio); the inputs' per-sample value is tot + ratio, and the
+    sign term is -ratio, whose running sums are those of ratio negated."""
+    running = _Running(2, cross=True)
     for chunk in _mixture_chunks(model, samples, rng):
-        ratio = chunk.log_ratio(p)
-        total.add(chunk.tot)
-        inputs.add(chunk.tot + ratio)         # log_pred - log p(x)
-        ratios.add(ratio)
-    # the sign term is -ratio, whose running sums are those of ratio negated
-    return {"inputs": inputs.result(), "signs_given_inputs": ratios.result(negated=True),
-            "total": total.result()}
+        chunk.log_ratio(p, out=chunk.scores[1])
+        running.add(chunk.scores)
+    return {"inputs": running.result_of_sum(), "signs_given_inputs": running.result(1, negated=True),
+            "total": running.result(0)}
 
 
 def mixture_mi_profile(
@@ -741,7 +938,6 @@ def decomposition_check(
     h1, h2, g1, g2 = _dumbbell_groups(tree)
     model = _block(tree, tree.observed, tree.hidden)
     p = pi.vector_for(model.sources)
-    lhs, rhs = _Running(), _Running()
     # a group's log likelihood given its hidden value h is, up to terms free
     # of h, h T_h - h^2 S_h / 2 with T_h = sum_o rho_o x_o / sigma_o^2 = a_h . v
     # and S_h = sum_o rho_o^2 / sigma_o^2, sigma_o^2 = 1 - rho_o^2
@@ -751,27 +947,32 @@ def decomposition_check(
         j = model.sources.index(h)
         groups.append((j, model.signal_gain[:, j], float(np.sum(rho**2 / (1.0 - rho**2)))))
     # the left side enumerates both signs jointly, so the split is tested
-    # here, not assumed by the coupling groups
+    # here, not assumed by the coupling groups; row 0 holds its log ratio,
+    # whose negation is the left side, and row 1 the right side
     joint = (tuple(range(len(model.sources))),)
+    running = _Running(2)
     for chunk in _mixture_chunks(model, samples, _rng(seed, "decomposition"), joint):
-        lhs.add(0.0 - chunk.log_ratio(p))
-        y = chunk.signs(p) * chunk.g
-        rhs_vals = np.zeros(len(y))
+        sides = np.empty((2, chunk.width))
+        chunk.log_ratio(p, out=sides[0])
+        g, v = chunk.g, chunk.v
+        y = chunk.signs(p) * g
+        rhs_vals = sides[1]
+        rhs_vals[...] = 0.0
         for j, a_h, s_h in groups:
-            t_h = chunk.v @ a_h
+            t_h = v @ a_h
 
             def group_loglik(hidden_vals: np.ndarray) -> np.ndarray:
                 return hidden_vals * t_h - 0.5 * s_h * hidden_vals**2
 
-            num = group_loglik(chunk.g[:, j])
+            num = group_loglik(g[:, j])
             lse_pred = np.full(len(y), -np.inf)
             for sign, prob in ((1.0, p[j]), (-1.0, 1.0 - p[j])):
                 if prob == 0.0:
                     continue
                 lse_pred = np.logaddexp(lse_pred, math.log(prob) + group_loglik(sign * y[:, j]))
             rhs_vals += num - lse_pred
-        rhs.add(rhs_vals)
-    return lhs.result(), rhs.result()
+        running.add(sides)
+    return running.result(0, negated=True), running.result(1)
 
 
 def optimize_pi(
@@ -813,15 +1014,17 @@ def optimize_pi(
     model = _block(tree, tree.observed, tree.hidden)
     params = [BernoulliParams.make(dict(zip(tree.hidden, point))) for point in grid]
     priors = [pi.vector_for(model.sources) for pi in params]
-    # the sweep reads only the sign term, so it keeps only the ratio sums
-    sums = [_Running() for _ in priors]
+    # the sweep reads only the sign term, so it keeps only the ratio sums,
+    # one running update per block of _SWEEP_POINTS points
+    sums = [_Running(len(priors[lo:lo + _SWEEP_POINTS]))
+            for lo in range(0, len(priors), _SWEEP_POINTS)]
     for chunk in _mixture_chunks(model, samples, _rng(seed, "mixture")):
-        for ratio, running in zip(chunk.log_ratios(priors), sums):
-            running.add(ratio)
+        for block, running in zip(chunk.log_ratios(priors), sums):
+            running.add(block)
     curve = []
     best_idx = 0
-    for idx, (point, running) in enumerate(zip(grid, sums)):
-        est = running.result(negated=True)
+    for idx, point in enumerate(grid):
+        est = sums[idx // _SWEEP_POINTS].result(idx % _SWEEP_POINTS, negated=True)
         curve.append((point if tree.k == 2 else (point[0],), est))
         if est.value > curve[best_idx][1].value:
             best_idx = idx

@@ -512,7 +512,9 @@ def test_grouped_mixture_matches_enumeration_on_random_multilayer_trees():
 
 
 def _enumerated_rows(chunk):
-    return [len(dens) for _, _, dens in chunk.factors]
+    # the 2^|group| flip rows of each group, in the order of the groups
+    rows = {group: s.dens.shape[1] for s in chunk.stacks for group in s.stack.groups}
+    return [rows[group] for group in sorted(rows)]
 
 
 @pytest.mark.parametrize("name, block, rows", [
@@ -588,7 +590,7 @@ def test_flip_ratio_above_the_exp_ceiling(star):
     e = -2.0 * g @ a.T + 0.1
     u = np.array([[0.2], [0.7], [0.4], [0.9]])
     chunk = next(info._mixture_chunks(model, 4, _Scripted(u, w, e)))
-    assert chunk.factors[0][1].max() > 0.0          # the shift is in use
+    assert chunk.stacks[0].shift.max() > 0.0        # the shift is in use
     x = _full_space_targets(model, chunk, np.random.default_rng(6))
 
     def log_cond(signs):
@@ -621,13 +623,13 @@ def test_a_shift_moves_only_the_samples_past_the_exp_ceiling(request, name):
     priors = [np.full(ks, 0.5), rng.uniform(0.05, 0.95, ks)]
 
     chunk = next(info._mixture_chunks(model, 7, _Scripted(u, w, e)))
-    shifts = [shift for _, shift, _ in chunk.factors]
-    assert any(np.ndim(shift) and shift[out] > 0.0 for shift in shifts)
-    assert all(np.ndim(shift) == 0 or np.all(shift[keep] == 0.0) for shift in shifts)
+    shifts = [s.shift for s in chunk.stacks]       # (groups, samples) once the shift runs
+    assert any(np.ndim(shift) and np.any(shift[:, out] > 0.0) for shift in shifts)
+    assert all(np.ndim(shift) == 0 or np.all(shift[:, keep] == 0.0) for shift in shifts)
     got = [chunk.log_ratio(p)[keep] for p in priors]
 
     clean = next(info._mixture_chunks(model, 6, _Scripted(u[keep], w[keep], e[keep])))
-    assert all(np.ndim(shift) == 0 and shift == 0.0 for _, shift, _ in clean.factors)
+    assert all(np.ndim(s.shift) == 0 and s.shift == 0.0 for s in clean.stacks)
     for p, want in zip(priors, got):
         assert np.array_equal(clean.log_ratio(p), want)
 
@@ -639,7 +641,7 @@ def test_zero_prior_component_drops_out(star):
 
     model = info._BlockModel(star, star.observed, star.hidden)
     chunk = next(info._mixture_chunks(model, 1000, info._rng(0, "mixture")))
-    chunk.factors[0][2][1] = 1e300
+    chunk.stacks[0].step[0, 0] = 1e300     # the flipped row less the drawn one
     for p in (0.0, 1.0):
         assert np.all(chunk.log_ratio(np.array([p])) == 0.0)
 
@@ -653,7 +655,7 @@ def test_zero_prior_term_is_exact_past_the_exp_ceiling(star):
     w = np.array([[-25.0], [0.5]])                  # the source has unit variance
     e = np.array([200.0 * np.sign(a[:, 0]), [0.1]])
     chunk = next(info._mixture_chunks(model, 2, _Scripted(np.array([[0.3], [0.6]]), w, e)))
-    assert chunk.factors[0][1][0] > 13000.0
+    assert chunk.stacks[0].shift[0, 0] > 13000.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p in (0.0, 1.0):
@@ -677,7 +679,7 @@ def test_partly_zero_prior_term_is_finite_past_the_exp_ceiling():
     u, w = np.array([[0.3, 0.6]]), np.array([[-25.0, 0.3]])
     e = 200.0 * np.sign(model.signal_gain[:, :1].T)
     chunk = next(info._mixture_chunks(model, 1, _Scripted(u, w, e)))
-    assert chunk.factors[0][1][0] > 20000.0
+    assert chunk.stacks[0].shift[0, 0] > 20000.0
     x = _full_space_targets(model, chunk, np.random.default_rng(6))
     flips = info._enumerate_signs(2)
     log_cond = np.array([model.noise.logpdf(x - (c * chunk.g) @ model.gain.T)[0] for c in flips])
@@ -805,13 +807,14 @@ def test_a_sweep_contracts_a_group_only_when_its_prior_entries_change(dumbbell, 
     # the 11 x 11 grid steps y2's bias fastest: each group is contracted once
     # per distinct value of its own bias, 22 in all instead of 242
     calls = []
-    term = info._MixtureChunk._group_term
+    contract = info._MixtureChunk._contract
 
-    def counting(self, idx, *args):
-        calls.append(tuple(idx))
-        return term(self, idx, *args)
+    def counting(self, s, need, *args):
+        # one contraction call scores the groups ``need`` of a stack at once
+        calls.extend(s.stack.groups[i] for i in need)
+        return contract(self, s, need, *args)
 
-    monkeypatch.setattr(info._MixtureChunk, "_group_term", counting)
+    monkeypatch.setattr(info._MixtureChunk, "_contract", counting)
     _, curve = lg.optimize_pi(dumbbell, 0.1, 1000, 3)
     assert len(curve) == 121
     assert (calls.count((0,)), calls.count((1,)), len(calls)) == (11, 11, 22)
