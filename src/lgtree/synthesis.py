@@ -684,7 +684,13 @@ def frontier_rates(
     zero = RateTuple.make([(0.0, 0.0)], block_length)
     bound = rate_region_check(tree, zero, pi, samples, seed)
     mix, fixed = bound["gaussian_mi"], bound["total_mi"]
-    return RateTuple.make([(max(mix, 0.0) + margin, max(fixed - mix, 0.0) + margin)], block_length)
+    gaussian, sign = max(mix, 0.0), max(fixed - mix, 0.0)
+    if margin < -min(gaussian, sign):
+        raise ValidationError(
+            f"margin {margin} puts a frontier rate below 0; the smallest margin that keeps "
+            f"both rates non-negative is {-min(gaussian, sign)!r}"
+        )
+    return RateTuple.make([(gaussian + margin, sign + margin)], block_length)
 
 
 def estimate_divergence(
@@ -815,12 +821,19 @@ def verify_encoding_constraints(
     n_dim = x.shape[-1]
     if n_uses >= 2:
         # average lag-1 products within each run first; the standard error
-        # is cluster-robust over the drawn pairs rather than over runs
-        prods = np.einsum("rti,rtj->rij", x[:, :-1, :], x[:, 1:, :]) / (n_uses - 1)
+        # is cluster-robust over the drawn pairs rather than over runs.  The
+        # runs are stably sorted by pair first, so each pair's runs lie
+        # together in run order, the products are centred in place and one
+        # reduceat sums the deviations of every pair
+        by_pair = np.argsort(cluster, kind="stable")
+        sorted_runs = x[by_pair]
+        prods = np.einsum("rti,rtj->rij", sorted_runs[:, :-1, :], sorted_runs[:, 1:, :])
+        del sorted_runs
+        prods /= n_uses - 1
         mean = prods.mean(axis=0)
+        prods -= mean
         groups = len(clusters)
-        dev = np.zeros((groups,) + mean.shape)
-        np.add.at(dev, cluster, prods - mean)
+        dev = np.add.reduceat(prods, np.searchsorted(cluster[by_pair], np.arange(groups)), axis=0)
         var = np.einsum("gij,gij->ij", dev, dev) * groups / max(groups - 1, 1)
         se_mat = np.sqrt(var) / len(prods)
         z_lag = float(np.max(np.abs(mean) / np.maximum(se_mat, 1e-300)))

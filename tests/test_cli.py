@@ -589,6 +589,7 @@ def test_readme_commands_parse():
     ("mi-conditional", ["--pi", "y=0.5,zz=0.3"]),   # not a node of the tree
     ("mi-conditional", ["--pi", "x1=0.5,y=0.9"]),   # an observed node
     ("mi-conditional", ["--pi", "y=0.5,y=0.9"]),    # a hidden node twice
+    ("report-all", ["--margin", "-5"]),             # drives a frontier rate below 0
 ])
 def test_non_finite_or_out_of_range_fields_exit_1(command, flags):
     rates = ["--ry", "0.5", "--rb", "0.5"] if "--ry" in OWN_FLAGS[command] else []

@@ -1,8 +1,12 @@
 import ast
+import importlib.util
+import json
 import math
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from lgtree import cli
 
@@ -45,3 +49,34 @@ def test_cli_digests_script_runs_every_subcommand():
     args = next(node.value for node in script.body if isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "ARGS" for t in node.targets))
     assert [ast.literal_eval(key) for key in args.keys] == list(cli._COMMANDS)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PKG / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result_line(wall, correct=True, failed=0):
+    units = {"setup_s": "s", "wall_s": "s", "cpu_s": "s", "peak_rss_mb": "MB"}
+    metrics = {name: {"value": wall if name in ("wall_s", "cpu_s") else 1.0, "unit": unit}
+               for name, unit in units.items()}
+    result = {"correct": correct, "attempted": 8, "failed": failed, "metrics": metrics}
+    return "ok   some check: 1 (limit 2) detail\n" + json.dumps(result) + "\n"
+
+
+def test_bench_pairs_summary_reads_the_last_line_of_each_run():
+    # canned run outputs: no benchmark runs here
+    pairs = _bench_pairs()
+    parent = [pairs.last_json(_result_line(w)) for w in (0.50, 0.40, 0.45, 0.60, 0.55)]
+    change = [pairs.last_json(_result_line(w, failed=f))
+              for w, f in ((0.41, 0), (0.42, 1), (0.40, 0), (0.50, 0), (0.55, 0))]
+    rows = {line.split()[0]: line.split() for line in pairs.summarize(parent, change).splitlines()}
+    # parent wall_s sorted: 0.40 0.45 0.50 0.55 0.60; inclusive quartiles 0.45 and 0.55
+    assert rows["wall_s"][2:] == ["0.5000", "0.4200", "0.4500-0.5500", "(0.1000)", "3/5"]
+    assert rows["setup_s"][-1] == "0/5"          # ties count for neither side
+    assert rows["parent:"][1:] == ["0/40", "operations", "failed,", "5/5", "runs", "correct"]
+    assert rows["change:"][1] == "1/40"
+    with pytest.raises(ValueError):
+        pairs.summarize(parent, change[:4])

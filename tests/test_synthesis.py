@@ -473,6 +473,18 @@ def test_frontier_rates_zero_margin(dumbbell):
     assert abs(m["gaussian_rate_margin"]) < 1e-9
 
 
+def test_a_margin_below_the_frontier_is_named_with_the_smallest_that_works(star):
+    # the error names the margin the caller gave, not the rate it produced
+    pi = BernoulliParams.uniform(star, 0.5)
+    bound = lg.rate_region_check(star, RateTuple.make([(0.0, 0.0)], 2), pi, 2000, 0)
+    mix, fixed = bound["gaussian_mi"], bound["total_mi"]
+    smallest = -min(max(mix, 0.0), max(fixed - mix, 0.0))
+    with pytest.raises(ValidationError, match=f"margin -5.0 .* is {smallest!r}$"):
+        lg.frontier_rates(star, pi, -5.0, 2, samples=2000, seed=0)
+    rates = lg.frontier_rates(star, pi, smallest, 2, samples=2000, seed=0)
+    assert min(rates.gaussian_rate, rates.sign_rate) == 0.0
+
+
 def test_constraint_checklist_passes(star, star_codebook):
     cb, _, _ = star_codebook
     rep = lg.estimate_divergence(star, cb, 1000, 5)
