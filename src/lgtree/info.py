@@ -38,15 +38,20 @@ estimates accumulate as running sums, so memory does not grow with
 ``samples``, and a whole pi grid is evaluated on one draw.  Every estimator
 is deterministic given (seed, samples).
 
-The core keeps sources, signal coordinates and enumerated flips along the
-rows of its arrays and samples along the columns.  Every product is then a
-small (k, k) matrix times a (k, m) block of contiguous rows, written in
-place into buffers sized once per draw, so no batch allocates its
-intermediates afresh.  In each group's flip table the drawn flip has log
-ratio exactly 0, so only the other 2^|group| - 1 rows are computed and the
-drawn row is exp(-shift).  The max shift that keeps exp() finite runs only
-when some log ratio in the chunk exceeds EXP_CEILING; otherwise the shift is
-0 and the table is exp() of the log ratios as they are.
+Each batch is scored in a few wide passes.  The core keeps sources, signal
+coordinates and enumerated flips along the rows of its arrays and samples
+along the columns, in buffers sized once per draw, so no batch allocates
+its intermediates afresh.  One matrix product of the drawn rows gives every
+row that the scores read (:class:`_DrawPlan`).  The coupling groups of one
+size are stacked and scored as one block (:class:`_Stack`): in each
+group's flip table the drawn flip has log ratio exactly 0, so only the
+other 2^|group| - 1 rows are computed and the drawn row is exp(-shift).
+The max shift that keeps exp() finite runs only when some log ratio in the
+stack exceeds EXP_CEILING; otherwise the shift is 0 and the table is exp()
+of the log ratios as they are.  A prior contracts a whole stack at once,
+and the estimates are running sums over (estimates, samples) blocks: one
+update of the pair (tot, ratio) per batch for a profile, and one per block
+of up to 16 grid points for a sweep.
 
 The target noise is drawn only in the block's signal subspace.  Whitened by
 the conditional covariance L L^T, the targets are L^-1 x = W g + z with
@@ -372,9 +377,9 @@ class _Running:
         mean = block.sum(axis=1) / m
         block -= mean[:, None]
         if self.m2.ndim == 2:
-            m2, outer = np.vecdot(block[:, None], block[None]), np.multiply.outer
+            m2, outer = np.einsum("ij,kj->ik", block, block), np.multiply.outer
         else:
-            m2, outer = np.vecdot(block, block), np.multiply
+            m2, outer = np.einsum("ij,ij->i", block, block), np.multiply
         n = self.n + m
         delta = mean - self.mean
         self.mean += delta * (m / n)
@@ -424,8 +429,9 @@ class _Stack:
     ``pos``.  Their sources take the rows ``rows`` of the product's g and h
     rows, group after group, so each of those is an (n, k, samples) view;
     the sign uniforms, kept in the sources' order, are a view too where the
-    stack's sources run in order (``span``), and are gathered otherwise.  The log ratio of flip f (f_j = 1 flips source j)
-    is sum_j f_j g_j h_j - 4 sum_{j<l} f_j f_l (a^T a)_jl g_j g_l
+    stack's sources run in order (``span``), and are gathered otherwise.
+    The log ratio of flip f (f_j = 1 flips source j) is
+    sum_j f_j g_j h_j - 4 sum_{j<l} f_j f_l (a^T a)_jl g_j g_l
     (:class:`_MixtureChunk`); ``mix`` (n, 2^k - 1, k + pairs) maps each
     group's k single-flip terms g_j h_j and its cross products g_j g_l, for
     the source pairs (``first``, ``second``), to the log ratios of every
@@ -438,9 +444,9 @@ class _Stack:
         n, k = self.pos.shape
         self.rows = slice(lo, lo + n * k)
         # the sources' own rows of the sign uniforms, when they run in order
-        first = int(self.pos[0, 0])
-        in_order = np.array_equal(self.pos.ravel(), np.arange(first, first + n * k))
-        self.span = slice(first, first + n * k) if in_order else None
+        start = int(self.pos[0, 0])
+        in_order = np.array_equal(self.pos.ravel(), np.arange(start, start + n * k))
+        self.span = slice(start, start + n * k) if in_order else None
         flips = (1.0 - _enumerate_signs(k)[1:]) / 2.0   # row 0, the drawn flip, is left out
         pairs = list(itertools.combinations(range(k), 2))
         self.first = np.array([j for j, _ in pairs], dtype=int)
@@ -461,9 +467,10 @@ class _DrawPlan:
     ``product`` is the one matrix that takes a batch's drawn rows, the k_s
     source normals n and then the r signal normals e, to the rows g = C n
     (C the Cholesky factor of the source covariance), h_j = -2 (a^T e +
-    diag(a^T a) g)_j for each grouped source j, and W v with v = a g + e
-    and W = signal.inv_chol.  ``cells`` counts the 2^|group| flips of every
-    group.
+    diag(a^T a) g)_j for each grouped source j, and (W v - e) / 2 and
+    W v + e, with v = a g + e and W = signal.inv_chol, whose product gives
+    |W v|^2 - |e|^2 without cancelling two squares.  ``cells`` counts the
+    2^|group| flips of every group.
     """
 
     def __init__(self, model: _BlockModel, groups):
@@ -481,17 +488,16 @@ class _DrawPlan:
         self.cells = sum(len(s.groups) << s.pos.shape[1] for s in self.stacks)
         grouped = order[:]
         order.extend(j for j in range(self.ks) if j not in set(grouped))
-        self.order = np.array(order, dtype=int)
-        self.inverse = np.argsort(self.order)
+        self.inverse = np.argsort(order)
         ks, kc, r = self.ks, self.kc, self.r
-        self.product = np.zeros((ks + kc + r, ks + r))
-        self.product[:ks, :ks] = chol[self.order]
-        # the factor -2 is a power of two, so it scales each entry exactly
+        self.product = np.zeros((ks + kc + 2 * r, ks + r))
+        self.product[:ks, :ks] = chol[order]
+        # the factors -2 and 1/2 are powers of two, so they scale exactly
         self.product[ks:ks + kc, :ks] = -2.0 * np.diag(coupling)[grouped, None] * chol[grouped]
         self.product[ks:ks + kc, ks:] = -2.0 * a[:, grouped].T
-        inv_chol = model.signal.inv_chol
-        self.product[ks + kc:, :ks] = inv_chol @ a @ chol
-        self.product[ks + kc:, ks:] = inv_chol
+        inv_chol, white = model.signal.inv_chol, model.signal.inv_chol @ a @ chol
+        self.product[ks + kc:ks + kc + r] = np.hstack([white, inv_chol - np.eye(r)]) / 2.0
+        self.product[ks + kc + r:] = np.hstack([white, inv_chol + np.eye(r)])
 
 
 class _StackScores:
@@ -564,8 +570,8 @@ class _MixtureChunk:
     one :class:`_StackScores` per group size.
 
     Layout: sources, signal coordinates and flips index the rows and samples
-    the columns.  One matrix product of the drawn rows gives g, h and W v
-    at once (:class:`_DrawPlan`), written into the draw's :class:`_Buffers`;
+    the columns.  One matrix product of the drawn rows gives g, h and the
+    two rows of ``tot`` at once (:class:`_DrawPlan`), written into the draw's :class:`_Buffers`;
     ``scores`` is a (2, samples) buffer whose row 0 is ``tot`` and whose
     row 1 takes a log ratio.  ``u`` holds the sign uniforms as rows;
     ``g``, ``e`` and ``v`` are sample-major, in the sources' order.
@@ -579,13 +585,13 @@ class _MixtureChunk:
         self.width = w = drawn.shape[1]
         prod = np.dot(plan.product, drawn, out=buf.rows("product", len(plan.product), w))
         self._g, self._e = prod[:ks], drawn[ks:]
-        # tot = 1/2 (log det + |W v|^2 - |e|^2), each squared norm per sample
-        wv = prod[ks + kc:]
+        # tot = 1/2 (log det + |W v|^2 - |e|^2), the difference of squares
+        # summed per sample as (W v - e) / 2 . (W v + e)
+        r = plan.r
         self.scores = buf.rows("scores", 2, w)
-        self.tot = np.einsum("ij,ij->j", wv, wv, out=self.scores[0])
-        self.tot -= np.einsum("ij,ij->j", self._e, self._e, out=self.scores[1])
-        self.tot += model.signal.logdet
-        self.tot *= 0.5
+        self.tot = np.einsum("ij,ij->j", prod[ks + kc:ks + kc + r], prod[ks + kc + r:],
+                             out=self.scores[0])
+        self.tot += 0.5 * model.signal.logdet
         self.stacks = [_StackScores(s, u, self._g, prod[ks:ks + kc], buf) for s in plan.stacks]
 
     @property
@@ -990,7 +996,9 @@ def optimize_pi(
     sweep shares one draw of ``samples`` from the master seed, reweighted at
     each grid point: every curve point equals
     ``mixture_mi_profile(tree, pi, samples, seed)`` at that point, and
-    neighbouring points (mirror images too) carry correlated errors.
+    neighbouring points (mirror images too) carry correlated errors.  Each
+    batch writes the sign term of _SWEEP_POINTS consecutive points into one
+    (points, samples) block, and each block makes one running update.
     """
     if tree.k == 0:
         raise ValidationError("tree has no hidden nodes, so it has no sign bias to optimise")

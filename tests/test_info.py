@@ -511,6 +511,41 @@ def test_grouped_mixture_matches_enumeration_on_random_multilayer_trees():
             _assert_log_ratio_matches_enumeration(model, rng)
 
 
+def _three_and_two_tree():
+    """Groups (y1, y2, y3) through x0, (y4, y5) through x1 and (y6, y7)
+    through x2, joined by the hidden edges y3-y4 and y5-y6: one stack of
+    three sources and one of two groups of two."""
+    lines = ["node x0 observed", "node x1 observed", "node x2 observed"]
+    for i in range(1, 8):
+        lines += [f"node y{i} hidden", f"node a{i} observed", f"node b{i} observed",
+                  f"edge y{i} a{i} 0.{6 + i % 3}", f"edge y{i} b{i} 0.{5 + i % 4}"]
+    lines += ["edge y1 x0 0.7", "edge y2 x0 0.6", "edge y3 x0 0.65", "edge y4 x1 0.7",
+              "edge y5 x1 0.6", "edge y6 x2 0.7", "edge y7 x2 0.55", "edge y3 y4 0.5",
+              "edge y5 y6 0.45"]
+    return lg.validate_tree(lg.parse_tree_text("\n".join(lines) + "\n"))
+
+
+def test_stacks_of_larger_groups_match_enumeration_and_single_priors():
+    # every flip of a three-source group and of two stacked pairs against the
+    # joint enumeration; then a run of priors that recontracts one pair of
+    # the stack alone, or drops it to exactly 0, reads as each prior does alone
+    tree = _three_and_two_tree()
+    model = info._block(tree, tree.observed, tree.hidden)
+    assert [list(g) for g in model.groups] == [[0, 1, 2], [3, 4], [5, 6]]
+    _assert_log_ratio_matches_enumeration(model, np.random.default_rng(5))
+    chunk = next(info._mixture_chunks(model, 600, info._rng(2, "mixture")))
+    assert sorted(len(s.stack.groups) for s in chunk.stacks) == [1, 2]
+    base = np.array([0.3, 0.6, 0.45, 0.2, 0.7, 0.35, 0.8])
+    priors = [base, base.copy(), base.copy(), base.copy(), base]
+    priors[1][3:5] = [0.5, 0.1]          # the first pair alone changes
+    priors[2][3:5] = [0.0, 1.0]          # and then weights only its drawn flip
+    priors[3][5:7] = [1.0, 0.25]         # one entry of the second pair in {0, 1}
+    rows = np.vstack(list(chunk.log_ratios(priors)))
+    for p, row in zip(priors, rows):
+        assert np.array_equal(row, chunk.log_ratio(p))
+    assert not np.array_equal(rows[0], rows[1])
+
+
 def _enumerated_rows(chunk):
     # the 2^|group| flip rows of each group, in the order of the groups
     rows = {group: s.dens.shape[1] for s in chunk.stacks for group in s.stack.groups}
