@@ -452,18 +452,18 @@ class _Stack:
         self.first = np.array([j for j, _ in pairs], dtype=int)
         self.second = np.array([l for _, l in pairs], dtype=int)
         cross = -4.0 * coupling[self.pos[:, self.first], self.pos[:, self.second]]
+        both = flips[:, self.first] * flips[:, self.second]     # flips that move both
         self.mix = np.concatenate([np.broadcast_to(flips, (n,) + flips.shape),
-                                   cross[:, None, :] * (flips[:, self.first] * flips[:, self.second])],
-                                  axis=2)
+                                   cross[:, None, :] * both], axis=2)
 
 
 class _DrawPlan:
     """What a draw of one block model evaluates, fixed before its first batch.
 
-    The coupling groups are stacked by size (:class:`_Stack`).  ``order``
-    lists the grouped sources stack by stack and group by group, then the
-    sources in no group; the product's rows g and h are in that order, and
-    ``inverse`` maps them back to the sources'.
+    The coupling groups are stacked by size (:class:`_Stack`).  The
+    product's rows g and h list the grouped sources stack by stack and group
+    by group, g then the sources in no group, and ``inverse`` maps the rows
+    of g back to the sources' order.
     ``product`` is the one matrix that takes a batch's drawn rows, the k_s
     source normals n and then the r signal normals e, to the rows g = C n
     (C the Cholesky factor of the source covariance), h_j = -2 (a^T e +
@@ -571,8 +571,9 @@ class _MixtureChunk:
 
     Layout: sources, signal coordinates and flips index the rows and samples
     the columns.  One matrix product of the drawn rows gives g, h and the
-    two rows of ``tot`` at once (:class:`_DrawPlan`), written into the draw's :class:`_Buffers`;
-    ``scores`` is a (2, samples) buffer whose row 0 is ``tot`` and whose
+    two factors of ``tot`` at once (:class:`_DrawPlan`), written into the
+    draw's :class:`_Buffers`; ``scores`` is a (2, samples) buffer whose row
+    0 is ``tot`` and whose
     row 1 takes a log ratio.  ``u`` holds the sign uniforms as rows;
     ``g``, ``e`` and ``v`` are sample-major, in the sources' order.
     A chunk's arrays alias the draw's buffers: read them before the next
@@ -793,7 +794,8 @@ def _mixture_profile(model: _BlockModel, p: np.ndarray, samples: int, rng) -> di
     for chunk in _mixture_chunks(model, samples, rng):
         chunk.log_ratio(p, out=chunk.scores[1])
         running.add(chunk.scores)
-    return {"inputs": running.result_of_sum(), "signs_given_inputs": running.result(1, negated=True),
+    return {"inputs": running.result_of_sum(),
+            "signs_given_inputs": running.result(1, negated=True),
             "total": running.result(0)}
 
 
