@@ -31,11 +31,16 @@ def main() -> int:
 
     tree = lg.load_tree(args.tree_path)
     pi = BernoulliParams.uniform(tree, args.pi)
+    lengths = [int(v) for v in args.lengths.split(",")]
+    # the frontier pair does not depend on N; it is estimated once, at the
+    # longest block, whose limit on N R binds the margin hardest
+    frontier = lg.frontier_rates(
+        tree, pi, args.margin, max(lengths), samples=args.frontier_samples, seed=5
+    )
+    pair = [(frontier.gaussian_rate, frontier.sign_rate)]
     rows = ["block_length,kl_estimate,kl_std_error,tv_upper_bound,components"]
-    for n_uses in (int(v) for v in args.lengths.split(",")):
-        rates = lg.frontier_rates(
-            tree, pi, args.margin, n_uses, samples=args.frontier_samples, seed=5
-        )
+    for n_uses in lengths:
+        rates = lg.RateTuple.make(pair, n_uses)
         codebook = lg.build_codebooks(tree, rates, pi, args.seed)
         report = lg.estimate_divergence(tree, codebook, args.samples, 17)
         my, mb = rates.codeword_counts()

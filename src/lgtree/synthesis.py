@@ -5,14 +5,16 @@ symbol per top-layer node per channel use) and Gaussian codewords.  A
 Gaussian codeword exists per (gaussian index, sign index) pair: at each
 channel use its symbol follows the Gaussian law fixed by the sign codeword's
 realisation there, so for every fixed sign codeword the Gaussian sub-codebook
-is an i.i.d. sample of the conditional input law.  Pair codewords are never
-stored.  Their white noise comes from a counter-based stream (Philox4x64-10)
-keyed by the top layer's "codeword_noise" substream and counted by (pair,
-block), so any set of pairs regenerates in one vectorised call with the
-same values as one pair at a time, and desk-scale codebooks stay within
-memory.  A call regenerates each distinct pair once and gathers its
-repeats, so emission pays for the pairs drawn, not for the runs, and adds
-each layer's innovation noise to its output in place.  Every seeded draw
+is an i.i.d. sample of the conditional input law.  Their white noise comes
+from a counter-based stream (Philox4x64-10) keyed by the top layer's
+"codeword_noise" substream and counted by (pair, block), so any set of
+pairs regenerates in one vectorised call with the same values as one pair
+at a time.  A codebook of at most MIXTURE_CAP pairs stores them all in a
+table built with it, which the mixture density and emission read; above
+the cap, where no mixture is evaluated, pair codewords are never stored,
+and a call regenerates each distinct pair once and gathers its repeats, so
+emission pays for the pairs drawn, not for the runs.  Emission adds each
+layer's innovation noise to its output in place.  Every seeded draw
 here takes a named substream of the caller's seed from the one table in
 ``info.STREAMS``.  A symbol with sign realisation b is coloured by D L D,
 where L is the Cholesky factor of the layer covariance and D = diag(b b_1)
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -64,7 +66,7 @@ from .info import BernoulliParams, _BlockModel, _block, _rng, _seed, _stream, bl
 from .trees import GaussianTree, joint_covariance  # noqa: F401 (bench's tracer test asserts it)
 
 CODEBOOK_CAP = 2**16       # per-table codeword count cap
-MIXTURE_CAP = 2**14        # cap on exactly evaluated mixture components
+MIXTURE_CAP = 2**14        # cap on exactly evaluated mixture components and tabled pairs
 PATTERN_CAP = 2**12        # cap on the top layer's covariance sign patterns
 CODEWORD_ROWS = 2**12      # pair codewords generated per slice
 # (sample, component) cells per log-density slab: 1 MiB of float64, so the
@@ -74,6 +76,7 @@ CODEWORD_ROWS = 2**12      # pair codewords generated per slice
 SLAB_CELLS = 2**17
 UNDERFLOW_LOG = -700.0     # a row's log-sum below this is recomputed with a max shift
 GEMM_COLUMNS = 16          # log-density components are padded to a multiple of this
+BLOCK_COLUMNS = 256        # log-density components per GEMM, a multiple of GEMM_COLUMNS
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest N R with a finite exp(N R)
 THREE_SIGMA_MASS = 0.0026997960632601866       # two-sided normal mass beyond 3 sigma
 
@@ -240,6 +243,19 @@ class LayerCodebook:
     signs: np.ndarray          # (M_B, N, k) +/-1 sign codewords
     pattern_codes: np.ndarray  # (M_B, N) canonical pattern index per sign symbol
     chol: np.ndarray           # (k, k) Cholesky factor L of the layer covariance
+    # (M_Y M_B, N, k) read-only pair codewords, row g M_B + s, when
+    # M_Y M_B <= MIXTURE_CAP, else None; built from the fields above
+    table: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Build the pair-codeword table.  ``dataclasses.replace`` calls this
+        too, so a table always matches the signs and counts it sits with."""
+        table = None
+        pairs = self.gauss_count * self.sign_count
+        if pairs <= MIXTURE_CAP:
+            table = self._distinct_codewords(*np.divmod(np.arange(pairs), self.sign_count))
+            table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     @property
     def sign_count(self) -> int:
@@ -287,12 +303,15 @@ class LayerCodebook:
         is coloured by D L D, the Cholesky factor of D Sigma D, where D is
         the sign codeword's canonical pattern there (its realisation times
         its first entry) and L the Cholesky factor of the layer covariance
-        Sigma.  Each distinct pair of a call is regenerated once and its
-        repeats are gathered from it, so a call costs the distinct pairs, not
-        the requested ones; a pair's codeword is a pure function of its
-        indices, so the values are those of one pair at a time."""
+        Sigma.  Both indices are range-checked; the codewords are then
+        gathered from the table, or, above MIXTURE_CAP pairs, where there is
+        none, each distinct pair of the call is regenerated once and its
+        repeats are gathered from it.  A pair's codeword is a pure function
+        of its indices, so both paths give the values of one pair at a time."""
         g, s = self._pairs(gauss_index, sign_index)
         pair = g.astype(np.int64) * self.sign_count + s.astype(np.int64)
+        if self.table is not None:
+            return np.take(self.table, pair, axis=0)
         ids, inverse = np.unique(pair.ravel(), return_inverse=True)
         distinct = self._distinct_codewords(*np.divmod(ids, self.sign_count))
         out = np.empty(g.shape + distinct.shape[1:])
@@ -448,7 +467,8 @@ def synthesize(
     ``sign_index`` hold each run's top-layer pair indices, and ``y`` and
     ``b`` map each depth to that layer's inputs and signs.
 
-    Each distinct pair drawn is regenerated once
+    The drawn pairs' codewords are gathered from the codebook's table, or,
+    above MIXTURE_CAP pairs, regenerated once per distinct pair
     (:meth:`LayerCodebook.gaussian_codeword`).  Each layer's innovation
     noise is drawn and added in place, CODEWORD_ROWS runs at a time in run
     order, so the stream is read as by one draw of the whole layer.
@@ -511,38 +531,75 @@ def _mixture_components(tree: GaussianTree, codebook: Codebook):
     Signs below the top layer flip both edge groups incident to their layer
     and cancel from the emitted law, so the mixture is over the top layer's
     (gaussian, sign) codeword pairs; ``inputs`` (C, N, k) holds their signed
-    symbols b y, and ``model`` is the coded channel (:func:`_channel`).
+    symbols b y, read from the top layer's pair-codeword table, and
+    ``model`` is the coded channel (:func:`_channel`).
     """
     top = codebook.top
     my, mb = top.gauss_count, top.sign_count
-    if my * mb > MIXTURE_CAP:
+    if top.table is None:
         raise MixtureTooLarge(
             f"{my} x {mb} mixture components exceed the cap {MIXTURE_CAP}"
         )
-    y = top.gaussian_codeword(np.arange(my)[:, None], np.arange(mb))  # (M_Y, M_B, N, k)
-    inputs = top.signs * y
-    return inputs.reshape((my * mb,) + inputs.shape[2:]), _channel(tree)
+    inputs = top.table.reshape((my, mb) + top.signs.shape[1:]) * top.signs
+    return inputs.reshape(top.table.shape), _channel(tree)
 
 
-def _log_sum_exp_rows(x_aug: np.ndarray, m_aug: np.ndarray, count: int, shift: bool) -> np.ndarray:
+def _column_blocks(rows: np.ndarray, m_aug: np.ndarray, count: int, buf: np.ndarray):
+    """Yield rows @ m_aug one block of BLOCK_COLUMNS columns at a time, in
+    column order, each in the front of the flat buffer ``buf`` and cut to
+    the columns below ``count``.  Every block starts below ``count``: the
+    padding is narrower than GEMM_COLUMNS, which divides BLOCK_COLUMNS."""
+    for lo in range(0, m_aug.shape[1], BLOCK_COLUMNS):
+        block = m_aug[:, lo:lo + BLOCK_COLUMNS]
+        cells = buf[:len(rows) * block.shape[1]].reshape(len(rows), block.shape[1])
+        np.matmul(rows, block, out=cells)
+        yield cells[:, :count - lo]
+
+
+def _sum_exp(rows: np.ndarray, m_aug: np.ndarray, count: int, buf: np.ndarray,
+             shift: np.ndarray | None = None) -> np.ndarray:
+    """sum_c exp((rows @ m_aug)[i, c] - shift[i]) over the first ``count``
+    columns c, for each row i.  Each block's row sums (einsum, no BLAS) are
+    added to the totals block by block in column order, so a row's total
+    does not depend on which rows share its slab."""
+    total = np.zeros(len(rows))
+    part = np.empty(len(rows))
+    for cells in _column_blocks(rows, m_aug, count, buf):
+        if shift is not None:
+            cells -= shift[:, None]
+        np.exp(cells, out=cells)
+        np.einsum("ij->i", cells, out=part)
+        total += part
+    return total
+
+
+def _log_sum_exp_rows(x_aug: np.ndarray, m_aug: np.ndarray, count: int) -> np.ndarray:
     """log sum_c exp((x_aug @ m_aug)[i, c]) over the first ``count`` columns
-    c, for each row i, one slab of at most SLAB_CELLS cells at a time; with
-    ``shift`` each row's cells are first shifted by their maximum.  A sum of
-    0 gives -inf."""
-    rows = max(1, SLAB_CELLS // m_aug.shape[1])
-    slab = np.empty((min(rows, len(x_aug)), m_aug.shape[1]))
-    sums, shifts = np.empty(len(x_aug)), np.zeros(len(x_aug))
+    c, for each row i, whose cells must all be <= 0.
+
+    The rows go SLAB_CELLS // BLOCK_COLUMNS at a time, and each slab of rows
+    meets the columns in blocks of BLOCK_COLUMNS (:func:`_sum_exp`), so one
+    slab of SLAB_CELLS cells is the only buffer whatever the component
+    count.  A row whose log-sum falls below UNDERFLOW_LOG, where its terms
+    leave exp's normal range, is summed again within its slab: a max pass
+    over the same blocks finds its shift, and a second pass sums the
+    shifted terms."""
+    rows = SLAB_CELLS // BLOCK_COLUMNS
+    buf = np.empty(min(rows, len(x_aug)) * min(BLOCK_COLUMNS, m_aug.shape[1]))
+    out = np.empty(len(x_aug))
     for start in range(0, len(x_aug), rows):
-        stop = min(start + rows, len(x_aug))
-        part = slab[:stop - start]
-        np.matmul(x_aug[start:stop], m_aug, out=part)
-        if shift:
-            shifts[start:stop] = part.max(axis=1)
-            part -= shifts[start:stop, None]
-        np.exp(part, out=part)
-        part[:, :count].sum(axis=1, out=sums[start:stop])
-    with np.errstate(divide="ignore"):
-        return np.log(sums) + shifts
+        slab = x_aug[start:start + rows]
+        logs = out[start:start + len(slab)]
+        with np.errstate(divide="ignore"):
+            np.log(_sum_exp(slab, m_aug, count, buf), out=logs)
+        low = np.flatnonzero(logs < UNDERFLOW_LOG)
+        if low.size:
+            far = slab[low]
+            shift = np.full(len(far), -np.inf)
+            for cells in _column_blocks(far, m_aug, count, buf):
+                np.maximum(shift, cells.max(axis=1), out=shift)
+            logs[low] = np.log(_sum_exp(far, m_aug, count, buf, shift)) + shift
+    return out
 
 
 def _block_log_density(x: np.ndarray, inputs: np.ndarray, model: _BlockModel) -> np.ndarray:
@@ -553,11 +610,12 @@ def _block_log_density(x: np.ndarray, inputs: np.ndarray, model: _BlockModel) ->
     Whitened by that covariance L L^T, every mean lies in the span of the
     channel's signal basis Q = ``model.basis``, with coordinates m_p = a y
     for a = ``model.signal_gain``.  With x_p = Q^T x_w, the part of x_w
-    orthogonal to Q enters only as -(|x_w|^2 - |x_p|^2)/2.  One GEMM of
-    [x_p, 1, -|x_p|^2/2] against [m_p; -|m_p|^2/2; 1] fills a slab with each
-    cell's -|x_p - m_p|^2/2 <= 0, so exp cannot overflow and the slab needs
-    no max shift; a row whose log-sum falls below UNDERFLOW_LOG, where its
-    terms leave exp's normal range, is recomputed with its own shift.
+    orthogonal to Q enters only as -(|x_w|^2 - |x_p|^2)/2.  GEMMs of
+    [x_p, 1, -|x_p|^2/2] against column blocks of [m_p; -|m_p|^2/2; 1] fill
+    slabs with each cell's -|x_p - m_p|^2/2 <= 0, so exp cannot overflow
+    and needs no max shift; a row whose log-sum falls below UNDERFLOW_LOG,
+    where its terms leave exp's normal range, is summed again with its own
+    shift (:func:`_log_sum_exp_rows`).
 
     The component columns are padded with copies of the first to a multiple
     of GEMM_COLUMNS and left out of the sums.  Without it, OpenBLAS computed
@@ -586,11 +644,7 @@ def _block_log_density(x: np.ndarray, inputs: np.ndarray, model: _BlockModel) ->
     m_aug[dim + 1, :comp_count] = 1.0
     m_aug[:, comp_count:] = m_aug[:, :1]                            # the padding
 
-    out = _log_sum_exp_rows(x_aug, m_aug, comp_count, shift=False)
-    low = np.flatnonzero(out < UNDERFLOW_LOG)
-    if low.size:
-        out[low] = _log_sum_exp_rows(x_aug[low], m_aug, comp_count, shift=True)
-    return out + const - perp
+    return _log_sum_exp_rows(x_aug, m_aug, comp_count) + const - perp
 
 
 def _independence_stat(z: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
@@ -604,7 +658,12 @@ def _independence_stat(z: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
     (An Introduction to Multivariate Statistical Analysis, 2003, ch. 10).
     """
     n = z.shape[1]
-    classes = [c for c in (z[labels == v] for v in np.unique(labels)) if len(c) >= n + 2]
+    # rows grouped by a stable sort of their labels: np.unique would import
+    # numpy.ma, 8-9 ms in every process that checks the constraints
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    classes = [c for c in np.split(z[order], cuts) if len(c) >= n + 2]
     if len(classes) < 2:
         return 0.0, 0
 
@@ -678,6 +737,8 @@ def frontier_rates(
     The frontier is :func:`rate_region_check` at zero rates, the bounds of
     the coded channel observed | top layer, so checking the returned rates
     with matching (pi, samples, seed) reports margins of exactly ``margin``.
+    A margin that puts a rate below 0, or N times a rate above
+    LOG_FLOAT_MAX, is refused with the smallest or largest margin that works.
     """
     if not math.isfinite(margin):
         raise ValidationError(f"margin must be a finite number, got {margin}")
@@ -689,6 +750,15 @@ def frontier_rates(
         raise ValidationError(
             f"margin {margin} puts a frontier rate below 0; the smallest margin that keeps "
             f"both rates non-negative is {-min(gaussian, sign)!r}"
+        )
+    top = float(max(gaussian, sign))
+    largest = LOG_FLOAT_MAX / block_length - top
+    while (top + largest) * block_length > LOG_FLOAT_MAX:
+        largest = math.nextafter(largest, -math.inf)
+    if margin > largest:
+        raise ValidationError(
+            f"margin {margin} puts N R above {LOG_FLOAT_MAX:.2f} for a frontier rate at "
+            f"N = {block_length}; the largest margin that keeps both within it is {largest!r}"
         )
     return RateTuple.make([(gaussian + margin, sign + margin)], block_length)
 

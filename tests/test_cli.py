@@ -590,6 +590,7 @@ def test_readme_commands_parse():
     ("mi-conditional", ["--pi", "x1=0.5,y=0.9"]),   # an observed node
     ("mi-conditional", ["--pi", "y=0.5,y=0.9"]),    # a hidden node twice
     ("report-all", ["--margin", "-5"]),             # drives a frontier rate below 0
+    ("report-all", ["--margin", "1e5"]),            # drives N R above LOG_FLOAT_MAX
 ])
 def test_non_finite_or_out_of_range_fields_exit_1(command, flags):
     rates = ["--ry", "0.5", "--rb", "0.5"] if "--ry" in OWN_FLAGS[command] else []
@@ -600,6 +601,9 @@ def test_non_finite_or_out_of_range_fields_exit_1(command, flags):
     assert code == 1 and out == ""
     # synthesize reads no margin or TV threshold, so those flags stop at the parser
     assert ("ValidationError" if flags[0] in OWN_FLAGS[command] else "ParseError") in err
+    if (command, flags) == ("report-all", ["--margin", "1e5"]):
+        # the error names the margin given, not the rate it produced
+        assert "margin 100000.0 " in err and "largest margin" in err
 
 
 @pytest.mark.parametrize("spec, node", [("y=0.5,zz=0.3", "'zz'"), ("x1=0.5,y=0.9", "'x1'"),
@@ -754,7 +758,8 @@ def test_running_the_cli_imports_no_scipy():
         "    code = lgtree.cli.main(['report-all', 'trees/star.tree', '--samples', '1000',"
         " '--deterministic'])\n"
         "assert code == 0, code\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(sorted(m for m in sys.modules if m in ('scipy', 'numpy.ma')"
+        " or m.startswith('scipy.')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=PKG)
     assert proc.returncode == 0, proc.stderr

@@ -330,6 +330,35 @@ def test_projected_log_density_matches_two_pass_formula(request, name, rates, bl
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("comp_count", [
+    1, synthesis.BLOCK_COLUMNS - 1, synthesis.BLOCK_COLUMNS, synthesis.BLOCK_COLUMNS + 1, 1000,
+])
+def test_block_log_density_matches_two_pass_formula_across_column_blocks(
+        star, comp_count, monkeypatch):
+    # 1000 components are not a multiple of GEMM_COLUMNS; 1300 rows span
+    # three slabs, and every third row sits 60 gains out along the signal,
+    # so its unshifted sum underflows and its slab sums it again shifted
+    model = synthesis._channel(star)
+    rng = np.random.default_rng(comp_count)
+    inputs = rng.standard_normal((comp_count, 2, len(model.sources)))
+    x = rng.standard_normal((1300, 2, len(star.observed)))
+    x[::3] += model.gain @ np.full(len(model.sources), 60.0)
+    shifted = []
+    real = synthesis._sum_exp
+
+    def recording(rows, *args):
+        if len(args) == 4:
+            shifted.append(len(rows))
+        return real(rows, *args)
+
+    monkeypatch.setattr(synthesis, "_sum_exp", recording)
+    got = synthesis._block_log_density(x, inputs, model)
+    assert len(x) > 2 * (synthesis.SLAB_CELLS // synthesis.BLOCK_COLUMNS)
+    assert len(shifted) == 3 and sum(shifted) == len(x[::3])
+    want = _two_pass_log_density(x, inputs @ model.gain.T, model.noise.cov)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-12)
+
+
 def test_block_log_density_peak_memory_stays_within_two_slabs(star, degenerate_codebook):
     inputs, model = _mixture_components(star, degenerate_codebook)
     x = lg.synthesize(star, degenerate_codebook, 5000, 8)
@@ -483,6 +512,17 @@ def test_a_margin_below_the_frontier_is_named_with_the_smallest_that_works(star)
         lg.frontier_rates(star, pi, -5.0, 2, samples=2000, seed=0)
     rates = lg.frontier_rates(star, pi, smallest, 2, samples=2000, seed=0)
     assert min(rates.gaussian_rate, rates.sign_rate) == 0.0
+
+
+def test_a_margin_above_the_largest_rate_is_named_with_the_largest_that_works(star):
+    pi = BernoulliParams.uniform(star, 0.5)
+    with pytest.raises(ValidationError, match=r"margin 100000.0 .* is (\S+)$") as caught:
+        lg.frontier_rates(star, pi, 1e5, 2, samples=2000, seed=0)
+    largest = float(caught.value.args[0].rsplit(" ", 1)[1])
+    rates = lg.frontier_rates(star, pi, largest, 2, samples=2000, seed=0)
+    assert max(rates.gaussian_rate, rates.sign_rate) * 2 <= synthesis.LOG_FLOAT_MAX
+    with pytest.raises(ValidationError, match="largest margin"):
+        lg.frontier_rates(star, pi, math.nextafter(largest, math.inf), 2, samples=2000, seed=0)
 
 
 def test_constraint_checklist_passes(star, star_codebook):
@@ -675,6 +715,11 @@ def test_codeword_batch_matches_single(four_hidden, monkeypatch):
 
 
 def test_a_call_regenerates_each_distinct_pair_once(star, degenerate_codebook, monkeypatch):
+    # below MIXTURE_CAP pairs emission gathers every codeword from the
+    # codebook's table; above it, where there is no table, each distinct
+    # drawn pair is regenerated once, at most CODEWORD_ROWS pairs a slice
+    pi = BernoulliParams.uniform(star, 0.5)
+    above = lg.build_codebooks(star, RateTuple.make([(math.log(2**15), 0.0)], 1), pi, 11)
     regenerated = []
     noise = synthesis.LayerCodebook.white_noise
 
@@ -683,12 +728,52 @@ def test_a_call_regenerates_each_distinct_pair_once(star, degenerate_codebook, m
         return noise(self, g, s)
 
     monkeypatch.setattr(synthesis.LayerCodebook, "white_noise", counting)
-    _, internals = lg.synthesize(star, degenerate_codebook, 100000, 3, return_internals=True)
-    top = degenerate_codebook.top
-    assert (top.gauss_count, top.sign_count) == (2**14, 1)
+    below = degenerate_codebook.top
+    assert (below.gauss_count, below.sign_count) == (2**14, 1) and below.table is not None
+    lg.synthesize(star, degenerate_codebook, 100000, 3)
+    assert regenerated == []
+
+    _, internals = lg.synthesize(star, above, 100000, 3, return_internals=True)
+    top = above.top
+    assert top.gauss_count * top.sign_count > synthesis.MIXTURE_CAP and top.table is None
     drawn = np.unique(internals["gauss_index"] * top.sign_count + internals["sign_index"])
-    assert sum(regenerated) == len(drawn) <= 2**14
+    assert sum(regenerated) == len(drawn) > 2**14
     assert max(regenerated) <= synthesis.CODEWORD_ROWS
+    assert len(regenerated) == -(-len(drawn) // synthesis.CODEWORD_ROWS)
+
+
+def _regenerated(layer, gauss_index, sign_index):
+    """The pair codewords of broadcast index arrays, regenerated without the table."""
+    g, s = np.broadcast_arrays(gauss_index, sign_index)
+    rows = layer._distinct_codewords(g.ravel(), s.ravel())
+    return rows.reshape(g.shape + layer.signs.shape[1:])
+
+
+def test_table_gathers_equal_regeneration(four_hidden):
+    pi = BernoulliParams.uniform(four_hidden, 0.5)
+    lay = lg.build_codebooks(four_hidden, RateTuple.make([(0.5, 0.5)], 3), pi, 7).top
+    assert lay.table.shape == (lay.gauss_count * lay.sign_count,) + lay.signs.shape[1:]
+    assert not lay.table.flags.writeable
+    assert np.array_equal(lay.gaussian_codeword(2, 3), _regenerated(lay, 2, 3))
+    rng = np.random.default_rng(4)
+    g_rep = rng.integers(0, lay.gauss_count, size=(6, 1))
+    s_rep = rng.integers(0, lay.sign_count, size=50)        # (6, 50) pairs, with repeats
+    assert np.array_equal(lay.gaussian_codeword(g_rep, s_rep), _regenerated(lay, g_rep, s_rep))
+
+    # replace rebuilds the table: one node's signs flipped moves the
+    # canonical patterns, and one Gaussian codeword fewer drops its rows
+    flipped = dataclasses.replace(lay, signs=lay.signs * np.array([1.0, -1.0, 1.0, 1.0]))
+    fewer = dataclasses.replace(lay, gauss_count=lay.gauss_count - 1)
+    assert not np.array_equal(flipped.table, lay.table)
+    for changed in (flipped, fewer):
+        g = np.arange(changed.gauss_count)[:, None]
+        s = np.arange(changed.sign_count)
+        assert len(changed.table) == changed.gauss_count * changed.sign_count
+        assert np.array_equal(changed.gaussian_codeword(g, s), _regenerated(changed, g, s))
+        assert np.array_equal(changed.gaussian_codeword(g_rep[:2] % changed.gauss_count, s_rep),
+                              _regenerated(changed, g_rep[:2] % changed.gauss_count, s_rep))
+    with pytest.raises(ValidationError, match="out of range"):
+        fewer.gaussian_codeword(lay.gauss_count - 1, 0)
 
 
 def _emission_digest(x, internals=None) -> str:
