@@ -70,9 +70,12 @@ MIXTURE_CAP = 2**14        # cap on exactly evaluated mixture components and tab
 PATTERN_CAP = 2**12        # cap on the top layer's covariance sign patterns
 CODEWORD_ROWS = 2**12      # pair codewords generated per slice
 # (sample, component) cells per log-density slab: 1 MiB of float64, so the
-# slab stays in a core's 2 MiB L2 between its GEMM, exp and sum.  On the
-# star divergence estimates at N = 1 to 8 (one BLAS thread, Xeon with AVX-512)
-# the evaluations took 158 ms at 2^17 cells, 208 ms at 2^20 and 268 ms at 2^14.
+# slab stays in a core's 2 MiB L2 between its GEMM, exp and sum.  A slab is
+# SLAB_CELLS // BLOCK_COLUMNS samples by BLOCK_COLUMNS components.  On the
+# star divergence estimates at N = 1 to 8 (3000 samples each, one BLAS
+# thread, Xeon with AVX-512, median of 25) the evaluations took 74 ms in
+# blocks of 256 columns, 75, 78 and 81 ms in blocks of 128, 512 and 1024,
+# 80 ms with 2^18 cells, and 80 ms in slabs of whole rows of components.
 SLAB_CELLS = 2**17
 UNDERFLOW_LOG = -700.0     # a row's log-sum below this is recomputed with a max shift
 GEMM_COLUMNS = 16          # log-density components are padded to a multiple of this
@@ -738,7 +741,7 @@ def frontier_rates(
     the coded channel observed | top layer, so checking the returned rates
     with matching (pi, samples, seed) reports margins of exactly ``margin``.
     A margin that puts a rate below 0, or N times a rate above
-    LOG_FLOAT_MAX, is refused with the smallest or largest margin that works.
+    LOG_FLOAT_MAX, is refused, and the error names the margins that work.
     """
     if not math.isfinite(margin):
         raise ValidationError(f"margin must be a finite number, got {margin}")
@@ -751,14 +754,20 @@ def frontier_rates(
             f"margin {margin} puts a frontier rate below 0; the smallest margin that keeps "
             f"both rates non-negative is {-min(gaussian, sign)!r}"
         )
+    # a rate and a margin that RateTuple.make accepts, within an ulp of its
+    # limit: each is stepped down past the rounding of the division and
+    # subtraction, which takes at most a step or two
+    rate_cap = LOG_FLOAT_MAX / block_length
+    while rate_cap * block_length > LOG_FLOAT_MAX:
+        rate_cap = math.nextafter(rate_cap, -math.inf)
     top = float(max(gaussian, sign))
-    largest = LOG_FLOAT_MAX / block_length - top
-    while (top + largest) * block_length > LOG_FLOAT_MAX:
+    largest = rate_cap - top
+    while top + largest > rate_cap:
         largest = math.nextafter(largest, -math.inf)
     if margin > largest:
         raise ValidationError(
             f"margin {margin} puts N R above {LOG_FLOAT_MAX:.2f} for a frontier rate at "
-            f"N = {block_length}; the largest margin that keeps both within it is {largest!r}"
+            f"N = {block_length}; margins up to {largest!r} keep both rates within it"
         )
     return RateTuple.make([(gaussian + margin, sign + margin)], block_length)
 
