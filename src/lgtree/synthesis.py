@@ -75,7 +75,8 @@ CODEWORD_ROWS = 2**12      # pair codewords generated per slice
 # star divergence estimates at N = 1 to 8 (3000 samples each, one BLAS
 # thread, Xeon with AVX-512, median of 25) the evaluations took 74 ms in
 # blocks of 256 columns, 75, 78 and 81 ms in blocks of 128, 512 and 1024,
-# 80 ms with 2^18 cells, and 80 ms in slabs of whole rows of components.
+# 68 and 80 ms with 2^16 and 2^18 cells, and 80 ms in slabs of whole rows
+# of components.
 SLAB_CELLS = 2**17
 UNDERFLOW_LOG = -700.0     # a row's log-sum below this is recomputed with a max shift
 GEMM_COLUMNS = 16          # log-density components are padded to a multiple of this
