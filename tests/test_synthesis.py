@@ -346,10 +346,10 @@ def test_block_log_density_matches_two_pass_formula_across_column_blocks(
     shifted = []
     real = synthesis._sum_exp
 
-    def recording(rows, *args):
-        if len(args) == 4:
+    def recording(rows, m_aug, count, buf, shift=None):
+        if shift is not None:
             shifted.append(len(rows))
-        return real(rows, *args)
+        return real(rows, m_aug, count, buf, shift)
 
     monkeypatch.setattr(synthesis, "_sum_exp", recording)
     got = synthesis._block_log_density(x, inputs, model)
