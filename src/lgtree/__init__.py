@@ -27,7 +27,6 @@ from .errors import (
     LgtreeError,
     MismatchedNodeSets,
     MissingAssignment,
-    MixtureTooLarge,
     NonMinimal,
     NotATree,
     NotLeafOnly,

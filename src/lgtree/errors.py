@@ -88,7 +88,3 @@ class WrongShape(ValidationError):
 
 class CapExceeded(ValidationError):
     module = "synthesis"
-
-
-class MixtureTooLarge(ValidationError):
-    module = "synthesis"

@@ -9,11 +9,9 @@ is an i.i.d. sample of the conditional input law.  Their white noise comes
 from a counter-based stream (Philox4x64-10) keyed by the top layer's
 "codeword_noise" substream and counted by (pair, block), so any set of
 pairs regenerates in one vectorised call with the same values as one pair
-at a time.  A codebook of at most MIXTURE_CAP pairs stores them all in a
-table built with it, which the mixture density and emission read; above
-the cap, where no mixture is evaluated, pair codewords are never stored,
-and a call regenerates each distinct pair once and gathers its repeats, so
-emission pays for the pairs drawn, not for the runs.  Emission adds each
+at a time.  Every codebook holds at most MIXTURE_CAP pairs, so the mixture
+over them can be evaluated exactly, and stores them all in a table built
+with it, which the mixture density and emission read.  Emission adds each
 layer's innovation noise to its output in place.  Every seeded draw
 here takes a named substream of the caller's seed from the one table in
 ``info.STREAMS``.  A symbol with sign realisation b is coloured by D L D,
@@ -61,12 +59,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import CapExceeded, MixtureTooLarge, ValidationError
+from .errors import CapExceeded, ValidationError
 from .info import BernoulliParams, _BlockModel, _block, _rng, _seed, _stream, block_mi_mixture
 from .trees import GaussianTree, joint_covariance  # noqa: F401 (bench's tracer test asserts it)
 
-CODEBOOK_CAP = 2**16       # per-table codeword count cap
-MIXTURE_CAP = 2**14        # cap on exactly evaluated mixture components and tabled pairs
+MIXTURE_CAP = 2**14        # cap on a codebook's pairs, each a mixture component and a table row
 PATTERN_CAP = 2**12        # cap on the top layer's covariance sign patterns
 CODEWORD_ROWS = 2**12      # pair codewords generated per slice
 # (sample, component) cells per log-density slab: 1 MiB of float64, so the
@@ -238,6 +235,13 @@ def _ndtri(q: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_pair_count(depth: int, gauss_count: int, sign_count: int) -> None:
+    """Refuse a codebook of more than MIXTURE_CAP (Gaussian, sign) pairs."""
+    if gauss_count * sign_count > MIXTURE_CAP:
+        raise CapExceeded(f"layer {depth} codebook of {gauss_count} x {sign_count} pairs "
+                          f"exceeds the cap of {MIXTURE_CAP} pairs")
+
+
 @dataclass(frozen=True)
 class LayerCodebook:
     depth: int
@@ -245,20 +249,19 @@ class LayerCodebook:
     seed: int
     gauss_count: int           # number of Gaussian codewords per sign codeword
     signs: np.ndarray          # (M_B, N, k) +/-1 sign codewords
-    pattern_codes: np.ndarray  # (M_B, N) canonical pattern index per sign symbol
     chol: np.ndarray           # (k, k) Cholesky factor L of the layer covariance
-    # (M_Y M_B, N, k) read-only pair codewords, row g M_B + s, when
-    # M_Y M_B <= MIXTURE_CAP, else None; built from the fields above
-    table: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # (M_Y M_B, N, k) read-only pair codewords, row g M_B + s; built from the
+    # fields above
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Build the pair-codeword table.  ``dataclasses.replace`` calls this
-        too, so a table always matches the signs and counts it sits with."""
-        table = None
-        pairs = self.gauss_count * self.sign_count
-        if pairs <= MIXTURE_CAP:
-            table = self._distinct_codewords(*np.divmod(np.arange(pairs), self.sign_count))
-            table.flags.writeable = False
+        """Refuse more than MIXTURE_CAP pairs, then build the pair-codeword
+        table.  ``dataclasses.replace`` calls this too, so a table always
+        matches the signs and counts it sits with."""
+        _check_pair_count(self.depth, self.gauss_count, self.sign_count)
+        pairs = np.arange(self.gauss_count * self.sign_count)
+        table = self._distinct_codewords(*np.divmod(pairs, self.sign_count))
+        table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @property
@@ -268,6 +271,16 @@ class LayerCodebook:
     @property
     def sub_block_count(self) -> int:
         return 2 ** max(len(self.nodes) - 1, 0)
+
+    @property
+    def pattern_codes(self) -> np.ndarray:
+        """(M_B, N) index of each sign symbol's canonical pattern (its signs
+        up to a global flip): node j of k adds 2^(k-1-j) when its sign
+        differs from node 0's.  Derived from ``signs``, so it follows them
+        through ``dataclasses.replace``."""
+        k = self.signs.shape[-1]
+        bits = (self.signs[..., 1:] != self.signs[..., :1]).astype(np.int64)
+        return bits @ (2 ** np.arange(k - 1, dtype=np.int64)[::-1])
 
     def realized_sub_block_sizes(self) -> list[int]:
         counts = np.bincount(self.pattern_codes.ravel(), minlength=self.sub_block_count)
@@ -307,20 +320,12 @@ class LayerCodebook:
         is coloured by D L D, the Cholesky factor of D Sigma D, where D is
         the sign codeword's canonical pattern there (its realisation times
         its first entry) and L the Cholesky factor of the layer covariance
-        Sigma.  Both indices are range-checked; the codewords are then
-        gathered from the table, or, above MIXTURE_CAP pairs, where there is
-        none, each distinct pair of the call is regenerated once and its
-        repeats are gathered from it.  A pair's codeword is a pure function
-        of its indices, so both paths give the values of one pair at a time."""
+        Sigma.  Both indices are range-checked, and the codewords are
+        gathered from the table.  A pair's codeword is a pure function of its
+        indices, so a gather gives the values of one pair at a time."""
         g, s = self._pairs(gauss_index, sign_index)
-        pair = g.astype(np.int64) * self.sign_count + s.astype(np.int64)
-        if self.table is not None:
-            return np.take(self.table, pair, axis=0)
-        ids, inverse = np.unique(pair.ravel(), return_inverse=True)
-        distinct = self._distinct_codewords(*np.divmod(ids, self.sign_count))
-        out = np.empty(g.shape + distinct.shape[1:])
-        np.take(distinct, inverse, axis=0, out=out.reshape((-1,) + distinct.shape[1:]))
-        return out
+        return np.take(self.table, g.astype(np.int64) * self.sign_count + s.astype(np.int64),
+                       axis=0)
 
     def _distinct_codewords(self, g: np.ndarray, s: np.ndarray) -> np.ndarray:
         """The codewords (P, N, k) of the pairs (g[i], s[i]), regenerated
@@ -388,17 +393,6 @@ class SynthesisReport:
 
 # -- codebook construction ---------------------------------------------------
 
-def _pattern_codes(signs: np.ndarray) -> np.ndarray:
-    """Index of the canonical pattern (sign vector modulo global flip)."""
-    canon = signs * signs[..., :1]
-    k = signs.shape[-1]
-    if k <= 1:
-        return np.zeros(signs.shape[:-1], dtype=np.int64)
-    bits = (canon[..., 1:] < 0).astype(np.int64)
-    weights = 2 ** np.arange(k - 1, dtype=np.int64)[::-1]
-    return bits @ weights
-
-
 def _layer_blocks(tree: GaussianTree) -> list[_BlockModel]:
     """The regression of each layer's targets on the layer, from the bottom:
     observed | layer 1, layer 1 | layer 2, ..., layer L-1 | layer L.
@@ -425,16 +419,16 @@ def build_codebooks(
     stream keyed by its "codeword_noise" substream at layer L, at counter
     (j, g M_B + s, 0, 0); see :meth:`LayerCodebook.white_noise`.  Lower
     layers get no table: their signs cancel from the emitted law, and
-    :func:`synthesize` draws them i.i.d.  Raises CapExceeded when the table
-    would exceed 2^16 codewords or 2^12 covariance patterns.
+    :func:`synthesize` draws them i.i.d.  Raises CapExceeded, before any
+    draw, when the codebook would hold more than MIXTURE_CAP pairs or its
+    layer more than PATTERN_CAP covariance patterns.
     """
     channel = _channel(tree)
     depth = tree.num_layers
     nodes = channel.sources
     k = len(nodes)
     my, mb = rates.codeword_counts()
-    if my > CODEBOOK_CAP or mb > CODEBOOK_CAP:
-        raise CapExceeded(f"layer {depth} codebook sizes ({my}, {mb}) exceed the cap {CODEBOOK_CAP}")
+    _check_pair_count(depth, my, mb)
     if 2 ** (k - 1) > PATTERN_CAP:
         raise CapExceeded(f"layer with {k} nodes needs too many covariance patterns")
     draws = _rng(seed, "codebook_signs", depth).random((mb, rates.block_length, k))
@@ -445,7 +439,6 @@ def build_codebooks(
         seed=int(seed),
         gauss_count=my,
         signs=signs,
-        pattern_codes=_pattern_codes(signs),
         chol=channel.marg_s.chol,
     )
     return Codebook(rates=rates, pi=pi, top=top)
@@ -471,8 +464,7 @@ def synthesize(
     ``sign_index`` hold each run's top-layer pair indices, and ``y`` and
     ``b`` map each depth to that layer's inputs and signs.
 
-    The drawn pairs' codewords are gathered from the codebook's table, or,
-    above MIXTURE_CAP pairs, regenerated once per distinct pair
+    The drawn pairs' codewords are gathered from the codebook's table
     (:meth:`LayerCodebook.gaussian_codeword`).  Each layer's innovation
     noise is drawn and added in place, CODEWORD_ROWS runs at a time in run
     order, so the stream is read as by one draw of the whole layer.
@@ -535,16 +527,12 @@ def _mixture_components(tree: GaussianTree, codebook: Codebook):
     Signs below the top layer flip both edge groups incident to their layer
     and cancel from the emitted law, so the mixture is over the top layer's
     (gaussian, sign) codeword pairs; ``inputs`` (C, N, k) holds their signed
-    symbols b y, read from the top layer's pair-codeword table, and
-    ``model`` is the coded channel (:func:`_channel`).
+    symbols b y, read from the top layer's pair-codeword table, which holds
+    at most MIXTURE_CAP pairs, and ``model`` is the coded channel
+    (:func:`_channel`).
     """
     top = codebook.top
-    my, mb = top.gauss_count, top.sign_count
-    if top.table is None:
-        raise MixtureTooLarge(
-            f"{my} x {mb} mixture components exceed the cap {MIXTURE_CAP}"
-        )
-    inputs = top.table.reshape((my, mb) + top.signs.shape[1:]) * top.signs
+    inputs = top.table.reshape((top.gauss_count,) + top.signs.shape) * top.signs
     return inputs.reshape(top.table.shape), _channel(tree)
 
 

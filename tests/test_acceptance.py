@@ -250,11 +250,7 @@ def test_criterion_9_constraint_checklist(star, star_trend):
     # tamper 2: hard-wire signs to +1 with pi=0.5 declared -> independence is
     # trivially clean but the sign cardinality no longer matches
     lay = codebook.top
-    ones = dataclasses.replace(
-        lay,
-        signs=np.ones((1,) + lay.signs.shape[1:]),
-        pattern_codes=np.zeros((1, lay.signs.shape[1]), dtype=np.int64),
-    )
+    ones = dataclasses.replace(lay, signs=np.ones((1,) + lay.signs.shape[1:]))
     wired = dataclasses.replace(codebook, top=ones)
     rep_w = lg.estimate_divergence(star, wired, 1500, DIVERGENCE_SEED)
     w_checks = {c.name: c for c in lg.verify_encoding_constraints(star, wired, rep_w, runs=2000, seed=99)}

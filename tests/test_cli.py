@@ -606,6 +606,16 @@ def test_non_finite_or_out_of_range_fields_exit_1(command, flags):
         assert "margin 100000.0 " in err and "margins up to" in err
 
 
+@pytest.mark.parametrize("rates, counts", [(["0.7", "0.7", "8"], "271 x 271"),
+                                           (["1", "1", "10"], "22027 x 22027")])
+def test_a_codebook_past_the_pair_cap_exits_1_before_emitting(rates, counts):
+    ry, rb, blocklen = rates
+    code, out, err = run_in_process("synthesize", PKG / "trees" / "star.tree", "--ry", ry,
+                                    "--rb", rb, "--blocklen", blocklen, "--samples", "100000")
+    assert (code, out) == (1, "")
+    assert "CapExceeded" in err and counts in err and "16384" in err
+
+
 @pytest.mark.parametrize("spec, node", [("y=0.5,zz=0.3", "'zz'"), ("x1=0.5,y=0.9", "'x1'"),
                                         ("y=0.5,y=0.9", "'y' twice")])
 def test_pi_names_each_hidden_node_once(spec, node):

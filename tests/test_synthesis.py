@@ -18,7 +18,7 @@ from scipy.stats import multivariate_normal
 
 import lgtree as lg
 from lgtree import synthesis
-from lgtree.errors import CapExceeded, MixtureTooLarge, ValidationError
+from lgtree.errors import CapExceeded, ValidationError
 from lgtree.info import EVAL_CELLS, BernoulliParams, _Gauss
 from lgtree.synthesis import RateTuple, _layer_blocks, _mixture_components
 
@@ -111,6 +111,20 @@ def test_sub_block_counts(star, dumbbell, four_hidden, two_layer):
     cb = lg.build_codebooks(two_layer, RateTuple.make([(0.5, 0.5)], 4), pi_t, 1)
     assert cb.top.depth == 2
     assert cb.top.sub_block_count == 1
+
+
+def test_sign_patterns_follow_replaced_signs(dumbbell):
+    # the patterns are derived from the signs, so a replaced sign table
+    # cannot leave its old sub-block sizes behind
+    pi = BernoulliParams.uniform(dumbbell, 0.5)
+    cb = lg.build_codebooks(dumbbell, RateTuple.make([(0.5, 0.5)], 3), pi, 7)
+    top = cb.top
+    flipped = dataclasses.replace(top, signs=top.signs * np.array([1.0, -1.0]))   # y2 flipped
+    assert top.nodes == ("y1", "y2") and top.realized_sub_block_sizes() == [6, 9]
+    assert flipped.realized_sub_block_sizes() == [9, 6]
+    report = lg.estimate_divergence(dumbbell, dataclasses.replace(cb, top=flipped), 200, 3,
+                                    rate_margin_samples=1000)
+    assert report.sub_blocks["realized_sizes"] == [9, 6]
 
 
 def test_codebook_determinism(star_codebook, star):
@@ -472,11 +486,41 @@ def test_divergence_determinism(star, star_codebook):
 
 
 def test_mixture_cap(star):
+    # a codebook past the mixture cap is refused when it is built, not
+    # after its blocks are emitted
     pi = BernoulliParams.uniform(star, 0.5)
     rates = RateTuple.make([(1.0, 1.0)], 10)   # 22027^2 pairs
-    cb = lg.build_codebooks(star, rates, pi, 0)
-    with pytest.raises(MixtureTooLarge):
-        lg.estimate_divergence(star, cb, 10, 0)
+    with pytest.raises(CapExceeded, match="22027 x 22027 pairs exceeds the cap of 16384"):
+        lg.build_codebooks(star, rates, pi, 0)
+
+
+def test_the_pair_cap_is_checked_before_any_draw(star, degenerate_codebook, monkeypatch):
+    # exactly MIXTURE_CAP pairs build a whole table; one pair more is
+    # refused before the sign table or any codeword noise is drawn
+    top = degenerate_codebook.top
+    assert (top.gauss_count, top.sign_count) == (synthesis.MIXTURE_CAP, 1)
+    assert top.table.shape == (synthesis.MIXTURE_CAP, 1, 1)        # N = 1, one top node
+    drawn = []
+    real_rng, real_noise = synthesis._rng, synthesis.LayerCodebook.white_noise
+
+    def spy_rng(seed, name, *index):
+        drawn.append(name)
+        return real_rng(seed, name, *index)
+
+    def spy_noise(self, g, s):
+        drawn.append("codeword_noise")
+        return real_noise(self, g, s)
+
+    monkeypatch.setattr(synthesis, "_rng", spy_rng)
+    monkeypatch.setattr(synthesis.LayerCodebook, "white_noise", spy_noise)
+    pi = BernoulliParams.uniform(star, 0.5)
+    one_more = RateTuple.make([(math.log(2**14 + 0.5), 0.0)], 1)
+    assert one_more.codeword_counts() == (2**14 + 1, 1)
+    with pytest.raises(CapExceeded, match="16385 x 1 pairs"):
+        lg.build_codebooks(star, one_more, pi, 11)
+    with pytest.raises(CapExceeded, match="16385 x 1 pairs"):
+        dataclasses.replace(top, gauss_count=2**14 + 1)
+    assert drawn == []
 
 
 def test_rate_region_margins_by_construction(star):
@@ -556,9 +600,7 @@ def test_hardwired_signs_fail_cardinality_only(star, star_codebook):
     cb, _, _ = star_codebook
     lay = cb.top
     ones = np.ones((1,) + lay.signs.shape[1:])
-    layer = dataclasses.replace(
-        lay, signs=ones, pattern_codes=np.zeros((1, lay.signs.shape[1]), dtype=np.int64)
-    )
+    layer = dataclasses.replace(lay, signs=ones)
     tampered = dataclasses.replace(cb, top=layer)
     rep = lg.estimate_divergence(star, tampered, 800, 5)
     checks = {c.name: c for c in lg.verify_encoding_constraints(star, tampered, rep, runs=1000, seed=21)}
@@ -706,21 +748,18 @@ def test_codeword_batch_matches_single(four_hidden, monkeypatch):
     for gi in range(lay.gauss_count):
         for si in range(lay.sign_count):
             assert np.array_equal(lay.gaussian_codeword(gi, si), batch[gi, si])
+    # a table built three pairs a slice holds the same codewords
     monkeypatch.setattr(synthesis, "CODEWORD_ROWS", 3)
-    assert np.array_equal(lay.gaussian_codeword(g, s), batch)
-    # repeated pairs, out of order, gathered from one regeneration each
+    assert np.array_equal(dataclasses.replace(lay).gaussian_codeword(g, s), batch)
+    # repeated pairs, out of order
     rng = np.random.default_rng(0)
     g_rep = rng.integers(0, lay.gauss_count, size=(5, 40))
     s_rep = rng.integers(0, lay.sign_count, size=(5, 40))
     assert np.array_equal(lay.gaussian_codeword(g_rep, s_rep), batch[g_rep, s_rep])
 
 
-def test_a_call_regenerates_each_distinct_pair_once(star, degenerate_codebook, monkeypatch):
-    # below MIXTURE_CAP pairs emission gathers every codeword from the
-    # codebook's table; above it, where there is no table, each distinct
-    # drawn pair is regenerated once, at most CODEWORD_ROWS pairs a slice
-    pi = BernoulliParams.uniform(star, 0.5)
-    above = lg.build_codebooks(star, RateTuple.make([(math.log(2**15), 0.0)], 1), pi, 11)
+def test_emission_gathers_every_codeword_from_the_table(star, degenerate_codebook, monkeypatch):
+    # even at MIXTURE_CAP pairs emission regenerates no codeword
     regenerated = []
     noise = synthesis.LayerCodebook.white_noise
 
@@ -730,17 +769,9 @@ def test_a_call_regenerates_each_distinct_pair_once(star, degenerate_codebook, m
 
     monkeypatch.setattr(synthesis.LayerCodebook, "white_noise", counting)
     below = degenerate_codebook.top
-    assert (below.gauss_count, below.sign_count) == (2**14, 1) and below.table is not None
+    assert (below.gauss_count, below.sign_count) == (2**14, 1)
     lg.synthesize(star, degenerate_codebook, 100000, 3)
     assert regenerated == []
-
-    _, internals = lg.synthesize(star, above, 100000, 3, return_internals=True)
-    top = above.top
-    assert top.gauss_count * top.sign_count > synthesis.MIXTURE_CAP and top.table is None
-    drawn = np.unique(internals["gauss_index"] * top.sign_count + internals["sign_index"])
-    assert sum(regenerated) == len(drawn) > 2**14
-    assert max(regenerated) <= synthesis.CODEWORD_ROWS
-    assert len(regenerated) == -(-len(drawn) // synthesis.CODEWORD_ROWS)
 
 
 def _regenerated(layer, gauss_index, sign_index):
