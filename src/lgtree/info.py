@@ -328,7 +328,7 @@ STREAMS = {
     "block_mixture": (2,),       # block_mi_mixture
     "decomposition": (3,),       # decomposition_check
     "codebook_signs": (11,),     # + layer: build_codebooks' sign table
-    "codeword_noise": (13,),     # + layer: Philox key of the pair codewords
+    "codeword_noise": (13,),     # + layer: the pair codewords' white noise, in pair order
     "pair_index": (21,),         # synthesize: the top-layer pair of each run
     "innovation": (22,),         # synthesize: lower layers' and outputs' noise
     "lower_signs": (23,),        # synthesize: signs below the top layer

@@ -5,20 +5,19 @@ symbol per top-layer node per channel use) and Gaussian codewords.  A
 Gaussian codeword exists per (gaussian index, sign index) pair: at each
 channel use its symbol follows the Gaussian law fixed by the sign codeword's
 realisation there, so for every fixed sign codeword the Gaussian sub-codebook
-is an i.i.d. sample of the conditional input law.  Their white noise comes
-from a counter-based stream (Philox4x64-10) keyed by the top layer's
-"codeword_noise" substream and counted by (pair, block), so any set of
-pairs regenerates in one vectorised call with the same values as one pair
-at a time.  Every codebook holds at most MIXTURE_CAP pairs, so the mixture
-over them can be evaluated exactly, and stores them all in a table built
-with it, which the mixture density and emission read.  Emission adds each
-layer's innovation noise to its output in place.  Every seeded draw
-here takes a named substream of the caller's seed from the one table in
-``info.STREAMS``.  A symbol with sign realisation b is coloured by D L D,
-where L is the Cholesky factor of the layer covariance and D = diag(b b_1)
-the canonical pattern (b up to a global flip); D L D is the Cholesky factor
-of D Sigma D.  Sub-blocks are keyed by that pattern, and their sizes follow
-the empirical sign-codeword realisations.
+is an i.i.d. sample of the conditional input law.  Every codebook holds at
+most MIXTURE_CAP pairs, so the mixture over them can be evaluated exactly,
+and stores them all in a table built with it, which the mixture density and
+emission read.  The table's white noise is one standard normal draw from
+the top layer's "codeword_noise" substream, in pair order g M_B + s, so a
+codebook with fewer Gaussian codewords holds a prefix of the rows.
+Emission adds each layer's innovation noise to its output in place.  Every
+seeded draw here takes a named substream of the caller's seed from the one
+table in ``info.STREAMS``.  A symbol with sign realisation b is coloured by
+D L D, where L is the Cholesky factor of the layer covariance and
+D = diag(b b_1) the canonical pattern (b up to a global flip); D L D is the
+Cholesky factor of D Sigma D.  Sub-blocks are keyed by that pattern, and
+their sizes follow the empirical sign-codeword realisations.
 
 Emission walks the layers top-down: the deepest layer is read from its
 codebook, every lower layer is the sign-modulated regression of the layer
@@ -60,12 +59,12 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import CapExceeded, ValidationError
-from .info import BernoulliParams, _BlockModel, _block, _rng, _seed, _stream, block_mi_mixture
+from .info import BernoulliParams, _BlockModel, _block, _rng, _seed, block_mi_mixture
 from .trees import GaussianTree, joint_covariance  # noqa: F401 (bench's tracer test asserts it)
 
 MIXTURE_CAP = 2**14        # cap on a codebook's pairs, each a mixture component and a table row
 PATTERN_CAP = 2**12        # cap on the top layer's covariance sign patterns
-CODEWORD_ROWS = 2**12      # pair codewords generated per slice
+CODEWORD_ROWS = 2**12      # pair codewords drawn per slice, and innovation rows per draw
 # (sample, component) cells per log-density slab: 1 MiB of float64, so the
 # slab stays in a core's 2 MiB L2 between its GEMM, exp and sum.  A slab is
 # SLAB_CELLS // BLOCK_COLUMNS samples by BLOCK_COLUMNS components.  On the
@@ -129,112 +128,6 @@ class RateTuple:
         return math.ceil(math.exp(n * self.gaussian_rate)), math.ceil(math.exp(n * self.sign_rate))
 
 
-PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
-PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # key increments per round
-_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products of a constant m and x."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    mid_a, mid_b = m_lo * x_hi, m_hi * x_lo
-    carry = ((m_lo * x_lo) >> _SHIFT32) + (mid_a & _LOW32) + (mid_b & _LOW32)
-    hi = m_hi * x_hi + (mid_a >> _SHIFT32) + (mid_b >> _SHIFT32) + (carry >> _SHIFT32)
-    return hi, np.uint64(m) * x
-
-
-def philox4x64(counter, key) -> tuple[np.ndarray, ...]:
-    """Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
-    2, 3", SC'11) over arrays of counters.
-
-    ``counter`` holds four same-shape uint64 arrays, word 0 the lowest, and
-    ``key`` two 64-bit words; returns the four output words.  This is the
-    block that ``numpy.random.Philox(key=key, counter=c)`` yields first for
-    c = counter - 1, since numpy increments the counter before each block."""
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
-    k0, k1 = int(key[0]), int(key[1])
-    for rnd in range(10):
-        if rnd:
-            k0, k1 = (k0 + PHILOX_W[0]) % 2**64, (k1 + PHILOX_W[1]) % 2**64
-        hi0, lo0 = _mulhilo(PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return c0, c1, c2, c3
-
-
-# Wichura's AS241 ("The percentage points of the normal distribution",
-# Applied Statistics 37(3), 1988), with the coefficients of the stdlib's
-# statistics.NormalDist.inv_cdf; each polynomial lists its highest power first.
-_AS241_CENTRAL = (
-    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
-     4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
-     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
-    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
-     2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
-     4.23133_30701_60091_1252e+1, 1.0),
-)
-_AS241_NEAR = (
-    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
-     1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
-     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
-    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
-     1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
-     2.05319_16266_37758_82187e+0, 1.0),
-)
-_AS241_FAR = (
-    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
-     2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
-     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
-    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
-     7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
-     5.99832_20655_58879_37690e-1, 1.0),
-)
-
-
-def _horner(coeffs, r: np.ndarray) -> np.ndarray:
-    """The polynomial with ``coeffs`` (highest power first) at r, in a new
-    array, in the stdlib's evaluation order."""
-    acc = r * coeffs[0]
-    acc += coeffs[1]
-    for c in coeffs[2:]:
-        acc *= r
-        acc += c
-    return acc
-
-
-def _rational(coeffs, r: np.ndarray, scale=1.0) -> np.ndarray:
-    """AS241's (numerator * scale) / denominator at r, in a new array."""
-    num = _horner(coeffs[0], r)
-    num *= scale
-    num /= _horner(coeffs[1], r)
-    return num
-
-
-def _ndtri(q: np.ndarray) -> np.ndarray:
-    """Standard normal quantiles of the probabilities 1/2 + q, flattened, for
-    centred uniforms q in (-1/2, 1/2), by AS241.
-
-    Taking q rather than the probability keeps the upper tail exact: its
-    argument 1/2 - |q| is computed without rounding, and q and -q give exact
-    negatives.  The central rational runs on every value; only the tail
-    entries (|q| > 0.425) are then recomputed."""
-    q = np.ravel(q)
-    r = q * q
-    np.subtract(0.180625, r, out=r)
-    x = _rational(_AS241_CENTRAL, r, q)
-    tail = np.flatnonzero(np.abs(q) > 0.425)
-    if tail.size:
-        qt = q[tail]
-        t = np.sqrt(-np.log(0.5 - np.abs(qt)))
-        far = np.flatnonzero(t > 5.0)
-        tail_x = _rational(_AS241_NEAR, t - 1.6)
-        if far.size:
-            tail_x[far] = _rational(_AS241_FAR, t[far] - 5.0)
-        x[tail] = np.copysign(tail_x, qt)
-    return x
-
-
 def _check_pair_count(depth: int, gauss_count: int, sign_count: int) -> None:
     """Refuse a codebook of more than MIXTURE_CAP (Gaussian, sign) pairs."""
     if gauss_count * sign_count > MIXTURE_CAP:
@@ -255,12 +148,24 @@ class LayerCodebook:
     table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Refuse more than MIXTURE_CAP pairs, then build the pair-codeword
+        """Refuse more than MIXTURE_CAP pairs, then draw the pair-codeword
         table.  ``dataclasses.replace`` calls this too, so a table always
-        matches the signs and counts it sits with."""
+        matches the signs and counts it sits with.
+
+        The white noise is ``standard_normal`` from the layer's
+        "codeword_noise" substream of the seed (``info.STREAMS``), drawn
+        CODEWORD_ROWS pairs at a time in pair order g M_B + s, so a codebook
+        with fewer Gaussian codewords holds a prefix of the rows.  Each slice
+        is coloured by D L D (see :meth:`gaussian_codeword`)."""
         _check_pair_count(self.depth, self.gauss_count, self.sign_count)
-        pairs = np.arange(self.gauss_count * self.sign_count)
-        table = self._distinct_codewords(*np.divmod(pairs, self.sign_count))
+        rng = _rng(self.seed, "codeword_noise", self.depth)
+        table = np.empty((self.gauss_count * self.sign_count,) + self.signs.shape[1:])
+        for lo in range(0, len(table), CODEWORD_ROWS):
+            rows = table[lo:lo + CODEWORD_ROWS]
+            signs = self.signs[np.arange(lo, lo + len(rows)) % self.sign_count]
+            canon = signs * signs[..., :1]
+            w = rng.standard_normal(rows.shape)
+            rows[...] = canon * np.einsum("ij,rtj->rti", self.chol, canon * w)
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
@@ -286,34 +191,6 @@ class LayerCodebook:
         counts = np.bincount(self.pattern_codes.ravel(), minlength=self.sub_block_count)
         return [int(c) for c in counts]
 
-    def white_noise(self, gauss_index, sign_index) -> np.ndarray:
-        """The (..., N, k) white-noise sources behind the pair codewords of
-        broadcast index arrays; a scalar pair gives one (N, k) source.
-
-        Pair (g, s) reads Philox4x64-10 keyed by the first two 64-bit words
-        of the layer's "codeword_noise" substream of the seed (``info.STREAMS``)
-        at counters (j, g M_B + s, 0, 0) for blocks j = 0, 1, ...; each
-        output word w becomes the centred uniform
-        q = ((w >> 11) - 2^52 + 1/2) 2^-53, which is exact and lies strictly
-        inside (-1/2, 1/2), and then the normal quantile of 1/2 + q (AS241,
-        :func:`_ndtri`).  Every word gives a finite
-        value, and words w and 2^64 - 1 - w give exact negatives.  A pair's
-        noise is a pure function of its indices, so one pair and a batch
-        holding it give the same values."""
-        g, s = self._pairs(gauss_index, sign_index)
-        n_uses, k = self.signs.shape[1:]
-        size = n_uses * k
-        blocks = -(-size // 4)
-        pair = g.astype(np.uint64).ravel() * np.uint64(self.sign_count) + s.astype(np.uint64).ravel()
-        shape = (pair.size, blocks)
-        zero = np.zeros(shape, dtype=np.uint64)
-        counter = (np.broadcast_to(np.arange(blocks, dtype=np.uint64), shape),
-                   np.broadcast_to(pair[:, None], shape), zero, zero)
-        key = _stream(self.seed, "codeword_noise", self.depth).generate_state(2, np.uint64)
-        words = np.stack(philox4x64(counter, key), axis=-1).reshape(pair.size, 4 * blocks)
-        centred = ((words[:, :size] >> np.uint64(11)).view(np.int64) - 2**52 + 0.5) * 2.0**-53
-        return _ndtri(centred).reshape(g.shape + (n_uses, k))
-
     def gaussian_codeword(self, gauss_index, sign_index) -> np.ndarray:
         """Pair codewords (..., N, k) for broadcast index arrays; a scalar
         pair gives one (N, k) codeword.  At each channel use the white noise
@@ -321,24 +198,11 @@ class LayerCodebook:
         the sign codeword's canonical pattern there (its realisation times
         its first entry) and L the Cholesky factor of the layer covariance
         Sigma.  Both indices are range-checked, and the codewords are
-        gathered from the table.  A pair's codeword is a pure function of its
-        indices, so a gather gives the values of one pair at a time."""
+        gathered from the table, so a batch and one pair at a time give the
+        same values."""
         g, s = self._pairs(gauss_index, sign_index)
         return np.take(self.table, g.astype(np.int64) * self.sign_count + s.astype(np.int64),
                        axis=0)
-
-    def _distinct_codewords(self, g: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """The codewords (P, N, k) of the pairs (g[i], s[i]), regenerated
-        CODEWORD_ROWS pairs at a time, so transient memory does not grow with
-        the number of pairs."""
-        rows = np.empty((len(g),) + self.signs.shape[1:])
-        for lo in range(0, len(rows), CODEWORD_ROWS):
-            sl = slice(lo, lo + CODEWORD_ROWS)
-            signs = self.signs[s[sl]]
-            canon = signs * signs[..., :1]
-            w = self.white_noise(g[sl], s[sl])
-            rows[sl] = canon * np.einsum("ij,rtj->rti", self.chol, canon * w)
-        return rows
 
     def _pairs(self, gauss_index, sign_index) -> tuple[np.ndarray, ...]:
         """Both pair indices, range-checked and broadcast together."""
@@ -412,12 +276,11 @@ def _channel(tree: GaussianTree) -> _BlockModel:
 def build_codebooks(
     tree: GaussianTree, rates: RateTuple, pi: BernoulliParams, seed: int
 ) -> Codebook:
-    """Draw the top layer's sign codeword table and pin its Gaussian pair
-    ensemble.  Deterministic given the seed: the sign codewords come from
-    the seed's "codebook_signs" substream at layer L (``info.STREAMS``), and
-    the white noise of pair codeword (g, s) is block j of a Philox4x64-10
-    stream keyed by its "codeword_noise" substream at layer L, at counter
-    (j, g M_B + s, 0, 0); see :meth:`LayerCodebook.white_noise`.  Lower
+    """Draw the top layer's sign codeword table and its pair-codeword
+    table.  Deterministic given the seed: the sign codewords come from the
+    seed's "codebook_signs" substream at layer L (``info.STREAMS``), and the
+    pair codewords' white noise from its "codeword_noise" substream at layer
+    L, drawn in pair order g M_B + s (:class:`LayerCodebook`).  Lower
     layers get no table: their signs cancel from the emitted law, and
     :func:`synthesize` draws them i.i.d.  Raises CapExceeded, before any
     draw, when the codebook would hold more than MIXTURE_CAP pairs or its

@@ -459,11 +459,32 @@ def test_block_kl_matches_the_quadrature_oracle(block_kl_case):
     assert abs(z) <= BLOCK_KL_Z
 
 
+def _block_kl_gradient(path, nodes, inputs, step=1e-3):
+    """The central-difference gradient of :func:`_block_kl_quadrature` in
+    the codeword inputs."""
+    grad = np.empty_like(inputs)
+    for i in np.ndindex(inputs.shape):
+        bump = np.zeros_like(inputs)
+        bump[i] = step
+        grad[i] = (_block_kl_quadrature(path, nodes, inputs + bump)
+                   - _block_kl_quadrature(path, nodes, inputs - bump)) / (2 * step)
+    return grad
+
+
 def test_block_kl_check_fails_when_the_oracle_codewords_move_by_1e_2(block_kl_case):
-    # every codeword symbol 1e-2 farther from zero
+    # the codeword inputs step up the quadrature KL's gradient by a length
+    # that moves the KL by 3 BLOCK_KL_Z standard errors to first order, so
+    # the check's power follows from the report's SE, not from where one
+    # codebook's codewords fell.  The step's quadrature effect must exceed
+    # 2 BLOCK_KL_Z SE: a library estimate within BLOCK_KL_Z SE of the
+    # untampered oracle then lies more than BLOCK_KL_Z SE from the tampered one
     (path, nodes, inputs), report = block_kl_case
-    tampered = _block_kl_quadrature(path, nodes, inputs + 1e-2 * np.sign(inputs))
-    assert abs(report.kl_estimate - tampered) / report.kl_std_error > BLOCK_KL_Z
+    se = report.kl_std_error
+    grad = _block_kl_gradient(path, nodes, inputs)
+    step = 3 * BLOCK_KL_Z * se * grad / np.sum(grad**2)
+    tampered = _block_kl_quadrature(path, nodes, inputs + step)
+    assert tampered - _block_kl_quadrature(path, nodes, inputs) > 2 * BLOCK_KL_Z * se
+    assert abs(report.kl_estimate - tampered) / se > BLOCK_KL_Z
 
 
 def test_divergence_report_fields(star, star_codebook):
@@ -501,18 +522,13 @@ def test_the_pair_cap_is_checked_before_any_draw(star, degenerate_codebook, monk
     assert (top.gauss_count, top.sign_count) == (synthesis.MIXTURE_CAP, 1)
     assert top.table.shape == (synthesis.MIXTURE_CAP, 1, 1)        # N = 1, one top node
     drawn = []
-    real_rng, real_noise = synthesis._rng, synthesis.LayerCodebook.white_noise
+    real_rng = synthesis._rng
 
     def spy_rng(seed, name, *index):
         drawn.append(name)
         return real_rng(seed, name, *index)
 
-    def spy_noise(self, g, s):
-        drawn.append("codeword_noise")
-        return real_noise(self, g, s)
-
     monkeypatch.setattr(synthesis, "_rng", spy_rng)
-    monkeypatch.setattr(synthesis.LayerCodebook, "white_noise", spy_noise)
     pi = BernoulliParams.uniform(star, 0.5)
     one_more = RateTuple.make([(math.log(2**14 + 0.5), 0.0)], 1)
     assert one_more.codeword_counts() == (2**14 + 1, 1)
@@ -667,76 +683,6 @@ def test_independence_stat_null_for_skewed_pi(star):
     assert checks["output_independent_of_signs"].passed
 
 
-def _words(value: int) -> np.ndarray:
-    return np.array([(value >> (64 * i)) % 2**64 for i in range(4)], dtype=np.uint64)
-
-
-def test_philox_matches_numpy():
-    rng = np.random.default_rng(5)
-    counters = [int.from_bytes(rng.bytes(32), "little") for _ in range(40)]
-    counters += [0, 2**64 - 1, 2**128 - 1, 2**256 - 1, 3 << 192]
-    for counter in counters:
-        key = rng.integers(0, 2**64, size=2, dtype=np.uint64)
-        want = np.random.Philox(key=key, counter=_words(counter)).random_raw(4)
-        got = synthesis.philox4x64(_words((counter + 1) % 2**256)[:, None], key)
-        assert np.array_equal(np.concatenate(got), want)
-
-
-def _quantile_of_centred(quantile, q):
-    """``quantile`` of the probability 1/2 + q for centred uniforms q, read
-    through the lower half (quantile(1/2 + q) = -quantile(1/2 - q)), where
-    the probability is exact in floating point."""
-    q = np.asarray(q, dtype=float)
-    return np.where(q < 0, 1.0, -1.0) * np.vectorize(quantile, otypes=[float])(0.5 - np.abs(q))
-
-
-def test_white_noise_is_the_documented_stream(four_hidden, two_layer):
-    # a top layer of four nodes, and two_layer's top layer of one
-    for tree, rates in ((four_hidden, [(0.5, 0.5)]), (two_layer, [(0.6, 0.4)])):
-        pi = BernoulliParams.uniform(tree, 0.5)
-        lay = lg.build_codebooks(tree, RateTuple.make(rates, 3), pi, 7).top
-        n_uses, k = lay.signs.shape[1:]
-        key = np.random.SeedSequence((7, 13, lay.depth)).generate_state(2, np.uint64)
-        for g, s in [(0, 0), (lay.gauss_count - 1, lay.sign_count - 1), (1, 2)]:
-            pair = g * lay.sign_count + s
-            # numpy's Philox steps the counter before each block: start one below (0, pair, 0, 0)
-            start = _words((pair << 64) - 1 + 2**256)
-            raw = np.random.Philox(key=key, counter=start).random_raw(4 * -(-n_uses * k // 4))
-            top = (raw[:n_uses * k] >> np.uint64(11)).astype(np.int64)
-            q = (top - 2**52 + 0.5) * 2.0**-53
-            noise = lay.white_noise(g, s)
-            assert noise.shape == (n_uses, k)
-            got = noise.ravel()
-            # AS241 as the stdlib evaluates it, up to the last bits of numpy's
-            # log in the tails
-            want = _quantile_of_centred(NormalDist().inv_cdf, q)
-            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
-            np.testing.assert_allclose(got, _quantile_of_centred(ndtri, q), rtol=2e-15, atol=0)
-
-
-def test_every_philox_word_gives_a_finite_normal_odd_in_the_word(four_hidden, monkeypatch):
-    pi = BernoulliParams.uniform(four_hidden, 0.5)
-    lay = lg.build_codebooks(four_hidden, RateTuple.make([(0.5, 0.5)], 4), pi, 7).top
-    # words w = k 2^11 and their complements 2^64 - 1 - w, whose top 53 bits
-    # are 2^53 - 1 - k; k = 0 pairs the all-ones word with the all-zeros one
-    tops = [0, 1, 2, 2**20 + 7, 2**51, 2**52 - 2, 2**52 - 1]
-    low = [k << 11 for k in tops]
-    words = np.array(low + [2**64 - 1 - w for w in low], dtype=np.uint64)
-    assert len(words) <= lay.signs[0].size
-
-    def fixed_words(counter, key):
-        filled = np.resize(words, np.shape(counter[0]) + (4,))
-        return tuple(filled[..., i] for i in range(4))
-
-    monkeypatch.setattr(synthesis, "philox4x64", fixed_words)
-    xi = lay.white_noise(0, 0).ravel()[:len(words)]
-    assert np.all(np.isfinite(xi))
-    lower, upper = xi[:len(tops)], xi[len(tops):]
-    assert np.array_equal(upper, -lower)
-    assert np.all(lower < 0)
-    assert lower[0] < -8.29 and upper[0] > 8.29      # 2^-54 in either tail
-
-
 def test_codeword_batch_matches_single(four_hidden, monkeypatch):
     pi = BernoulliParams.uniform(four_hidden, 0.5)
     cb = lg.build_codebooks(four_hidden, RateTuple.make([(0.5, 0.5)], 3), pi, 7)
@@ -759,26 +705,33 @@ def test_codeword_batch_matches_single(four_hidden, monkeypatch):
 
 
 def test_emission_gathers_every_codeword_from_the_table(star, degenerate_codebook, monkeypatch):
-    # even at MIXTURE_CAP pairs emission regenerates no codeword
-    regenerated = []
-    noise = synthesis.LayerCodebook.white_noise
+    # even at MIXTURE_CAP pairs emission draws no codeword noise
+    drawn = []
+    real_rng = synthesis._rng
 
-    def counting(self, g, s):
-        regenerated.append(np.size(g))
-        return noise(self, g, s)
+    def spy_rng(seed, name, *index):
+        drawn.append(name)
+        return real_rng(seed, name, *index)
 
-    monkeypatch.setattr(synthesis.LayerCodebook, "white_noise", counting)
+    monkeypatch.setattr(synthesis, "_rng", spy_rng)
     below = degenerate_codebook.top
     assert (below.gauss_count, below.sign_count) == (2**14, 1)
     lg.synthesize(star, degenerate_codebook, 100000, 3)
-    assert regenerated == []
+    assert sorted(drawn) == ["innovation", "lower_signs", "pair_index"]
 
 
-def _regenerated(layer, gauss_index, sign_index):
-    """The pair codewords of broadcast index arrays, regenerated without the table."""
-    g, s = np.broadcast_arrays(gauss_index, sign_index)
-    rows = layer._distinct_codewords(g.ravel(), s.ravel())
-    return rows.reshape(g.shape + layer.signs.shape[1:])
+def _reference_codewords(tree, layer):
+    """The (M_Y, M_B, N, k) pair codewords, built apart from the table: the
+    layer's "codeword_noise" substream drawn here in pair order g M_B + s,
+    and each symbol coloured by cholesky(outer(p, p) * Sigma), one factor
+    per canonical pattern p of the layer."""
+    k = len(layer.nodes)
+    base = _layer_cov(tree, layer.nodes)
+    chols = np.stack([np.linalg.cholesky(np.outer(p, p) * base)
+                      for p in (_canonical_pattern(c, k) for c in range(layer.sub_block_count))])
+    noise = synthesis._rng(layer.seed, "codeword_noise", layer.depth).standard_normal(
+        (layer.gauss_count,) + layer.signs.shape)
+    return np.einsum("gstij,gstj->gsti", chols[layer.pattern_codes][None], noise)
 
 
 def test_table_gathers_equal_regeneration(four_hidden):
@@ -786,24 +739,28 @@ def test_table_gathers_equal_regeneration(four_hidden):
     lay = lg.build_codebooks(four_hidden, RateTuple.make([(0.5, 0.5)], 3), pi, 7).top
     assert lay.table.shape == (lay.gauss_count * lay.sign_count,) + lay.signs.shape[1:]
     assert not lay.table.flags.writeable
-    assert np.array_equal(lay.gaussian_codeword(2, 3), _regenerated(lay, 2, 3))
+    want = _reference_codewords(four_hidden, lay)
+    assert np.array_equal(lay.gaussian_codeword(2, 3), want[2, 3])
     rng = np.random.default_rng(4)
     g_rep = rng.integers(0, lay.gauss_count, size=(6, 1))
     s_rep = rng.integers(0, lay.sign_count, size=50)        # (6, 50) pairs, with repeats
-    assert np.array_equal(lay.gaussian_codeword(g_rep, s_rep), _regenerated(lay, g_rep, s_rep))
+    assert np.array_equal(lay.gaussian_codeword(g_rep, s_rep), want[g_rep, s_rep])
 
     # replace rebuilds the table: one node's signs flipped moves the
     # canonical patterns, and one Gaussian codeword fewer drops its rows
     flipped = dataclasses.replace(lay, signs=lay.signs * np.array([1.0, -1.0, 1.0, 1.0]))
     fewer = dataclasses.replace(lay, gauss_count=lay.gauss_count - 1)
     assert not np.array_equal(flipped.table, lay.table)
+    # the table is drawn in pair order, so the fewer codewords are a prefix
+    assert np.array_equal(fewer.table, lay.table[:(lay.gauss_count - 1) * lay.sign_count])
     for changed in (flipped, fewer):
         g = np.arange(changed.gauss_count)[:, None]
         s = np.arange(changed.sign_count)
+        want = _reference_codewords(four_hidden, changed)
         assert len(changed.table) == changed.gauss_count * changed.sign_count
-        assert np.array_equal(changed.gaussian_codeword(g, s), _regenerated(changed, g, s))
-        assert np.array_equal(changed.gaussian_codeword(g_rep[:2] % changed.gauss_count, s_rep),
-                              _regenerated(changed, g_rep[:2] % changed.gauss_count, s_rep))
+        assert np.array_equal(changed.gaussian_codeword(g, s), want)
+        g_in = g_rep[:2] % changed.gauss_count
+        assert np.array_equal(changed.gaussian_codeword(g_in, s_rep), want[g_in, s_rep])
     with pytest.raises(ValidationError, match="out of range"):
         fewer.gaussian_codeword(lay.gauss_count - 1, 0)
 
@@ -820,17 +777,18 @@ def _emission_digest(x, internals=None) -> str:
 
 
 # sha256 of 9000 emitted blocks, then of the same call's internals, recorded
-# when every run regenerated its own pair codeword and each layer's noise was
-# drawn in one piece: rates (0.6, 0.4) at N = 3, codebook seed 7, seed 5
+# with each table's noise drawn from its substream in pair order and each
+# layer's innovation noise drawn in one piece: rates (0.6, 0.4) at N = 3,
+# codebook seed 7, seed 5
 EMISSION_DIGESTS = {
-    "star": ("d967e8c32392dd4bd5188acc45f9b9d6cad6769aa1aa6f5a5615eac18cd9136a",
-             "3f0705d3f5a8afa564441835eb78652646d254d905b930c79848826e65d33a25"),
-    "dumbbell": ("f445730477a12b49264fb8ac194fb6d1db26806214b91009d957481a224a0e4a",
-                 "5df58dde8c18d54545630f38fea81606737df6b9a4f849ef834d6a790411fe86"),
-    "lowcorr": ("79c17a5b09130143a748f2160824cc1c0ce1ac5483ddbef7f6a756a584537159",
-                "017718328b6332f64132e5f369ba0edf8e7ce297d7b46c509811911741bb0d63"),
-    "two_layer": ("4b98b8ab8b45c7344e8c414f551b7e137e8b98427b3fb6e26756764dab54dae9",
-                  "deda0557665e34c847a4a7bb5998681b9a085c7da1610d333da922f258adfd49"),
+    "star": ("4978b11aa7866430e3f32e8db340fd955018deef6901a6ca4abb7b626ae7b34e",
+             "d293c9d3dcea63698b15d52a1d16f3a609eb1670aae3b07bb28ce78f400a5660"),
+    "dumbbell": ("7dcbd499992d41ef71572766d4714f55966d4456504c3c6ef2746ad8be03b6e6",
+                 "df96906998eed59255e0c6d3e33bf9e97f404fd8dd8d6c4bf9c0c010f095dc9e"),
+    "lowcorr": ("4fad4cca369f1ced7cc3d2bdb05c945eacb0faaa0cbdb46cd6cfc73f73b18929",
+                "5dcce8a5e027fa74395ca02049810c70e50541d9ef255441383600e61f64e526"),
+    "two_layer": ("bdb53546c3873035577fd0e050985d72af509928dd2fb810c33df3abb911e40c",
+                  "684f6f230d4a0b247b2a9e47e42274aad11b6791fd3a53ba61af3e255cba1d56"),
 }
 
 
@@ -938,9 +896,13 @@ def test_conditional_independence_z_matches_triangular_solve(monkeypatch):
 def test_white_noise_is_standard_normal(star_codebook):
     from scipy.stats import kstest
 
+    # each symbol solved against its colouring D L D gives back its noise
     cb, _, _ = star_codebook
     lay = cb.top
-    xi = lay.white_noise(np.arange(lay.gauss_count)[:, None], np.arange(lay.sign_count))
+    canon = lay.signs * lay.signs[..., :1]
+    dld = canon[..., :, None] * lay.chol * canon[..., None, :]             # (M_B, N, k, k)
+    y = lay.table.reshape((lay.gauss_count,) + lay.signs.shape)
+    xi = np.linalg.solve(dld, y[..., None])[..., 0]
     assert xi.size == lay.gauss_count * lay.sign_count * 6
     assert kstest(xi.ravel(), "norm").pvalue > 0.01
 
@@ -1008,22 +970,14 @@ def test_iid_check_detects_lag_correlation(star, iid_setup, monkeypatch):
     ("four_hidden", [(0.5, 1.0)]),
 ])
 def test_codewords_equal_per_pattern_cholesky_colouring(request, name, rates):
-    # the reference colours each symbol with cholesky(outer(p, p) * Sigma),
-    # one factor per canonical pattern p of the layer
     tree = request.getfixturevalue(name)
     pi = BernoulliParams.uniform(tree, 0.5)
     cb = lg.build_codebooks(tree, RateTuple.make(rates, 4), pi, 5)
     lay = cb.top
-    k = len(lay.nodes)
-    base = _layer_cov(tree, lay.nodes)
-    chols = np.stack([np.linalg.cholesky(np.outer(p, p) * base)
-                      for p in (_canonical_pattern(c, k) for c in range(lay.sub_block_count))])
     assert set(np.unique(lay.pattern_codes)) == set(range(lay.sub_block_count))
     g = np.arange(lay.gauss_count)[:, None]
     s = np.arange(lay.sign_count)
-    want = np.einsum("gstij,gstj->gsti", chols[lay.pattern_codes[s]][None],
-                     lay.white_noise(g, s))
-    assert np.array_equal(lay.gaussian_codeword(g, s), want)
+    assert np.array_equal(lay.gaussian_codeword(g, s), _reference_codewords(tree, lay))
 
 
 def test_each_regression_is_built_once_per_tree(tree_dir, monkeypatch):
@@ -1154,7 +1108,7 @@ def test_only_the_top_sign_table_is_drawn(two_layer, monkeypatch):
     monkeypatch.setattr(synthesis, "_rng", recording)
     pi = BernoulliParams.uniform(two_layer, 0.5)
     cb = lg.build_codebooks(two_layer, RateTuple.make([(0.6, 0.4)], 3), pi, 7)
-    assert tags == [(7, "codebook_signs", 2)]
+    assert tags == [(7, "codebook_signs", 2), (7, "codeword_noise", 2)]
     assert cb.top.depth == 2
     assert cb.top.nodes == two_layer.layer_nodes(2)
 
