@@ -30,18 +30,20 @@ sys.path.insert(0, os.path.join(ROOT, "src"))   # this checkout's library, not a
 from lgtree import cli  # noqa: E402
 
 RATES = ["--ry", "0.6", "--rb", "0.4", "--blocklen", "3"]
+# the Monte Carlo commands draw more than one 8,192-sample batch, so the
+# digests also cover the batch and chunk boundaries of the mixture draw
 ARGS = {
     "validate": [],
     "covariance": [],
     "enumerate-signs": [],
     "sign-report": [],
     "mi": [],
-    "mi-conditional": ["--samples", "5000"],
-    "optimize-pi": ["--grid", "0.25", "--samples", "4096"],
-    "rate-check": RATES + ["--samples", "4096"],
+    "mi-conditional": ["--samples", "20000"],
+    "optimize-pi": ["--grid", "0.25", "--samples", "10000"],
+    "rate-check": RATES + ["--samples", "10000"],
     "synthesize": RATES + ["--samples", "500"],
     "verify-constraints": RATES + ["--samples", "500"],
-    "report-all": ["--blocklen", "3", "--samples", "4096"],
+    "report-all": ["--blocklen", "3", "--samples", "10000"],
 }
 FIXTURES = ("star", "dumbbell", "lowcorr", "two_layer")
 

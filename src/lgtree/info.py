@@ -48,10 +48,14 @@ group's flip table the drawn flip has log ratio exactly 0, so only the
 other 2^|group| - 1 rows are computed and the drawn row is exp(-shift).
 The max shift that keeps exp() finite runs only when some log ratio in the
 stack exceeds EXP_CEILING; otherwise the shift is 0 and the table is exp()
-of the log ratios as they are.  A prior contracts a whole stack at once,
-and the estimates are running sums over (estimates, samples) blocks: one
-update of the pair (tot, ratio) per batch for a profile, and one per block
-of up to 16 grid points for a sweep.
+of the log ratios as they are.  Each estimate plans its priors once per
+draw (:class:`_PriorPlan`): which groups each prior contracts, and with
+which entries, which held group terms it sums and which it then releases.
+One executor runs that plan on every chunk (:meth:`_MixtureChunk.log_ratios`)
+for the profile, the decomposition check and the pi sweep alike, and the
+estimates are running sums over (estimates, samples) blocks: one update of
+the pair (tot, ratio) per batch for a profile, and one per block of up to
+16 grid points for a sweep.
 
 The target noise is drawn only in the block's signal subspace.  Whitened by
 the conditional covariance L L^T, the targets are L^-1 x = W g + z with
@@ -500,6 +504,47 @@ class _DrawPlan:
         self.product[ks + kc + r:] = np.hstack([white, inv_chol + np.eye(r)])
 
 
+class _PriorPlan:
+    """What each prior of one estimate reads of a chunk, fixed before the
+    draw's first batch from the stacks of its :class:`_DrawPlan`.
+
+    A group's term depends on the prior only through the group's own
+    entries.  A group whose entries all lie in {0, 1} weights only the drawn
+    flip, of ratio 1, so its term is exactly 0 whatever the shift, and it is
+    left out of the sum.  Every other term is contracted at the first prior
+    with its entries and held in a slot until the last, so a grid contracts
+    each group once per distinct value of its own entries outside {0, 1}
+    (9 times for each of dumbbell's two groups on an 11 x 11 sweep), and a
+    sweep whose entries never recur holds no terms.  ``steps`` holds, for
+    each prior in turn, the contractions, each (stack position, groups,
+    their (groups, k) entries, their slots); the slots to sum, stack by
+    stack and group by group; and the slots to release after that prior.
+    """
+
+    def __init__(self, plan: _DrawPlan, priors):
+        table = np.array(priors, dtype=float).reshape(len(priors), plan.ks)
+        self.steps = [([], [], []) for _ in table]
+        slots, last = {}, []            # (stack, group, entries) -> slot; slot -> last prior
+        for at, s in enumerate(plan.stacks):
+            entries = table[:, s.pos]                       # (priors, n, k)
+            live = ~np.all((entries == 0.0) | (entries == 1.0), axis=2)
+            for n, (contract, total, _) in enumerate(self.steps):
+                need, fresh = [], []
+                for i in np.flatnonzero(live[n]).tolist():
+                    slot = slots.setdefault((at, i, tuple(entries[n, i].tolist())), len(last))
+                    if slot == len(last):                   # first read: contract it here
+                        last.append(n)
+                        need.append(i)
+                        fresh.append(slot)
+                    last[slot] = n
+                    total.append(slot)
+                if need:
+                    contract.append((at, need, entries[n, need], fresh))
+        for slot, n in enumerate(last):
+            self.steps[n][2].append(slot)
+        self.slots = len(last)
+
+
 class _StackScores:
     """One stack's flip table on a chunk: ``dens[i, c]`` is exp(-shift)
     p(x | c o g) / p(x | g) for the flips c of its group i, and ``u`` the
@@ -567,29 +612,32 @@ class _MixtureChunk:
     -2 [f . (g o a^T e) + (f o g)^T a^T a (f o g)]
     = sum_j f_j g_j h_j - 4 sum_{j<l} f_j f_l (a^T a)_jl g_j g_l.
     The ratio is a product over the coupling groups, and ``stacks`` holds
-    one :class:`_StackScores` per group size.
+    one :class:`_StackScores` per group size.  The estimate's priors are
+    read through ``priors``, its :class:`_PriorPlan`, by one executor,
+    :meth:`log_ratios`.
 
     Layout: sources, signal coordinates and flips index the rows and samples
     the columns.  One matrix product of the drawn rows gives g, h and the
     two factors of ``tot`` at once (:class:`_DrawPlan`), written into the
-    draw's :class:`_Buffers`; ``scores`` is a (2, samples) buffer whose row
-    0 is ``tot`` and whose
-    row 1 takes a log ratio.  ``u`` holds the sign uniforms as rows;
+    draw's :class:`_Buffers`; ``scores`` is a (1 + rows, samples) buffer
+    whose row 0 is ``tot`` and whose other rows take the log ratios of up
+    to _SWEEP_POINTS priors.  ``u`` holds the sign uniforms as rows;
     ``g``, ``e`` and ``v`` are sample-major, in the sources' order.
     A chunk's arrays alias the draw's buffers: read them before the next
     chunk is drawn.
     """
 
-    def __init__(self, model: _BlockModel, plan: _DrawPlan, u, drawn, buf: _Buffers):
+    def __init__(self, model: _BlockModel, plan: _DrawPlan, priors: _PriorPlan, u, drawn,
+                 buf: _Buffers):
         ks, kc = plan.ks, plan.kc
-        self.model, self.plan, self.u, self._buf = model, plan, u, buf
+        self.model, self.plan, self.priors, self.u = model, plan, priors, u
         self.width = w = drawn.shape[1]
         prod = np.dot(plan.product, drawn, out=buf.rows("product", len(plan.product), w))
         self._g, self._e = prod[:ks], drawn[ks:]
         # tot = 1/2 (log det + |W v|^2 - |e|^2), the difference of squares
         # summed per sample as (W v - e) / 2 . (W v + e)
         r = plan.r
-        self.scores = buf.rows("scores", 2, w)
+        self.scores = buf.rows("scores", 1 + min(_SWEEP_POINTS, len(priors.steps)), w)
         self.tot = np.einsum("ij,ij->j", prod[ks + kc:ks + kc + r], prod[ks + kc + r:],
                              out=self.scores[0])
         self.tot += 0.5 * model.signal.logdet
@@ -607,37 +655,24 @@ class _MixtureChunk:
     def v(self) -> np.ndarray:
         return (self.model.signal_gain @ self._g[self.plan.inverse] + self._e).T
 
-    def _contract(self, s: _StackScores, need, entries: np.ndarray, live) -> np.ndarray:
+    def _contract(self, s: _StackScores, need, entries: np.ndarray) -> np.ndarray:
         """The terms log sum_c pi(b o c) p(x | c o g) / p(x | g) of the
-        groups ``need`` of the stack ``s``, one row each, given the prior
-        entries of every group of the stack, an (n, k) array, and whether
-        each group has an entry outside {0, 1} (``live``).
+        groups ``need`` of the stack ``s``, one row each, given their prior
+        entries, a (len(need), k) array with some entry outside {0, 1} in
+        each row (:class:`_PriorPlan`).
 
         The prior is a product over sources, so the sum contracts one source
         at a time, for all the groups at once: with weight r on the drawn
         sign and q = 1 - r on the flipped one, the pair (t0, t1) of rows
         that differ in that flip becomes t0 + q (t1 - t0).  A zero-prior
         component gets weight q = 0 exactly, and so contributes exactly
-        nothing; a group whose prior entries are all 0 or 1 weights only
-        the drawn flip, of ratio 1, so its term is exactly 0 whatever the
-        shift, and it is not contracted.  With only some entries in {0, 1},
-        a shift set by a zero-weight flip can underflow every weighted row
-        of a sample; only those samples are contracted again, in the log
-        domain (:meth:`_log_terms`)."""
-        weighted = [i for i in need if live[i]]
-        if len(weighted) == len(need):
-            return self._weighted(s, need, entries)
-        terms = np.zeros((len(need), self.width))
-        if weighted:
-            terms[[i for i, j in enumerate(need) if live[j]]] = self._weighted(s, weighted, entries)
-        return terms
-
-    def _weighted(self, s: _StackScores, need, entries: np.ndarray) -> np.ndarray:
-        """:meth:`_contract` of groups with some prior entry outside {0, 1}."""
+        nothing.  With some entries in {0, 1}, a shift set by a zero-weight
+        flip can underflow every weighted row of a sample; only those
+        samples are contracted again, in the log domain (:meth:`_log_terms`)."""
         if len(need) == len(s.stack.groups):                # the whole stack: views
             u, low, step, shift = s.u, s.low, s.step, s.shift
         else:
-            u, low, step, entries = s.u[need], s.low[need], s.step[need], entries[need]
+            u, low, step = s.u[need], s.low[need], s.step[need]
             shift = s.shift[need] if s.logs is not None else s.shift
         q = _flip_weight(u, entries[:, :, None])
         k = u.shape[1]
@@ -674,58 +709,32 @@ class _MixtureChunk:
                                  t[:, :, 1] + np.log(q[:, j, None]))
         return t[:, 0]
 
-    def _terms(self, priors):
-        """For each prior in ``priors`` in turn, the list of every group's
-        term, stack by stack.  A group's term is kept while a later prior has
-        the same entries for that group, so a grid contracts each group once
-        per distinct value of its own entries (11 times for each of
-        dumbbell's two groups on an 11 x 11 sweep), and a sweep whose entries
-        never recur holds no terms."""
-        table = np.array(priors, dtype=float).reshape(len(priors), -1)
-        states = []
-        for s in self.stacks:
-            entries = table[:, s.stack.pos]                 # (points, n, k)
-            keys = [[tuple(row) for row in point] for point in entries.tolist()]
-            live = (~np.all((entries == 0.0) | (entries == 1.0), axis=2)).tolist()
-            last = [{} for _ in s.stack.groups]          # entries -> last prior using them
-            for n, row in enumerate(keys):
-                for ends, key in zip(last, row):
-                    ends[key] = n
-            states.append((s, entries, keys, live, last, [{} for _ in s.stack.groups]))
-        for n in range(len(priors)):
-            terms = []
-            for s, entries, keys, live, last, held in states:
-                need = [i for i, key in enumerate(keys[n]) if key not in held[i]]
-                fresh = iter(self._contract(s, need, entries[n], live[n]) if need else ())
-                for key, ends, kept in zip(keys[n], last, held):
-                    term = kept.pop(key) if key in kept else next(fresh)
-                    if ends[key] > n:
-                        kept[key] = term
-                    terms.append(term)
-            yield terms
-
-    def log_ratios(self, priors):
-        """log sum_c pi(b o c) p(x | c o g) - log p(x | g) at each sign prior
-        in ``priors`` in turn, the sum of the groups' terms and exactly 0 at
-        p in {0, 1}, written as the rows of (points, samples) blocks of
-        _SWEEP_POINTS rows (fewer in the last).  Each yielded block is a view
-        of one buffer: use it before asking for the next."""
-        priors = list(priors)
-        block = self._buf.rows("sweep", min(_SWEEP_POINTS, len(priors)), self.width)
+    def log_ratios(self):
+        """log sum_c pi(b o c) p(x | c o g) - log p(x | g) at each prior of
+        the chunk's :class:`_PriorPlan` in turn, the sum of the groups'
+        terms and exactly 0 where every entry is 0 or 1, written into rows
+        1 on of ``scores`` and yielded as blocks of up to _SWEEP_POINTS rows
+        (fewer in the last).  Each block is a view of that one buffer: use
+        it before asking for the next."""
+        block = self.scores[1:]
+        held = [None] * self.priors.slots
         filled = 0
-        for terms in self._terms(priors):
-            _sum_rows(terms, block[filled])
+        for contract, total, release in self.priors.steps:
+            for stack, need, entries, slots in contract:
+                for slot, term in zip(slots, self._contract(self.stacks[stack], need, entries)):
+                    held[slot] = term
+            row = block[filled]
+            row[...] = held[total[0]] if total else 0.0
+            for slot in total[1:]:
+                row += held[slot]
+            for slot in release:
+                held[slot] = None
             filled += 1
             if filled == len(block):
                 yield block
                 filled = 0
         if filled:
             yield block[:filled]
-
-    def log_ratio(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`log_ratios` at the single prior ``p``, written into ``out``."""
-        out = np.empty(self.width) if out is None else out
-        return _sum_rows(next(self._terms([p])), out)
 
     def signs(self, p: np.ndarray) -> np.ndarray:
         """The +/-1 sign inputs drawn at prior ``p``, sample-major."""
@@ -742,21 +751,10 @@ def _flip_weight(u: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.subtract(p, q, out=q)
 
 
-def _sum_rows(terms, out: np.ndarray) -> np.ndarray:
-    """The sum of the arrays ``terms``, in order, written into ``out``."""
-    if not terms:
-        out[...] = 0.0
-    elif len(terms) == 1:
-        np.copyto(out, terms[0])
-    else:
-        np.add(terms[0], terms[1], out=out)
-        for term in terms[2:]:
-            out += term
-    return out
-
-
-def _mixture_chunks(model: _BlockModel, samples: int, rng, groups=None):
-    """Stream a deterministic draw of the (signs, sources, targets) model.
+def _mixture_chunks(model: _BlockModel, samples: int, rng, priors, groups=None):
+    """Stream a deterministic draw of the (signs, sources, targets) model,
+    whose chunks evaluate the sign prior vectors ``priors`` (in the order of
+    ``model.sources``), planned once for the whole draw.
 
     Each batch of SAMPLE_BATCH samples draws the sign uniforms, the source
     normals and the signal-subspace target noise, in that order, off one
@@ -770,6 +768,7 @@ def _mixture_chunks(model: _BlockModel, samples: int, rng, groups=None):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     plan = _DrawPlan(model, model.groups if groups is None else groups)
+    prior_plan = _PriorPlan(plan, priors)
     ks, r = plan.ks, plan.r
     rows = max(1, EVAL_CELLS // max(1, plan.cells))
     buf = _Buffers()
@@ -782,7 +781,7 @@ def _mixture_chunks(model: _BlockModel, samples: int, rng, groups=None):
         drawn[ks:] = rng.standard_normal((m, r)).T
         for lo in range(0, m, rows):
             sl = slice(lo, lo + rows)
-            yield _MixtureChunk(model, plan, u[:, sl], drawn[:, sl], buf)
+            yield _MixtureChunk(model, plan, prior_plan, u[:, sl], drawn[:, sl], buf)
 
 
 def _mixture_profile(model: _BlockModel, p: np.ndarray, samples: int, rng) -> dict[str, MIResult]:
@@ -791,9 +790,9 @@ def _mixture_profile(model: _BlockModel, p: np.ndarray, samples: int, rng) -> di
     pair (tot, ratio); the inputs' per-sample value is tot + ratio, and the
     sign term is -ratio, whose running sums are those of ratio negated."""
     running = _Running(2, cross=True)
-    for chunk in _mixture_chunks(model, samples, rng):
-        chunk.log_ratio(p, out=chunk.scores[1])
-        running.add(chunk.scores)
+    for chunk in _mixture_chunks(model, samples, rng, [p]):
+        for _ in chunk.log_ratios():        # one prior: one block, row 1 of scores
+            running.add(chunk.scores)
     return {"inputs": running.result_of_sum(),
             "signs_given_inputs": running.result(1, negated=True),
             "total": running.result(0)}
@@ -959,13 +958,11 @@ def decomposition_check(
     # whose negation is the left side, and row 1 the right side
     joint = (tuple(range(len(model.sources))),)
     running = _Running(2)
-    for chunk in _mixture_chunks(model, samples, _rng(seed, "decomposition"), joint):
-        sides = np.empty((2, chunk.width))
-        chunk.log_ratio(p, out=sides[0])
+    for chunk in _mixture_chunks(model, samples, _rng(seed, "decomposition"), [p], joint):
+        (ratio,) = chunk.log_ratios()           # one prior: one (1, samples) block
         g, v = chunk.g, chunk.v
         y = chunk.signs(p) * g
-        rhs_vals = sides[1]
-        rhs_vals[...] = 0.0
+        rhs_vals = np.zeros(chunk.width)
         for j, a_h, s_h in groups:
             t_h = v @ a_h
 
@@ -979,7 +976,7 @@ def decomposition_check(
                     continue
                 lse_pred = np.logaddexp(lse_pred, math.log(prob) + group_loglik(sign * y[:, j]))
             rhs_vals += num - lse_pred
-        running.add(sides)
+        running.add(np.vstack([ratio, rhs_vals]))
     return running.result(0, negated=True), running.result(1)
 
 
@@ -999,8 +996,11 @@ def optimize_pi(
     each grid point: every curve point equals
     ``mixture_mi_profile(tree, pi, samples, seed)`` at that point, and
     neighbouring points (mirror images too) carry correlated errors.  Each
-    batch writes the sign term of _SWEEP_POINTS consecutive points into one
-    (points, samples) block, and each block makes one running update.
+    grid point is already its prior vector, in the order of ``tree.hidden``,
+    and the draw plans them once (:class:`_PriorPlan`); only the argmax
+    becomes a :class:`BernoulliParams`.  Each batch writes the sign term of
+    _SWEEP_POINTS consecutive points into one (points, samples) block, and
+    each block makes one running update.
     """
     if tree.k == 0:
         raise ValidationError("tree has no hidden nodes, so it has no sign bias to optimise")
@@ -1021,15 +1021,14 @@ def optimize_pi(
     else:
         grid = [(a,) * tree.k for a in axis]
 
+    # the model's sources are tree.hidden, so each grid point is its prior
+    # vector; the sweep reads only the sign term, so it keeps only the ratio
+    # sums, one running update per block of _SWEEP_POINTS points
     model = _block(tree, tree.observed, tree.hidden)
-    params = [BernoulliParams.make(dict(zip(tree.hidden, point))) for point in grid]
-    priors = [pi.vector_for(model.sources) for pi in params]
-    # the sweep reads only the sign term, so it keeps only the ratio sums,
-    # one running update per block of _SWEEP_POINTS points
-    sums = [_Running(len(priors[lo:lo + _SWEEP_POINTS]))
-            for lo in range(0, len(priors), _SWEEP_POINTS)]
-    for chunk in _mixture_chunks(model, samples, _rng(seed, "mixture")):
-        for block, running in zip(chunk.log_ratios(priors), sums):
+    sums = [_Running(len(grid[lo:lo + _SWEEP_POINTS]))
+            for lo in range(0, len(grid), _SWEEP_POINTS)]
+    for chunk in _mixture_chunks(model, samples, _rng(seed, "mixture"), grid):
+        for block, running in zip(chunk.log_ratios(), sums):
             running.add(block)
     curve = []
     best_idx = 0
@@ -1038,4 +1037,4 @@ def optimize_pi(
         curve.append((point if tree.k == 2 else (point[0],), est))
         if est.value > curve[best_idx][1].value:
             best_idx = idx
-    return params[best_idx], curve
+    return BernoulliParams.make(dict(zip(tree.hidden, grid[best_idx]))), curve

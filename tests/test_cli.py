@@ -774,3 +774,79 @@ def test_running_the_cli_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=PKG)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# |rho| regimes of the tree-shape fuzz: moderate, near 1 and near 0
+RHO_REGIMES = ((0.2, 0.9), (0.99, 0.99999), (0.001, 0.05))
+SHAPE_RATES = ["--ry", "0.3", "--rb", "0.3", "--blocklen", "2"]
+SHAPE_ARGS = {
+    "validate": [],
+    "covariance": [],
+    "enumerate-signs": [],
+    "sign-report": [],
+    "mi": [],
+    "mi-conditional": ["--samples", "1000"],
+    "optimize-pi": ["--grid", "0.25", "--samples", "1000"],
+    "rate-check": SHAPE_RATES + ["--samples", "1000"],
+    "synthesize": SHAPE_RATES + ["--samples", "200"],
+    "verify-constraints": SHAPE_RATES + ["--samples", "200"],
+    "report-all": ["--blocklen", "2", "--samples", "1000"],
+}
+
+
+@st.composite
+def shaped_trees(draw):
+    """The text of a random tree of 4 to 24 nodes.  Every node of degree
+    below 3 is observed and each other node is hidden with probability 3/5,
+    up to 8 hidden nodes, so inner observed nodes occur; each edge's |rho|
+    lies in one of RHO_REGIMES, with either sign."""
+    n = draw(st.integers(4, 24))
+    # each node joins one near the middle of those before it, so most
+    # inner nodes have degree 3 or more, as in a binary heap
+    parents = [draw(st.integers(max(0, child // 2 - 2), (child - 1) // 2))
+               for child in range(1, n)]
+    degree = [0] * n
+    for child, parent in enumerate(parents, 1):
+        degree[child] += 1
+        degree[parent] += 1
+    hidden = []
+    for node in range(n):
+        if degree[node] >= 3 and len(hidden) < 8 and draw(st.integers(0, 4)) < 3:
+            hidden.append(node)
+    lines = [f"node v{node} {'hidden' if node in hidden else 'observed'}" for node in range(n)]
+    for child, parent in enumerate(parents, 1):
+        lo, hi = draw(st.sampled_from(RHO_REGIMES))
+        rho = draw(st.floats(lo, hi)) * draw(st.sampled_from((1.0, -1.0)))
+        lines.append(f"edge v{parent} v{child} {rho!r}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_finite_json(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            assert_finite_json(item)
+    elif isinstance(value, list):
+        for item in value:
+            assert_finite_json(item)
+    elif isinstance(value, float):
+        assert math.isfinite(value)
+
+
+@seed(20161018)
+@settings(max_examples=30, deadline=None, database=None)
+@given(text=shaped_trees())
+def test_every_subcommand_exits_0_or_1_on_any_tree_shape(text, tmp_path_factory):
+    # each subcommand either reports strict JSON with finite numbers or
+    # refuses the tree with a typed validation error and prints nothing
+    path = tmp_path_factory.mktemp("shape") / "fuzz.tree"
+    path.write_text(text)
+    for command in lgtree.cli._COMMANDS:      # a command missing from SHAPE_ARGS fails here
+        code, out, err = run_in_process(command, path, "--deterministic", *SHAPE_ARGS[command])
+        assert code in (0, 1), (command, text, err)
+        if code == 0:
+            assert_finite_json(strict_json(out))
+        else:
+            assert out == ""
+            name = re.match(r"error\[\w+\]: (\w+): ", err)
+            assert name and issubclass(getattr(lgtree.errors, name.group(1)),
+                                       lgtree.errors.ValidationError), (command, text, err)

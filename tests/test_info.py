@@ -454,6 +454,12 @@ def _full_space_targets(model, chunk, rng):
     return chunk.g @ model.gain.T + (chunk.e @ model.basis.T + z_perp) @ model.noise.chol.T
 
 
+def _rows(chunk):
+    # the log ratio of each planned prior on ``chunk``, one row each, copied
+    # out of the block buffer that the executor reuses
+    return np.vstack([block.copy() for block in chunk.log_ratios()])
+
+
 def _assert_log_ratio_matches_enumeration(model, rng):
     # reference: the log-sum-exp over every full sign vector of the sources,
     # with the prior-weighted density of x given each signed copy of them
@@ -464,11 +470,11 @@ def _assert_log_ratio_matches_enumeration(model, rng):
               np.r_[0.0, 1.0, rng.uniform(size=ks)][:ks],
               np.r_[1.0, 0.0, rng.uniform(size=ks)][:ks]]
     enum = info._enumerate_signs(ks)
-    for chunk in info._mixture_chunks(model, 500, info._rng(4, "mixture")):
+    for chunk in info._mixture_chunks(model, 500, info._rng(4, "mixture"), priors):
         x = _full_space_targets(model, chunk, rng)
         log_cond = model.noise.logpdf(x - chunk.g @ model.gain.T)
         assert np.max(np.abs(chunk.tot - (log_cond - model.marg_t.logpdf(x)))) <= 1e-12
-        for p in priors:
+        for p, got in zip(priors, _rows(chunk)):
             y = chunk.signs(p) * chunk.g
             with np.errstate(divide="ignore"):
                 log_prior = np.log(np.where(enum > 0, p, 1.0 - p)).sum(axis=1)
@@ -476,7 +482,6 @@ def _assert_log_ratio_matches_enumeration(model, rng):
                 [model.noise.logpdf(x - (s * y) @ model.gain.T) for s in enum], axis=1
             )
             expected = logsumexp(comp + log_prior, axis=1) - log_cond
-            got = chunk.log_ratio(p)
             assert np.all(np.isfinite(got))
             assert np.max(np.abs(got - expected)) <= 1e-9
 
@@ -533,16 +538,17 @@ def test_stacks_of_larger_groups_match_enumeration_and_single_priors():
     model = info._block(tree, tree.observed, tree.hidden)
     assert [list(g) for g in model.groups] == [[0, 1, 2], [3, 4], [5, 6]]
     _assert_log_ratio_matches_enumeration(model, np.random.default_rng(5))
-    chunk = next(info._mixture_chunks(model, 600, info._rng(2, "mixture")))
-    assert sorted(len(s.stack.groups) for s in chunk.stacks) == [1, 2]
     base = np.array([0.3, 0.6, 0.45, 0.2, 0.7, 0.35, 0.8])
     priors = [base, base.copy(), base.copy(), base.copy(), base]
     priors[1][3:5] = [0.5, 0.1]          # the first pair alone changes
     priors[2][3:5] = [0.0, 1.0]          # and then weights only its drawn flip
     priors[3][5:7] = [1.0, 0.25]         # one entry of the second pair in {0, 1}
-    rows = np.vstack(list(chunk.log_ratios(priors)))
+    chunk = next(info._mixture_chunks(model, 600, info._rng(2, "mixture"), priors))
+    assert sorted(len(s.stack.groups) for s in chunk.stacks) == [1, 2]
+    rows = _rows(chunk)
     for p, row in zip(priors, rows):
-        assert np.array_equal(row, chunk.log_ratio(p))
+        alone = next(info._mixture_chunks(model, 600, info._rng(2, "mixture"), [p]))
+        assert np.array_equal(row, _rows(alone)[0])
     assert not np.array_equal(rows[0], rows[1])
 
 
@@ -565,7 +571,7 @@ def test_flips_are_enumerated_per_coupling_group(request, name, block, rows):
             "layer 1": tree.layer_nodes(1), "layer 2": tree.layer_nodes(2)}
     targets, sources = block.split("|")
     model = info._block(tree, side[targets], side[sources])
-    chunk = next(info._mixture_chunks(model, 1000, info._rng(0, "mixture")))
+    chunk = next(info._mixture_chunks(model, 1000, info._rng(0, "mixture"), []))
     assert _enumerated_rows(chunk) == rows
 
 
@@ -624,7 +630,8 @@ def test_flip_ratio_above_the_exp_ceiling(star):
     g = w @ model.marg_s.chol.T
     e = -2.0 * g @ a.T + 0.1
     u = np.array([[0.2], [0.7], [0.4], [0.9]])
-    chunk = next(info._mixture_chunks(model, 4, _Scripted(u, w, e)))
+    priors = [np.array([0.3]), np.array([0.5])]
+    chunk = next(info._mixture_chunks(model, 4, _Scripted(u, w, e), priors))
     assert chunk.stacks[0].shift.max() > 0.0        # the shift is in use
     x = _full_space_targets(model, chunk, np.random.default_rng(6))
 
@@ -634,10 +641,9 @@ def test_flip_ratio_above_the_exp_ceiling(star):
         return -0.5 * np.sum(white * white, axis=0)
 
     assert np.max(log_cond(-1.0) - log_cond(1.0)) > 1500.0
-    for p in (0.3, 0.5):
+    for (p,), got in zip(priors, _rows(chunk)):
         r = np.where(u[:, 0] < p, p, 1.0 - p)       # prior of the drawn sign
         want = np.logaddexp(np.log(r) + log_cond(1.0), np.log1p(-r) + log_cond(-1.0))
-        got = chunk.log_ratio(np.array([p]))
         assert got == pytest.approx(want - log_cond(1.0), rel=1e-9, abs=1e-9)
 
 
@@ -645,7 +651,11 @@ def test_flip_ratio_above_the_exp_ceiling(star):
 def test_a_shift_moves_only_the_samples_past_the_exp_ceiling(request, name):
     # one sample's flip ratio far past EXP_CEILING: its groups run the max
     # shift, and every other sample's log ratio is, bit for bit, that of the
-    # same draw with the outlier removed, which runs no shift at all
+    # same draw with the outlier removed, which runs no shift at all.  The
+    # priors run as one planned sweep, with a prior that puts an entry of the
+    # first group in {0, 1} and one that repeats that group's entries two
+    # priors on, so a held term is summed where the shift runs; each row is,
+    # bit for bit, that prior's own single-prior evaluation
     tree = request.getfixturevalue(name)
     model = info._BlockModel(tree, tree.observed, tree.hidden)
     ks, r = len(model.sources), len(model.signal_gain)
@@ -656,17 +666,26 @@ def test_a_shift_moves_only_the_samples_past_the_exp_ceiling(request, name):
     e[out] = -2.0 * (w[out] @ model.marg_s.chol.T) @ model.signal_gain.T
     keep = np.arange(7) != out
     priors = [np.full(ks, 0.5), rng.uniform(0.05, 0.95, ks)]
+    first = list(model.groups[0])
+    edge, repeat = priors[1].copy(), rng.uniform(0.05, 0.95, ks)
+    edge[first[0]] = 1.0
+    repeat[first] = priors[1][first]
+    priors += [edge, repeat]
 
-    chunk = next(info._mixture_chunks(model, 7, _Scripted(u, w, e)))
+    chunk = next(info._mixture_chunks(model, 7, _Scripted(u, w, e), priors))
     shifts = [s.shift for s in chunk.stacks]       # (groups, samples) once the shift runs
     assert any(np.ndim(shift) and np.any(shift[:, out] > 0.0) for shift in shifts)
     assert all(np.ndim(shift) == 0 or np.all(shift[:, keep] == 0.0) for shift in shifts)
-    got = [chunk.log_ratio(p)[keep] for p in priors]
+    stack = next(s for s in chunk.stacks if model.groups[0] in s.stack.groups)
+    assert stack.logs is not None                  # the held term's stack runs the shift
+    rows = _rows(chunk)
+    for p, row in zip(priors, rows):
+        alone = next(info._mixture_chunks(model, 7, _Scripted(u, w, e), [p]))
+        assert np.array_equal(_rows(alone)[0], row)
 
-    clean = next(info._mixture_chunks(model, 6, _Scripted(u[keep], w[keep], e[keep])))
+    clean = next(info._mixture_chunks(model, 6, _Scripted(u[keep], w[keep], e[keep]), priors))
     assert all(np.ndim(s.shift) == 0 and s.shift == 0.0 for s in clean.stacks)
-    for p, want in zip(priors, got):
-        assert np.array_equal(clean.log_ratio(p), want)
+    assert np.array_equal(_rows(clean), rows[:, keep])
 
 
 def test_zero_prior_component_drops_out(star):
@@ -675,10 +694,9 @@ def test_zero_prior_component_drops_out(star):
     from lgtree import info
 
     model = info._BlockModel(star, star.observed, star.hidden)
-    chunk = next(info._mixture_chunks(model, 1000, info._rng(0, "mixture")))
+    chunk = next(info._mixture_chunks(model, 1000, info._rng(0, "mixture"), [[0.0], [1.0]]))
     chunk.stacks[0].step[0, 0] = 1e300     # the flipped row less the drawn one
-    for p in (0.0, 1.0):
-        assert np.all(chunk.log_ratio(np.array([p])) == 0.0)
+    assert np.all(_rows(chunk) == 0.0)
 
 
 def test_zero_prior_term_is_exact_past_the_exp_ceiling(star):
@@ -689,12 +707,12 @@ def test_zero_prior_term_is_exact_past_the_exp_ceiling(star):
     a = model.signal_gain
     w = np.array([[-25.0], [0.5]])                  # the source has unit variance
     e = np.array([200.0 * np.sign(a[:, 0]), [0.1]])
-    chunk = next(info._mixture_chunks(model, 2, _Scripted(np.array([[0.3], [0.6]]), w, e)))
+    chunk = next(info._mixture_chunks(model, 2, _Scripted(np.array([[0.3], [0.6]]), w, e),
+                                      [[0.0], [1.0]]))
     assert chunk.stacks[0].shift[0, 0] > 13000.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for p in (0.0, 1.0):
-            assert np.array_equal(chunk.log_ratio(np.array([p])), [0.0, 0.0])
+        assert np.array_equal(_rows(chunk), np.zeros((2, 2)))
 
 
 def test_partly_zero_prior_term_is_finite_past_the_exp_ceiling():
@@ -713,17 +731,17 @@ def test_partly_zero_prior_term_is_finite_past_the_exp_ceiling():
     assert [list(g) for g in model.groups] == [[0, 1]]
     u, w = np.array([[0.3, 0.6]]), np.array([[-25.0, 0.3]])
     e = 200.0 * np.sign(model.signal_gain[:, :1].T)
-    chunk = next(info._mixture_chunks(model, 1, _Scripted(u, w, e)))
+    priors = [np.array([0.0, 0.5]), np.array([0.5, 0.0])]
+    chunk = next(info._mixture_chunks(model, 1, _Scripted(u, w, e), priors))
     assert chunk.stacks[0].shift[0, 0] > 20000.0
     x = _full_space_targets(model, chunk, np.random.default_rng(6))
     flips = info._enumerate_signs(2)
     log_cond = np.array([model.noise.logpdf(x - (c * chunk.g) @ model.gain.T)[0] for c in flips])
-    for p in (np.array([0.0, 0.5]), np.array([0.5, 0.0])):
+    for p, got in zip(priors, _rows(chunk)):
         drawn = np.where(u[0] < p, p, 1.0 - p)          # prior of each drawn sign
         with np.errstate(divide="ignore"):
             log_w = np.log(np.where(flips > 0, drawn, 1.0 - drawn)).sum(axis=1)
         want = logsumexp(log_w + log_cond) - log_cond[0]
-        got = chunk.log_ratio(p)
         assert np.isfinite(got[0])
         assert got[0] == pytest.approx(want, rel=1e-9)
 
@@ -738,7 +756,7 @@ def test_sliced_evaluation_matches_whole_batches(two_layer, monkeypatch):
     model = info._block(two_layer, two_layer.observed, two_layer.hidden)
     rows = sum(2 ** len(g) for g in model.groups)
     monkeypatch.setattr(info, "EVAL_CELLS", rows * 700)
-    chunks = info._mixture_chunks(model, 3000, info._rng(2, "mixture"))
+    chunks = info._mixture_chunks(model, 3000, info._rng(2, "mixture"), [])
     widths = [chunk.u.shape[1] for chunk in chunks]
     assert widths == [700, 700, 700, 700, 200]
     sliced = lg.mixture_mi_profile(two_layer, pi, 3000, 2)
@@ -817,7 +835,7 @@ def test_target_noise_is_drawn_in_the_signal_subspace(request, name, block, r):
     ks = len(model.sources)
     assert model.basis.shape == (len(model.targets), r)
     rng = _RecordingGenerator(0)
-    for _ in info._mixture_chunks(model, SAMPLE_BATCH + 100, rng):
+    for _ in info._mixture_chunks(model, SAMPLE_BATCH + 100, rng, []):
         pass
     assert rng.shapes == [draw for m in (SAMPLE_BATCH, 100) for draw in (
         ("random", (m, ks)), ("standard_normal", (m, ks)), ("standard_normal", (m, r)))]
@@ -829,7 +847,7 @@ def test_hidden_free_tree_draws_no_target_noise_and_gives_exact_zeros():
     model = info._block(tree, tree.observed, tree.hidden)
     assert model.basis.shape == (2, 0)
     rng = _RecordingGenerator(0)
-    for _ in info._mixture_chunks(model, 1000, rng):
+    for _ in info._mixture_chunks(model, 1000, rng, []):
         pass
     assert rng.shapes == [("random", (1000, 0)), ("standard_normal", (1000, 0)),
                           ("standard_normal", (1000, 0))]
@@ -840,7 +858,8 @@ def test_hidden_free_tree_draws_no_target_noise_and_gives_exact_zeros():
 
 def test_a_sweep_contracts_a_group_only_when_its_prior_entries_change(dumbbell, monkeypatch):
     # the 11 x 11 grid steps y2's bias fastest: each group is contracted once
-    # per distinct value of its own bias, 22 in all instead of 242
+    # per distinct value of its own bias, and the biases 0 and 1 need none,
+    # so 18 in all instead of 242
     calls = []
     contract = info._MixtureChunk._contract
 
@@ -852,7 +871,32 @@ def test_a_sweep_contracts_a_group_only_when_its_prior_entries_change(dumbbell, 
     monkeypatch.setattr(info._MixtureChunk, "_contract", counting)
     _, curve = lg.optimize_pi(dumbbell, 0.1, 1000, 3)
     assert len(curve) == 121
-    assert (calls.count((0,)), calls.count((1,)), len(calls)) == (11, 11, 22)
+    assert (calls.count((0,)), calls.count((1,)), len(calls)) == (9, 9, 18)
+
+
+def test_each_estimate_plans_its_priors_once(dumbbell, monkeypatch):
+    # the priors are fixed before the first batch, so a 1M-sample profile
+    # (123 chunks) and a 20k-sample sweep (3 chunks) build one plan each,
+    # and every chunk of an estimate runs that one plan
+    plans, read = [], []
+
+    class CountingPlan(info._PriorPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    class CountingChunk(info._MixtureChunk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            read.append(self.priors)
+
+    monkeypatch.setattr(info, "_PriorPlan", CountingPlan)
+    monkeypatch.setattr(info, "_MixtureChunk", CountingChunk)
+    lg.mixture_mi_profile(dumbbell, BernoulliParams.uniform(dumbbell, 0.3), 10**6, 1)
+    assert (len(plans), len(read)) == (1, 123)
+    lg.optimize_pi(dumbbell, 0.1, 20000, 3)
+    assert (len(plans), len(read)) == (2, 126)
+    assert all(p is plans[0] for p in read[:123]) and all(p is plans[1] for p in read[123:])
 
 
 def test_a_sweep_holds_no_group_term_that_does_not_recur(star):

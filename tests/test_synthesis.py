@@ -471,7 +471,7 @@ def _block_kl_gradient(path, nodes, inputs, step=1e-3):
     return grad
 
 
-def test_block_kl_check_fails_when_the_oracle_codewords_move_by_1e_2(block_kl_case):
+def test_block_kl_check_fails_when_the_codewords_step_up_the_quadrature_gradient(block_kl_case):
     # the codeword inputs step up the quadrature KL's gradient by a length
     # that moves the KL by 3 BLOCK_KL_Z standard errors to first order, so
     # the check's power follows from the report's SE, not from where one
