@@ -471,9 +471,11 @@ def _block_kl_gradient(path, nodes, inputs, step=1e-3):
     return grad
 
 
-def test_block_kl_check_fails_when_the_codewords_step_up_the_quadrature_gradient(block_kl_case):
-    # the codeword inputs step up the quadrature KL's gradient by a length
-    # that moves the KL by 3 BLOCK_KL_Z standard errors to first order, so
+def test_block_kl_check_fails_when_the_oracle_codewords_move_by_1e_2(block_kl_case):
+    # the name is kept from an earlier tamper that moved every symbol by
+    # 1e-2.  The codeword inputs now step up the quadrature KL's gradient by
+    # a length that moves the KL by 3 BLOCK_KL_Z standard errors to first
+    # order, so
     # the check's power follows from the report's SE, not from where one
     # codebook's codewords fell.  The step's quadrature effect must exceed
     # 2 BLOCK_KL_Z SE: a library estimate within BLOCK_KL_Z SE of the
