@@ -15,8 +15,15 @@ object on the last line of its stdout.  The script prints, for each
 end-to-end metric, the median of each side, the parent's quartiles and
 interquartile range, and the number of pairs in which the change reads
 lower (ties count for neither side), then each side's failed operations and
-correct runs.  Each run is waited for, and the export is removed at exit,
-so no process or directory is left behind.
+correct runs.  With ``--record PATH`` it also writes that summary, with the
+seed, the seconds per run and the parent's commit, as JSON under the
+workload's name in PATH, keeping the other workloads' entries:
+
+    python3 scripts/bench_pairs.py HEAD~1 --workload soft_covering --seed 7 \\
+        --pairs 5 --record pairs.json
+
+Each run is waited for, and the export is removed at exit, so no process or
+directory is left behind.
 """
 
 from __future__ import annotations
@@ -49,28 +56,58 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(parent: list[dict], change: list[dict]) -> str:
-    """The comparison table for runs paired by position in the two lists."""
+def summary(parent: list[dict], change: list[dict]) -> dict:
+    """For runs paired by position in the two lists: per end-to-end metric,
+    both medians, the parent's quartiles and interquartile range and the
+    pairs in which the change reads lower (ties count for neither side);
+    per side, the failed and attempted operations and the correct runs."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs on each side")
-    rows = [f"{'metric':12s} {'unit':4s} {'parent':>10s} {'change':>10s} "
-            f"{'parent quartiles (IQR)':>32s} {'change lower':>12s}"]
+    metrics = {}
     for name in METRICS:
         old = [run["metrics"][name]["value"] for run in parent]
         new = [run["metrics"][name]["value"] for run in change]
         q1, median, q3 = quartiles(old)
-        lower = sum(b < a for a, b in zip(old, new))
-        band = f"{q1:.4f}-{q3:.4f} ({q3 - q1:.4f})"
-        rows.append(f"{name:12s} {parent[0]['metrics'][name]['unit']:4s} {median:10.4f} "
-                    f"{statistics.median(new):10.4f} {band:>32s} "
-                    f"{f'{lower}/{len(old)}':>12s}")
-    for side, runs in (("parent", parent), ("change", change)):
-        failed = sum(run["failed"] for run in runs)
-        attempted = sum(run["attempted"] for run in runs)
-        correct = sum(bool(run["correct"]) for run in runs)
-        rows.append(f"{side}: {failed}/{attempted} operations failed, "
-                    f"{correct}/{len(runs)} runs correct")
+        metrics[name] = {"unit": parent[0]["metrics"][name]["unit"],
+                         "parent_median": median, "change_median": statistics.median(new),
+                         "parent_q1": q1, "parent_q3": q3, "parent_iqr": q3 - q1,
+                         "change_lower": sum(b < a for a, b in zip(old, new)),
+                         "pairs": len(old)}
+    sides = {side: {"failed": sum(run["failed"] for run in runs),
+                    "attempted": sum(run["attempted"] for run in runs),
+                    "correct_runs": sum(bool(run["correct"]) for run in runs),
+                    "runs": len(runs)}
+             for side, runs in (("parent", parent), ("change", change))}
+    return {"metrics": metrics, "sides": sides}
+
+
+def summarize(parent: list[dict], change: list[dict]) -> str:
+    """The comparison table of :func:`summary`."""
+    found = summary(parent, change)
+    rows = [f"{'metric':12s} {'unit':4s} {'parent':>10s} {'change':>10s} "
+            f"{'parent quartiles (IQR)':>32s} {'change lower':>12s}"]
+    for name, m in found["metrics"].items():
+        band = f"{m['parent_q1']:.4f}-{m['parent_q3']:.4f} ({m['parent_iqr']:.4f})"
+        won = f"{m['change_lower']}/{m['pairs']}"
+        rows.append(f"{name:12s} {m['unit']:4s} {m['parent_median']:10.4f} "
+                    f"{m['change_median']:10.4f} {band:>32s} {won:>12s}")
+    for side, c in found["sides"].items():
+        rows.append(f"{side}: {c['failed']}/{c['attempted']} operations failed, "
+                    f"{c['correct_runs']}/{c['runs']} runs correct")
     return "\n".join(rows)
+
+
+def record(path: str, workload: str, entry: dict) -> None:
+    """Set ``workload``'s entry in the JSON object at ``path``, keeping the
+    other workloads' entries of an existing file."""
+    found = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            found = json.load(fh)
+    found[workload] = entry
+    with open(path, "w") as fh:
+        json.dump(found, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def export(commit: str, into: str) -> None:
@@ -101,7 +138,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=55.0)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--record", metavar="PATH",
+                    help="also write the summary as JSON, under the workload's name, to PATH")
     args = ap.parse_args(argv)
+    parent = subprocess.run(["git", "-C", ROOT, "rev-parse", args.parent],
+                            capture_output=True, text=True, check=True).stdout.strip()
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
         export(args.parent, parent_root)
@@ -112,8 +153,12 @@ def main(argv=None) -> int:
                 wall = runs[side][-1]["metrics"]["wall_s"]["value"]
                 print(f"pair {pair + 1} {side}: wall_s {wall:.4f}", file=sys.stderr, flush=True)
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s per run, "
-          f"parent {args.parent}")
+          f"parent {parent}")
     print(summarize(runs["parent"], runs["change"]))
+    if args.record:
+        record(args.record, args.workload,
+               {"seed": args.seed, "seconds": args.seconds, "parent": parent,
+                **summary(runs["parent"], runs["change"])})
     return 0
 
 

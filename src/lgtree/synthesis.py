@@ -260,7 +260,8 @@ class SynthesisReport:
 def _layer_blocks(tree: GaussianTree) -> list[_BlockModel]:
     """The regression of each layer's targets on the layer, from the bottom:
     observed | layer 1, layer 1 | layer 2, ..., layer L-1 | layer L.
-    Emission walks them, and constraints 1 and 2 read the first."""
+    Emission walks them and is their only reader; everything that judges or
+    scores emission reads the coded channel (:func:`_channel`)."""
     below = [tree.observed] + [tree.layer_nodes(d) for d in range(1, tree.num_layers)]
     return [_block(tree, t, tree.layer_nodes(d)) for d, t in enumerate(below, start=1)]
 
@@ -322,17 +323,17 @@ def synthesize(
     layer's codebook (substream "pair_index"), then walks the layers down
     with fresh innovation noise ("innovation") and i.i.d. Bernoulli(pi)
     signs ("lower_signs") per run and channel use.  The lower-layer signs
-    cancel from the output (see the module docstring).  With
-    ``return_internals`` it returns (x, internals): ``gauss_index`` and
-    ``sign_index`` hold each run's top-layer pair indices, and ``y`` and
-    ``b`` map each depth to that layer's inputs and signs.
+    cancel from the output (see the module docstring), so the drawn pairs
+    are all that the output law depends on: with ``return_internals`` it
+    returns (x, internals), where ``gauss_index`` and ``sign_index`` hold
+    each run's top-layer pair indices and are all that internals holds.
 
     The drawn pairs' codewords are gathered from the codebook's table
     (:meth:`LayerCodebook.gaussian_codeword`).  Each layer's innovation
     noise is drawn and added in place, CODEWORD_ROWS runs at a time in run
-    order, so the stream is read as by one draw of the whole layer.
-    Without ``return_internals`` the pair indices, codewords and signs are
-    released before the output step.
+    order, so the stream is read as by one draw of the whole layer.  The
+    codewords and signs are released before the output step, and the pair
+    indices too without ``return_internals``.
     """
     if runs < 1:
         raise ValidationError("runs must be >= 1")
@@ -342,13 +343,12 @@ def synthesize(
     sign_rng = _rng(seed, "lower_signs")
 
     top = codebook.top
-    gauss_index = idx_rng.integers(0, top.gauss_count, size=runs)
-    sign_index = idx_rng.integers(0, top.sign_count, size=runs)
-
-    y = top.gaussian_codeword(gauss_index, sign_index)
-    cur_b = top.signs[sign_index]
-    internals = {"gauss_index": gauss_index, "sign_index": sign_index,
-                 "y": {depth_count: y}, "b": {depth_count: cur_b}}
+    internals = {"gauss_index": idx_rng.integers(0, top.gauss_count, size=runs),
+                 "sign_index": idx_rng.integers(0, top.sign_count, size=runs)}
+    y = top.gaussian_codeword(internals["gauss_index"], internals["sign_index"])
+    cur_b = top.signs[internals["sign_index"]]
+    if not return_internals:
+        del internals
 
     blocks = _layer_blocks(tree)
     for depth in range(depth_count - 1, 0, -1):
@@ -357,19 +357,13 @@ def synthesize(
         bias = codebook.pi.vector_for(blocks[depth - 1].sources)
         cur_b = np.where(sign_rng.random(y.shape) < bias, 1.0, -1.0)
         y *= cur_b
-        internals["y"][depth] = y
-        internals["b"][depth] = cur_b
 
     signed = cur_b * y
-    if not return_internals:
-        del internals, gauss_index, sign_index, y, cur_b
+    del y, cur_b
     x = np.einsum("ij,rtj->rti", blocks[0].gain, signed)
     del signed
     _add_innovation(x, blocks[0].noise.chol, noise_rng)
-
-    if return_internals:
-        return x, internals
-    return x
+    return (x, internals) if return_internals else x
 
 
 def _add_innovation(out: np.ndarray, chol: np.ndarray, rng) -> None:
@@ -601,10 +595,11 @@ def frontier_rates(
     bound = rate_region_check(tree, zero, pi, samples, seed)
     mix, fixed = bound["gaussian_mi"], bound["total_mi"]
     gaussian, sign = max(mix, 0.0), max(fixed - mix, 0.0)
-    if margin < -min(gaussian, sign):
+    smallest = 0.0 - min(gaussian, sign)        # 0.0, not -0.0, at a zero rate
+    if margin < smallest:
         raise ValidationError(
             f"margin {margin} puts a frontier rate below 0; the smallest margin that keeps "
-            f"both rates non-negative is {-min(gaussian, sign)!r}"
+            f"both rates non-negative is {smallest!r}"
         )
     # a rate and a margin that RateTuple.make accepts, within an ulp of its
     # limit: each is stepped down past the rounding of the division and
@@ -692,12 +687,15 @@ def verify_encoding_constraints(
     """Checklist of the six encoding-scheme constraints, judged on ``runs``
     >= 2 blocks emitted here from ``codebook`` and on the report's TV bound.
 
-    1. outputs conditionally independent given the layer-1 inputs and signs
-       (whitened residual correlations vanish);
-    2. emitted symbols independent of the layer-1 sign symbols (on one run
-       per drawn top-layer pair, a corrected Gaussian likelihood ratio by
-       sign class against its upper chi^2 3-sigma quantile; 0 against 0
-       with fewer than two classes of n + 2 symbols);
+    1. outputs conditionally independent given the top-layer inputs: each
+       run's residual from its drawn pair's mixture component mean (the
+       coded channel's gain times the signed codeword, as scored by
+       :func:`estimate_divergence`), whitened by the channel noise, has
+       vanishing correlations;
+    2. emitted symbols independent of the top-layer sign symbols (on one
+       run per drawn pair, a corrected Gaussian likelihood ratio by sign
+       class against its upper chi^2 3-sigma quantile; 0 against 0 with
+       fewer than two classes of n + 2 symbols);
     3. symbols i.i.d. across channel uses (lag-1 cross-covariance vanishes);
     4. and 5. the top layer's Gaussian and sign codebook cardinalities match
        ceil(exp(N R_Y)) and ceil(exp(N R_B)), by the same codeword_counts()
@@ -713,12 +711,11 @@ def verify_encoding_constraints(
     x, internals = synthesize(
         tree, codebook, runs, _seed(seed, "constraint_seed"), return_internals=True
     )
-    obs_model = _layer_blocks(tree)[0]
-    resid = x - np.einsum(
-        "ij,rtj->rti", obs_model.gain, internals["b"][1] * internals["y"][1]
-    )
+    g, s = internals["gauss_index"], internals["sign_index"]
+    channel = _channel(tree)
+    resid = x - np.einsum("ij,rtj->rti", channel.gain, top.signs[s] * top.gaussian_codeword(g, s))
     flat = resid.reshape(-1, resid.shape[-1])
-    white = flat @ obs_model.noise.inv_chol.T
+    white = flat @ channel.noise.inv_chol.T
     m = len(white)
     corr = np.corrcoef(white.T)
     off = corr[np.triu_indices_from(corr, k=1)]
@@ -733,10 +730,10 @@ def verify_encoding_constraints(
     ))
 
     # one run per drawn top-layer pair, since runs sharing a pair share its codeword
-    pair = internals["gauss_index"] * top.sign_count + internals["sign_index"]
-    clusters, first, cluster = np.unique(pair, return_index=True, return_inverse=True)
-    b1 = internals["b"][1][first]
-    labels = (b1 < 0).reshape(-1, b1.shape[-1]) @ (2 ** np.arange(b1.shape[-1]))
+    clusters, first, cluster = np.unique(g * top.sign_count + s, return_index=True,
+                                         return_inverse=True)
+    b = top.signs[s[first]]
+    labels = (b < 0).reshape(-1, b.shape[-1]) @ (2 ** np.arange(b.shape[-1]))
     stat, df = _independence_stat(x[first].reshape(len(labels), -1), labels)
     thr_sign = _chi2_upper(df) if df else 0.0
     checks.append(ConstraintCheck(
@@ -744,7 +741,7 @@ def verify_encoding_constraints(
         passed=stat <= thr_sign,
         observed=stat,
         threshold=thr_sign,
-        detail="corrected Gaussian likelihood ratio of symbols by layer-1 signs, "
+        detail=f"corrected Gaussian likelihood ratio of symbols by layer-{top.depth} signs, "
                "one run per codeword pair, upper chi-square 3-sigma quantile",
     ))
 

@@ -80,3 +80,28 @@ def test_bench_pairs_summary_reads_the_last_line_of_each_run():
     assert rows["change:"][1] == "1/40"
     with pytest.raises(ValueError):
         pairs.summarize(parent, change[:4])
+
+
+def test_bench_pairs_record_writes_the_summary_as_json_per_workload(tmp_path):
+    # canned run outputs: no benchmark runs here
+    pairs = _bench_pairs()
+    parent = [pairs.last_json(_result_line(w)) for w in (0.50, 0.40, 0.45, 0.60, 0.55)]
+    change = [pairs.last_json(_result_line(w, correct=w < 0.5, failed=f))
+              for w, f in ((0.41, 0), (0.42, 1), (0.40, 0), (0.50, 0), (0.55, 0))]
+    path = tmp_path / "bench.json"
+    for workload in ("soft_covering", "cli_report"):
+        pairs.record(str(path), workload, {"seed": 3, "seconds": 20.0, "parent": "abc",
+                                           **pairs.summary(parent, change)})
+    found = json.loads(path.read_text())
+    assert sorted(found) == ["cli_report", "soft_covering"]
+    entry = found["cli_report"]
+    assert (entry["seed"], entry["seconds"], entry["parent"]) == (3, 20.0, "abc")
+    wall = entry["metrics"]["wall_s"]
+    assert wall == {"unit": "s", "parent_median": 0.5, "change_median": 0.42,
+                    "parent_q1": 0.45, "parent_q3": 0.55, "parent_iqr": pytest.approx(0.1),
+                    "change_lower": 3, "pairs": 5}
+    assert entry["metrics"]["setup_s"]["change_lower"] == 0   # ties count for neither side
+    assert entry["sides"] == {
+        "parent": {"failed": 0, "attempted": 40, "correct_runs": 5, "runs": 5},
+        "change": {"failed": 1, "attempted": 40, "correct_runs": 3, "runs": 5},
+    }
