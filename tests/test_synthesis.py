@@ -20,7 +20,7 @@ from scipy.stats import multivariate_normal
 import lgtree as lg
 from lgtree import synthesis
 from lgtree.errors import CapExceeded, ValidationError
-from lgtree.info import BernoulliParams, _Gauss
+from lgtree.info import EVAL_CELLS, BernoulliParams, _Gauss
 from lgtree.synthesis import RateTuple, _channel, _mixture_components
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -360,6 +360,19 @@ def test_block_log_density_matches_two_pass_formula_across_column_blocks(
     assert len(shifted) == 3 and sum(shifted) == len(x[::3])
     want = _two_pass_log_density(x, inputs @ model.gain.T, model.noise.cov)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-12)
+
+
+def test_block_log_density_memory_is_bounded_by_one_slab(star, degenerate_codebook):
+    inputs, model = _mixture_components(star, degenerate_codebook)
+    x = lg.synthesize(star, degenerate_codebook, 5000, 8)
+    tracemalloc.start()
+    try:
+        synthesis._block_log_density(x, inputs, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two float64 slabs of EVAL_CELLS cells; 5000 x 2^14 cells at once is 625 MB
+    assert peak < 2 * 8 * EVAL_CELLS
 
 
 def test_block_log_density_peak_memory_stays_within_two_slabs(star, degenerate_codebook):
