@@ -45,10 +45,11 @@ its intermediates afresh.  One matrix product of the drawn rows gives every
 row that the scores read (:class:`_DrawPlan`).  The coupling groups of one
 size are stacked and scored as one block (:class:`_Stack`): in each
 group's flip table the drawn flip has log ratio exactly 0, so only the
-other 2^|group| - 1 rows are computed and the drawn row is exp(-shift).
-The max shift that keeps exp() finite runs only when some log ratio in the
-stack exceeds EXP_CEILING; otherwise the shift is 0 and the table is exp()
-of the log ratios as they are.  Each estimate plans its priors once per
+other 2^|group| - 1 rows are computed and the drawn row is 1.0.  The table
+is exp() of the log ratios as they are and is contracted linearly, except
+in the (group, sample) cells where some log ratio passes EXP_CEILING: those
+are contracted exactly in the log domain, from the log ratios, and no
+other cell's value depends on them.  Each estimate plans its priors once per
 draw (:class:`_PriorPlan`): which groups each prior contracts, and with
 which entries, which held group terms it sums and which it then releases.
 One executor runs that plan on every chunk (:meth:`_MixtureChunk.log_ratios`)
@@ -358,7 +359,7 @@ def _seed(seed: int, name: str, *index: int) -> int:
 
 SAMPLE_BATCH = 8192    # samples drawn per batch; the draw order is part of the contract
 EVAL_CELLS = 2**20     # (sample, enumerated flip) cells evaluated at once
-EXP_CEILING = 700.0    # log density ratios are shifted below this before exp()
+EXP_CEILING = 700.0    # past this log density ratio a cell skips exp(), contracted as logs
 _SWEEP_POINTS = 16     # sweep points per block: 16 x SAMPLE_BATCH floats, 1 MiB
 
 
@@ -432,8 +433,7 @@ class _Stack:
     ``groups`` holds their source positions, also as the (n, k) array
     ``pos``.  Their sources take the rows ``rows`` of the product's g and h
     rows, group after group, so each of those is an (n, k, samples) view;
-    the sign uniforms, kept in the sources' order, are a view too where the
-    stack's sources run in order (``span``), and are gathered otherwise.
+    the sign uniforms, kept in the sources' order, are gathered at ``pos``.
     The log ratio of flip f (f_j = 1 flips source j) is
     sum_j f_j g_j h_j - 4 sum_{j<l} f_j f_l (a^T a)_jl g_j g_l
     (:class:`_MixtureChunk`); ``mix`` (n, 2^k - 1, k + pairs) maps each
@@ -447,10 +447,6 @@ class _Stack:
         self.pos = np.array(self.groups, dtype=int).reshape(len(self.groups), -1)
         n, k = self.pos.shape
         self.rows = slice(lo, lo + n * k)
-        # the sources' own rows of the sign uniforms, when they run in order
-        start = int(self.pos[0, 0])
-        in_order = np.array_equal(self.pos.ravel(), np.arange(start, start + n * k))
-        self.span = slice(start, start + n * k) if in_order else None
         flips = (1.0 - _enumerate_signs(k)[1:]) / 2.0   # row 0, the drawn flip, is left out
         pairs = list(itertools.combinations(range(k), 2))
         self.first = np.array([j for j, _ in pairs], dtype=int)
@@ -510,8 +506,8 @@ class _PriorPlan:
 
     A group's term depends on the prior only through the group's own
     entries.  A group whose entries all lie in {0, 1} weights only the drawn
-    flip, of ratio 1, so its term is exactly 0 whatever the shift, and it is
-    left out of the sum.  Every other term is contracted at the first prior
+    flip, of ratio 1, so its term is exactly 0, and it is left out of the
+    sum.  Every other term is contracted at the first prior
     with its entries and held in a slot until the last, so a grid contracts
     each group once per distinct value of its own entries outside {0, 1}
     (9 times for each of dumbbell's two groups on an 11 x 11 sweep), and a
@@ -546,28 +542,27 @@ class _PriorPlan:
 
 
 class _StackScores:
-    """One stack's flip table on a chunk: ``dens[i, c]`` is exp(-shift)
+    """One stack's flip table on a chunk: ``dens[i, c]`` is
     p(x | c o g) / p(x | g) for the flips c of its group i, and ``u`` the
-    sign uniforms of its sources, an (n, k, samples) view.  The drawn flip,
+    sign uniforms of its sources, an (n, k, samples) array.  The drawn flip,
     row 0, has log ratio exactly 0, so only the other rows are computed and
-    row 0 is exp(-shift).  The shift brings every log ratio of a sample
-    below EXP_CEILING; the max-shift pass runs only when some ratio in the
-    stack exceeds the ceiling, and then ``shift`` is an (n, samples) array
-    and ``logs`` keeps the unshifted log ratios; otherwise ``shift`` is the
-    scalar 0.0 and ``logs`` is None.  The contraction over the last source
-    of each group pairs the rows that differ in its flip: ``low`` holds the
-    rows where it is not flipped and ``step`` the flipped rows minus those,
-    both prior-free."""
+    row 0 is 1.0.  A (group, sample) cell whose largest log ratio passes
+    EXP_CEILING is ``hot``: exp() could overflow there, so its log ratios
+    are zeroed before exp() and it is contracted from ``logs``, the log
+    table with the drawn row, in the log domain instead
+    (:meth:`_MixtureChunk._log_terms`).  ``hot`` (n, samples) and ``logs``
+    are kept only when some cell of the stack is hot, and are None
+    otherwise.  The contraction over the last source of each group pairs
+    the rows that differ in its flip: ``low`` holds the rows where it is
+    not flipped and ``step`` the flipped rows minus those, both
+    prior-free."""
 
     def __init__(self, stack: _Stack, u, g, h, buf: _Buffers):
         n, k = stack.pos.shape
         w = g.shape[1]
         self.stack = stack
-        if stack.span is not None:
-            self.u = u[stack.span].reshape(n, k, w)
-        else:
-            self.u = np.take(u, stack.pos.ravel(), axis=0, mode="clip",
-                             out=buf.rows(("u", stack.rows.start), n * k, w)).reshape(n, k, w)
+        self.u = np.take(u, stack.pos.ravel(), axis=0, mode="clip",
+                         out=buf.rows(("u", stack.rows.start), n * k, w)).reshape(n, k, w)
         gs = g[stack.rows].reshape(n, k, w)
         hs = h[stack.rows].reshape(n, k, w)
         self.dens = buf.rows(("dens", stack.rows.start), n << k, w).reshape(n, 1 << k, w)
@@ -580,14 +575,12 @@ class _StackScores:
             np.multiply(gs, hs, out=terms[:, :k])
             np.multiply(gs[:, stack.first], gs[:, stack.second], out=terms[:, k:])
             np.matmul(stack.mix, terms, out=logs)
-        self.shift, self.logs = 0.0, None
+        self.hot, self.logs = None, None
         if logs.max() > EXP_CEILING:
-            self.shift = np.maximum(logs.max(axis=1) - EXP_CEILING, 0.0)
+            self.hot = logs.max(axis=1) > EXP_CEILING
             self.logs = np.concatenate([np.zeros((n, 1, w)), logs], axis=1)
-            logs -= self.shift[:, None]
-            np.exp(-self.shift, out=self.dens[:, 0])
-        else:
-            self.dens[:, 0] = 1.0
+            np.copyto(logs, 0.0, where=self.hot[:, None])
+        self.dens[:, 0] = 1.0
         np.exp(logs, out=logs)
         self.low = self.dens[:, 0::2]
         self.step = buf.rows(("step", stack.rows.start), n << (k - 1), w).reshape(n, -1, w)
@@ -666,14 +659,13 @@ class _MixtureChunk:
         sign and q = 1 - r on the flipped one, the pair (t0, t1) of rows
         that differ in that flip becomes t0 + q (t1 - t0).  A zero-prior
         component gets weight q = 0 exactly, and so contributes exactly
-        nothing.  With some entries in {0, 1}, a shift set by a zero-weight
-        flip can underflow every weighted row of a sample; only those
-        samples are contracted again, in the log domain (:meth:`_log_terms`)."""
+        nothing.  The hot cells of the stack (:class:`_StackScores`), whose
+        table exp() leaves at 1.0, are then contracted again, exactly, in
+        the log domain (:meth:`_log_terms`)."""
         if len(need) == len(s.stack.groups):                # the whole stack: views
-            u, low, step, shift = s.u, s.low, s.step, s.shift
+            u, low, step = s.u, s.low, s.step
         else:
             u, low, step = s.u[need], s.low[need], s.step[need]
-            shift = s.shift[need] if s.logs is not None else s.shift
         q = _flip_weight(u, entries[:, :, None])
         k = u.shape[1]
         t = np.multiply(step, q[:, k - 1, None])
@@ -685,21 +677,19 @@ class _MixtureChunk:
             t *= q[:, j, None]
             t += low
         t = t[:, 0]
-        if s.logs is None:                      # the max shift did not run on this chunk
-            return np.log(t, out=t)
-        under = t == 0.0
-        t[under] = 1.0
         np.log(t, out=t)
-        t += shift
-        if under.any():
-            rows, cols = np.nonzero(under)
-            t[under] = self._log_terms(s, np.asarray(need)[rows], cols, entries[rows])
+        if s.hot is not None:
+            rows, cols = np.nonzero(s.hot[need])
+            if len(rows):
+                t[rows, cols] = self._log_terms(s, np.asarray(need)[rows], cols, entries[rows])
         return t
 
     def _log_terms(self, s: _StackScores, groups, cols, entries: np.ndarray) -> np.ndarray:
         """:meth:`_contract` of the (group, sample) cells (``groups``,
-        ``cols``) of a shifted stack, whose prior entries are the rows of
-        ``entries``, in the log domain from the unshifted log ratios."""
+        ``cols``) of a stack with hot cells, whose prior entries are the rows
+        of ``entries``: logaddexp over each source's pair of rows, from the
+        log table, so no ratio is exponentiated and a zero-prior flip adds
+        log 0 = -inf, exactly nothing."""
         t = s.logs[groups, :, cols]
         q = _flip_weight(s.u[groups, :, cols], entries)
         with np.errstate(divide="ignore"):      # a zero-prior weight is log 0 = -inf

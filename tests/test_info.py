@@ -632,7 +632,7 @@ def test_flip_ratio_above_the_exp_ceiling(star):
     u = np.array([[0.2], [0.7], [0.4], [0.9]])
     priors = [np.array([0.3]), np.array([0.5])]
     chunk = next(info._mixture_chunks(model, 4, _Scripted(u, w, e), priors))
-    assert chunk.stacks[0].shift.max() > 0.0        # the shift is in use
+    assert chunk.stacks[0].hot.any()                # a cell is contracted as logs
     x = _full_space_targets(model, chunk, np.random.default_rng(6))
 
     def log_cond(signs):
@@ -649,13 +649,14 @@ def test_flip_ratio_above_the_exp_ceiling(star):
 
 @pytest.mark.parametrize("name", ["star", "dumbbell", "two_layer"])
 def test_a_shift_moves_only_the_samples_past_the_exp_ceiling(request, name):
-    # one sample's flip ratio far past EXP_CEILING: its groups run the max
-    # shift, and every other sample's log ratio is, bit for bit, that of the
-    # same draw with the outlier removed, which runs no shift at all.  The
-    # priors run as one planned sweep, with a prior that puts an entry of the
-    # first group in {0, 1} and one that repeats that group's entries two
-    # priors on, so a held term is summed where the shift runs; each row is,
-    # bit for bit, that prior's own single-prior evaluation
+    # one sample's flip ratio far past EXP_CEILING: its cells are hot and
+    # contracted as logs, and every other sample's log ratio is, bit for bit,
+    # that of the same draw with the outlier removed, which has no hot cell
+    # at all (the name predates the hot cells: a max shift once did this).
+    # The priors run as one planned sweep, with a prior that puts an entry of
+    # the first group in {0, 1} and one that repeats that group's entries two
+    # priors on, so a held term is summed from a stack with a hot cell; each
+    # row is, bit for bit, that prior's own single-prior evaluation
     tree = request.getfixturevalue(name)
     model = info._BlockModel(tree, tree.observed, tree.hidden)
     ks, r = len(model.sources), len(model.signal_gain)
@@ -673,18 +674,18 @@ def test_a_shift_moves_only_the_samples_past_the_exp_ceiling(request, name):
     priors += [edge, repeat]
 
     chunk = next(info._mixture_chunks(model, 7, _Scripted(u, w, e), priors))
-    shifts = [s.shift for s in chunk.stacks]       # (groups, samples) once the shift runs
-    assert any(np.ndim(shift) and np.any(shift[:, out] > 0.0) for shift in shifts)
-    assert all(np.ndim(shift) == 0 or np.all(shift[:, keep] == 0.0) for shift in shifts)
+    hots = [s.hot for s in chunk.stacks]           # (groups, samples) once a cell is hot
+    assert any(hot is not None and hot[:, out].any() for hot in hots)
+    assert all(hot is None or not hot[:, keep].any() for hot in hots)
     stack = next(s for s in chunk.stacks if model.groups[0] in s.stack.groups)
-    assert stack.logs is not None                  # the held term's stack runs the shift
+    assert stack.hot is not None                   # the held term's stack has a hot cell
     rows = _rows(chunk)
     for p, row in zip(priors, rows):
         alone = next(info._mixture_chunks(model, 7, _Scripted(u, w, e), [p]))
         assert np.array_equal(_rows(alone)[0], row)
 
     clean = next(info._mixture_chunks(model, 6, _Scripted(u[keep], w[keep], e[keep]), priors))
-    assert all(np.ndim(s.shift) == 0 and s.shift == 0.0 for s in clean.stacks)
+    assert all(s.hot is None for s in clean.stacks)
     assert np.array_equal(_rows(clean), rows[:, keep])
 
 
@@ -701,27 +702,23 @@ def test_zero_prior_component_drops_out(star):
 
 def test_zero_prior_term_is_exact_past_the_exp_ceiling(star):
     # a source 25 sigma from zero with its noise along the gain: the flip's
-    # log ratio is about 14,000, so the shift (13,342) underflows the drawn
-    # row, which alone carries prior weight at pi in {0, 1}
+    # log ratio is about 14,000, so the cell is hot, and at pi in {0, 1} the
+    # drawn row alone carries prior weight (a max shift of 13,342 once
+    # underflowed that row here)
     model = info._BlockModel(star, star.observed, star.hidden)
     a = model.signal_gain
     w = np.array([[-25.0], [0.5]])                  # the source has unit variance
     e = np.array([200.0 * np.sign(a[:, 0]), [0.1]])
     chunk = next(info._mixture_chunks(model, 2, _Scripted(np.array([[0.3], [0.6]]), w, e),
                                       [[0.0], [1.0]]))
-    assert chunk.stacks[0].shift[0, 0] > 13000.0
+    assert chunk.stacks[0].logs[0, 1, 0] > 13000.0 and chunk.stacks[0].hot[0, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(_rows(chunk), np.zeros((2, 2)))
 
 
-def test_partly_zero_prior_term_is_finite_past_the_exp_ceiling():
-    # one group (y1, y2) through the inner observed x0; y1's source 25 sigma
-    # from zero with the noise along its gain sets a shift of about 22,000
-    # by its own flip, so a prior that gives that flip weight 0 underflows
-    # every weighted row, and the term is contracted in the log domain
-    from scipy.special import logsumexp
-
+def _x0_pair_model():
+    # one group (y1, y2), coupled through the inner observed x0
     tree = lg.validate_tree(lg.parse_tree_text(
         "node x0 observed\nnode a1 observed\nnode a2 observed\n"
         "node b1 observed\nnode b2 observed\nnode y1 hidden\nnode y2 hidden\n"
@@ -729,21 +726,81 @@ def test_partly_zero_prior_term_is_finite_past_the_exp_ceiling():
         "edge y2 x0 0.75\nedge y2 b1 0.7\nedge y2 b2 0.65\n"))
     model = info._BlockModel(tree, tree.observed, tree.hidden)
     assert [list(g) for g in model.groups] == [[0, 1]]
+    return model
+
+
+def _brute_force_rows(model, chunk, u, priors):
+    # log sum_c pi(b o c) p(x | c o g) / p(x | g) by logsumexp over every
+    # flip c of all the sources, with the targets in the full space; u holds
+    # the scripted uniforms, sample-major
+    from scipy.special import logsumexp
+
+    x = _full_space_targets(model, chunk, np.random.default_rng(6))
+    flips = info._enumerate_signs(len(model.sources))
+    log_cond = np.array([model.noise.logpdf(x - (c * chunk.g) @ model.gain.T) for c in flips])
+    rows = []
+    for p in priors:
+        drawn = np.where(u < p, p, 1.0 - p)             # prior of each drawn sign
+        with np.errstate(divide="ignore"):
+            log_w = np.log(np.where(flips[:, None] > 0, drawn, 1.0 - drawn)).sum(axis=2)
+        rows.append(logsumexp(log_w + log_cond, axis=0) - log_cond[0])
+    return np.array(rows)
+
+
+def test_partly_zero_prior_term_is_finite_past_the_exp_ceiling():
+    # y1's source 25 sigma from zero with the noise along its gain gives its
+    # own flip a log ratio of about 22,000, so the cell is hot, and a prior
+    # that gives that flip weight 0 must still give a finite term (a max
+    # shift set by that flip once underflowed every weighted row here)
+    model = _x0_pair_model()
     u, w = np.array([[0.3, 0.6]]), np.array([[-25.0, 0.3]])
     e = 200.0 * np.sign(model.signal_gain[:, :1].T)
     priors = [np.array([0.0, 0.5]), np.array([0.5, 0.0])]
     chunk = next(info._mixture_chunks(model, 1, _Scripted(u, w, e), priors))
-    assert chunk.stacks[0].shift[0, 0] > 20000.0
-    x = _full_space_targets(model, chunk, np.random.default_rng(6))
-    flips = info._enumerate_signs(2)
-    log_cond = np.array([model.noise.logpdf(x - (c * chunk.g) @ model.gain.T)[0] for c in flips])
-    for p, got in zip(priors, _rows(chunk)):
-        drawn = np.where(u[0] < p, p, 1.0 - p)          # prior of each drawn sign
-        with np.errstate(divide="ignore"):
-            log_w = np.log(np.where(flips > 0, drawn, 1.0 - drawn)).sum(axis=1)
-        want = logsumexp(log_w + log_cond) - log_cond[0]
-        assert np.isfinite(got[0])
-        assert got[0] == pytest.approx(want, rel=1e-9)
+    assert chunk.stacks[0].logs[0].max() > 20000.0 and chunk.stacks[0].hot[0, 0]
+    got = _rows(chunk)
+    assert np.all(np.isfinite(got))
+    assert got == pytest.approx(_brute_force_rows(model, chunk, u, priors), rel=1e-9)
+
+
+def test_hot_two_source_term_matches_brute_force_at_interior_priors():
+    # the (y1, y2) group with one hot sample among three: at priors inside
+    # (0, 1) every one of the four flips carries weight, and the hot cell's
+    # log-domain term, like the others, is the logsumexp over the flips
+    model = _x0_pair_model()
+    u = np.array([[0.3, 0.6], [0.8, 0.1], [0.45, 0.55]])
+    w = np.array([[0.4, -1.1], [-25.0, 0.3], [1.2, 0.7]])
+    e = np.array([[0.2, -0.5], [0.0, 0.0], [-0.9, 1.3]])
+    e[1] = 200.0 * np.sign(model.signal_gain[:, 0])
+    priors = [np.array([0.3, 0.6]), np.array([0.85, 0.2]), np.array([0.5, 0.5])]
+    chunk = next(info._mixture_chunks(model, 3, _Scripted(u, w, e), priors))
+    assert chunk.stacks[0].hot.tolist() == [[False, True, False]]
+    got = _rows(chunk)
+    assert got[:, 1].min() > 10000.0
+    assert got == pytest.approx(_brute_force_rows(model, chunk, u, priors), rel=1e-9, abs=1e-9)
+
+
+def test_a_sweep_holds_a_term_of_a_hot_stack(dumbbell):
+    # a 3 x 3 dumbbell sweep, as optimize_pi plans it: y1's term is held
+    # across three priors and y2's recurs every third, both from the one
+    # stack of singletons, whose cells are hot at two samples, y2's at one
+    # of them; y2 alone is contracted at most priors.  Every row is the
+    # brute-force logsumexp over the four flips
+    model = info._BlockModel(dumbbell, dumbbell.observed, dumbbell.hidden)
+    rng = np.random.default_rng(3)
+    u, w, e = rng.random((5, 2)), rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+    w[2], w[4] = [25.0, 25.0], [25.0, -0.4]
+    e[[2, 4]] = -2.0 * (w[[2, 4]] @ model.marg_s.chol.T) @ model.signal_gain.T
+    axis = [0.2, 0.5, 0.9]
+    priors = [np.array([a, b]) for a in axis for b in axis]
+    chunk = next(info._mixture_chunks(model, 5, _Scripted(u, w, e), priors))
+    (stack,) = chunk.stacks
+    assert stack.hot.tolist() == [[False, False, True, False, True],
+                                  [False, False, True, False, False]]
+    assert chunk.priors.steps[1][0][0][1] == [1]    # the second prior contracts y2 alone
+    got = _rows(chunk)
+    assert got[:, [2, 4]].min() > 1000.0
+    assert got == pytest.approx(_brute_force_rows(model, chunk, u, priors), rel=1e-9, abs=1e-9)
 
 
 def test_sliced_evaluation_matches_whole_batches(two_layer, monkeypatch):
