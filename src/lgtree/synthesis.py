@@ -573,6 +573,73 @@ def _family_z(comparisons: int) -> float:
     return NormalDist().inv_cdf(1.0 - THREE_SIGMA_MASS / (2 * comparisons))
 
 
+def _family_t(comparisons: int, df: int) -> float:
+    """The Student-t counterpart of :func:`_family_z` on ``df`` degrees of
+    freedom: the same family-wise tail, so it tends to the z threshold as
+    ``df`` grows."""
+    return _student_t_isf(THREE_SIGMA_MASS / (2 * comparisons), df)
+
+
+def _student_t_sf(t: float, df: int) -> float:
+    """P(T > t) for t >= 0: I_x(df/2, 1/2) / 2 at x = df / (df + t^2), the
+    regularized incomplete beta function by its continued fraction
+    (modified Lentz; Press et al., *Numerical Recipes*, 3rd ed., 6.4), with
+    x and 1 - x each formed without cancellation."""
+    a, b = df / 2.0, 0.5
+    x, y = df / (df + t * t), t * t / (df + t * t)
+    swap = x > (a + 1.0) / (a + b + 2.0)      # the fraction converges fast below this
+    if swap:
+        a, b, x, y = b, a, y, x
+    front = math.exp(a * math.log(x) + b * math.log(y)
+                     + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)) / a
+    tiny, f, c, d = 1e-300, 1.0, 1.0, 0.0
+    for i in range(10_000):
+        m = i // 2
+        if i == 0:
+            num = 1.0
+        elif i % 2:
+            num = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            num = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + num / c
+        c = c if abs(c) > tiny else tiny
+        f *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    ibeta = front * (f - 1.0)
+    return (1.0 - ibeta if swap else ibeta) / 2.0
+
+
+def _student_t_isf(tail: float, df: int) -> float:
+    """The t with P(T > t) = ``tail`` < 1/2 on ``df`` >= 1 degrees of freedom.
+
+    Newton steps on log P(T > e^u) - log tail in u = log t, whose slope
+    -t p(t) / P(T > t) tends to -df in the tail, start from the normal
+    quantile, below the root since t has the heavier tail; a step that
+    leaves the bracket found so far bisects it instead."""
+    lo, hi = NormalDist().inv_cdf(1.0 - tail), math.inf
+    log_norm = (math.lgamma((df + 1) / 2.0) - math.lgamma(df / 2.0)
+                - 0.5 * math.log(df * math.pi))
+    t = lo
+    for _ in range(200):
+        sf = _student_t_sf(t, df)
+        if sf > tail:
+            lo = t
+        else:
+            hi = t
+        pdf = math.exp(log_norm - (df + 1) / 2.0 * math.log1p(t * t / df))
+        step = (math.log(sf) - math.log(tail)) * sf / (t * pdf)
+        nxt = t * math.exp(step)
+        if not lo < nxt < hi:
+            nxt = 2.0 * lo if hi == math.inf else math.sqrt(lo * hi)
+        if abs(nxt - t) <= 4e-16 * t:
+            return nxt
+        t = nxt
+    return t
+
+
 def frontier_rates(
     tree: GaussianTree,
     pi: BernoulliParams,
@@ -697,9 +764,9 @@ def verify_encoding_constraints(
        class against its upper chi^2 3-sigma quantile; 0 against 0 with
        fewer than two classes of n + 2 symbols);
     3. symbols i.i.d. across channel uses (lag-1 cross-covariance vanishes);
-    4. and 5. the top layer's Gaussian and sign codebook cardinalities match
-       ceil(exp(N R_Y)) and ceil(exp(N R_B)), by the same codeword_counts()
-       arithmetic build_codebooks used, so only a codebook it did not build fails;
+    4. and 5. the numbers of Gaussian and sign codewords whose rows
+       emission reads in the top layer's tables match ceil(exp(N R_Y)) and
+       ceil(exp(N R_B)), computed here from the rates;
     6. the report's total-variation upper bound is at most ``tv_threshold``.
     """
     if runs < 2:
@@ -765,22 +832,31 @@ def verify_encoding_constraints(
         var = np.einsum("gij,gij->ij", dev, dev) * groups / max(groups - 1, 1)
         se_mat = np.sqrt(var) / len(prods)
         z_lag = float(np.max(np.abs(mean) / np.maximum(se_mat, 1e-300)))
+        # over G clusters the robust ratio is referred to t on G - 1 degrees
+        # of freedom (Cameron and Miller, *J. Human Resources* 50(2), 2015);
+        # the normal quantile over-rejects when few pairs are drawn
+        thr_lag = _family_t(n_dim * n_dim, max(groups - 1, 1))
+        detail = ("max |t| of lag-1 symbol cross-covariance, cluster-robust over the drawn "
+                  f"pairs, family-adjusted 3-sigma Student-t level on {max(groups - 1, 1)} df")
     else:
-        z_lag = 0.0
-    thr_lag = _family_z(n_dim * n_dim)
+        z_lag, thr_lag = 0.0, _family_z(n_dim * n_dim)
+        detail = ("max |z| of lag-1 symbol cross-covariance, family-adjusted 3-sigma level "
+                  "(single symbol per block)")
     checks.append(ConstraintCheck(
         name="iid_across_channel_uses",
         passed=z_lag <= thr_lag,
         observed=z_lag,
         threshold=thr_lag,
-        detail="max |z| of lag-1 symbol cross-covariance, family-adjusted 3-sigma level"
-        + ("" if n_uses >= 2 else " (single symbol per block)"),
+        detail=detail,
     ))
 
-    my, mb = codebook.rates.codeword_counts()
-    for name, count, want, rate in (("gaussian", top.gauss_count, my, "R_Y"),
-                                    ("sign", top.sign_count, mb, "R_B")):
-        gap = abs(count - want)
+    # the rows emission reads, against sizes worked out here from the rates
+    # alone, not by the codeword_counts() that build_codebooks sized them with
+    rates = codebook.rates
+    for name, count, r, rate in (("gaussian", len(top.table) // len(top.signs),
+                                  rates.gaussian_rate, "R_Y"),
+                                 ("sign", len(top.signs), rates.sign_rate, "R_B")):
+        gap = abs(count - math.ceil(math.exp(rates.block_length * r)))
         checks.append(ConstraintCheck(
             name=f"{name}_codebook_cardinality",
             passed=gap == 0,

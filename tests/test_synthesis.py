@@ -646,6 +646,22 @@ def test_hardwired_signs_fail_cardinality_only(star, star_codebook):
     assert checks["gaussian_codebook_cardinality"].passed
 
 
+def test_cardinality_check_catches_a_builder_that_miscounts(star, star_codebook, monkeypatch):
+    # the builder sizes the Gaussian table one codeword too large, and
+    # emission reads every row of it; constraint 4 must not take its
+    # expected size from the same codeword_counts() and so pass by construction
+    _, rates, pi = star_codebook
+    my, mb = rates.codeword_counts()
+    monkeypatch.setattr(RateTuple, "codeword_counts", lambda self: (my + 1, mb))
+    cb = lg.build_codebooks(star, rates, pi, 11)
+    assert len(cb.top.table) == (my + 1) * mb
+    rep = lg.estimate_divergence(star, cb, 800, 5)
+    checks = {c.name: c for c in lg.verify_encoding_constraints(star, cb, rep, runs=1000, seed=21)}
+    assert not checks["gaussian_codebook_cardinality"].passed
+    assert checks["gaussian_codebook_cardinality"].observed == 1.0
+    assert checks["sign_codebook_cardinality"].passed
+
+
 def test_two_layer_synthesis_moments(two_layer):
     pi = BernoulliParams.uniform(two_layer, 0.5)
     rates = RateTuple.make([(1.0, 0.6)], 4)
@@ -851,6 +867,17 @@ def test_mixture_means_are_codewords_through_the_chain(four_hidden, two_layer, n
 def test_family_z_is_the_normal_quantile(comparisons):
     level = 1.0 - 0.0026997960632601866 / (2 * comparisons)
     assert synthesis._family_z(comparisons) == pytest.approx(float(ndtri(level)), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 19, 100, 1999, 2**14])
+def test_student_t_quantile_matches_scipy(df):
+    from scipy.stats import t
+
+    # the family-wise tails of constraint 3 (1 and 121 comparisons) and wider ones;
+    # df reaches MIXTURE_CAP - 1, the most clusters a codebook can give
+    for tail in (synthesis.THREE_SIGMA_MASS / 2, synthesis.THREE_SIGMA_MASS / 242, 1e-3, 0.05, 0.3):
+        assert synthesis._student_t_isf(tail, df) == pytest.approx(t.isf(tail, df), rel=1e-10)
+    assert synthesis._family_t(121, df) == synthesis._student_t_isf(synthesis.THREE_SIGMA_MASS / 242, df)
 
 
 @pytest.mark.parametrize("df", [3, 9, 42, 81, 2387])
@@ -1114,13 +1141,13 @@ def two_layer_report_all(two_layer):
     return pi, rates, report
 
 
-def _two_layer_failures(tree, setup, seeds):
+def _two_layer_failures(tree, setup, seeds, runs=1500):
     """Each constraint's failing seeds, one codebook and one run per seed."""
     pi, rates, report = setup
     failed = {}
     for s in seeds:
         cb = lg.build_codebooks(tree, rates, pi, s)
-        for c in lg.verify_encoding_constraints(tree, cb, report, runs=1500, seed=s):
+        for c in lg.verify_encoding_constraints(tree, cb, report, runs=runs, seed=s):
             failed.setdefault(c.name, [])
             if not c.passed:
                 failed[c.name].append(s)
@@ -1133,6 +1160,15 @@ def test_two_layer_constraints_1_and_2_hold_their_level(two_layer, two_layer_rep
     failed = _two_layer_failures(two_layer, two_layer_report_all, range(100))
     for name in ("conditional_independence_given_inputs", "output_independent_of_signs"):
         assert len(failed[name]) <= 2, (name, failed[name])
+
+
+def test_iid_check_holds_its_level_over_few_clusters(two_layer, two_layer_report_all):
+    # 20 runs draw at most 20 of the 105 pairs, so the cluster-robust ratio
+    # has few degrees of freedom: against the normal quantile constraint 3
+    # failed at 10 of these seeds (76 with runs=5), against t on
+    # clusters - 1 df at none; more than 2 failures has odds 2.7e-3
+    failed = _two_layer_failures(two_layer, two_layer_report_all, range(100), runs=20)
+    assert len(failed["iid_across_channel_uses"]) <= 2, failed["iid_across_channel_uses"]
 
 
 def test_conditional_independence_detects_a_lower_layer_gain(
