@@ -15,9 +15,12 @@ object on the last line of its stdout.  The script prints, for each
 end-to-end metric, the median of each side, the parent's quartiles and
 interquartile range, and the number of pairs in which the change reads
 lower (ties count for neither side), then each side's failed operations and
-correct runs.  With ``--record PATH`` it also writes that summary, with the
-seed, the seconds per run and the parent's commit, as JSON under the
-workload's name in PATH, keeping the other workloads' entries:
+correct runs.  With ``--record PATH`` it then makes one ``--trace 1`` run on
+each side, and writes the summary, with the seed, the seconds per run, the
+parent's commit, the ``machine`` block of this checkout's last untraced run
+(``bench/results/W.json``) and each side's per-layer metrics from its traced
+run, as JSON under the workload's name in PATH, keeping the other
+workloads' entries:
 
     python3 scripts/bench_pairs.py HEAD~1 --workload soft_covering --seed 7 \\
         --pairs 5 --record pairs.json
@@ -118,16 +121,29 @@ def export(commit: str, into: str) -> None:
         tar.extractall(into, filter="data")
 
 
-def bench(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in the checkout ``root``."""
+def commit_of(ref: str) -> str:
+    """The full hash of the commit ``ref`` names."""
+    return subprocess.run(["git", "-C", ROOT, "rev-parse", ref],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def bench(root: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run in the checkout ``root``, untraced unless ``trace``."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True,
     )
     if proc.returncode != 0:
         raise RuntimeError(f"bench/run.py failed in {root}:\n{proc.stderr}")
     return last_json(proc.stdout)
+
+
+def machine_of(root: str, workload: str) -> dict:
+    """The ``machine`` block of the last untraced run of ``workload`` in the
+    checkout ``root``, which bench/run.py writes to bench/results/."""
+    with open(os.path.join(root, "bench", "results", workload + ".json")) as fh:
+        return json.load(fh)["machine"]
 
 
 def main(argv=None) -> int:
@@ -141,9 +157,9 @@ def main(argv=None) -> int:
     ap.add_argument("--record", metavar="PATH",
                     help="also write the summary as JSON, under the workload's name, to PATH")
     args = ap.parse_args(argv)
-    parent = subprocess.run(["git", "-C", ROOT, "rev-parse", args.parent],
-                            capture_output=True, text=True, check=True).stdout.strip()
+    parent = commit_of(args.parent)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    per_layer = {}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
         export(args.parent, parent_root)
         roots = {"parent": parent_root, "change": ROOT}
@@ -152,13 +168,18 @@ def main(argv=None) -> int:
                 runs[side].append(bench(roots[side], args.workload, args.seed, args.seconds))
                 wall = runs[side][-1]["metrics"]["wall_s"]["value"]
                 print(f"pair {pair + 1} {side}: wall_s {wall:.4f}", file=sys.stderr, flush=True)
+        if args.record:
+            for side in ("parent", "change"):
+                traced = bench(roots[side], args.workload, args.seed, args.seconds, trace=1)
+                per_layer[side] = traced["metrics"]
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s per run, "
           f"parent {parent}")
     print(summarize(runs["parent"], runs["change"]))
     if args.record:
         record(args.record, args.workload,
                {"seed": args.seed, "seconds": args.seconds, "parent": parent,
-                **summary(runs["parent"], runs["change"])})
+                **summary(runs["parent"], runs["change"]),
+                "machine": machine_of(ROOT, args.workload), "per_layer": per_layer})
     return 0
 
 

@@ -24,8 +24,30 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from .errors import ParseError, ValidationError
+from .info import (
+    MIXTURE_ENUM_CAP,
+    BernoulliParams,
+    mi_closed_form,
+    mi_direct,
+    mi_sign_marginal,
+    mixture_mi_profile,
+    optimize_pi,
+)
+from .signs import enumerate_equivalent_trees, sign_class_report, verify_equivalence
+from .synthesis import (
+    RateTuple,
+    build_codebooks,
+    estimate_divergence,
+    frontier_rates,
+    rate_region_check,
+    synthesize,
+    verify_encoding_constraints,
+)
+from .trees import format_tree, joint_covariance, load_tree, tree_determinant
 
 LN2 = math.log(2.0)
 
@@ -168,9 +190,7 @@ def _from_nats(value: float, units: str) -> float:
     return value / LN2 if units == "bits" else value
 
 
-def _parse_pi(spec: str, tree) -> "BernoulliParams":
-    from .info import BernoulliParams
-
+def _parse_pi(spec: str, tree) -> BernoulliParams:
     spec = str(spec).strip()
     try:
         if "=" not in spec:
@@ -196,10 +216,8 @@ def _parse_pi(spec: str, tree) -> "BernoulliParams":
     return BernoulliParams.make(table)
 
 
-def _parse_rates(config: ExperimentConfig) -> "RateTuple":
+def _parse_rates(config: ExperimentConfig) -> RateTuple:
     """The top layer's (R_Y, R_B) pair, the only rates the scheme takes."""
-    from .synthesis import RateTuple
-
     if config.ry is None or config.rb is None:
         raise ValidationError("cli: fields 'ry' and 'rb' are required for this command")
     try:
@@ -257,8 +275,6 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _load(config: ExperimentConfig):
-    from .trees import load_tree
-
     try:
         return load_tree(config.tree_path)
     except FileNotFoundError:
@@ -280,11 +296,7 @@ def _cmd_validate(config: ExperimentConfig, tree) -> dict:
 
 
 def _cmd_covariance(config: ExperimentConfig, tree) -> dict:
-    from .trees import joint_covariance, tree_determinant
-
     model = joint_covariance(tree)
-    import numpy as np
-
     # the relative error is read off the log-determinants, which stay finite
     # where both determinants underflow to 0.0
     log_product = sum(math.log1p(-rho * rho) for _, _, rho in tree.spec.edges)
@@ -299,9 +311,6 @@ def _cmd_covariance(config: ExperimentConfig, tree) -> dict:
 
 
 def _cmd_enumerate(config: ExperimentConfig, tree) -> dict:
-    from .signs import enumerate_equivalent_trees, verify_equivalence
-    from .trees import format_tree
-
     variants = enumerate_equivalent_trees(tree)
     equivalent = verify_equivalence(variants)
     sign_report = _cmd_sign_report(config, tree)
@@ -327,8 +336,6 @@ def _cmd_enumerate(config: ExperimentConfig, tree) -> dict:
 
 
 def _cmd_sign_report(config: ExperimentConfig, tree) -> dict:
-    from .signs import sign_class_report
-
     report = sign_class_report(tree)
     return {
         "edge_sign_variables": report.edge_sign_variables,
@@ -349,9 +356,6 @@ def _mi_report(tree, method: str, units: str) -> dict:
     reports the closed form only on trees whose observed nodes are all
     leaves of hidden nodes, which it needs; ``closed`` asks for it on any
     tree."""
-    from .info import mi_closed_form, mi_direct
-    from .trees import joint_covariance
-
     out: dict = {}
     if method in ("both", "direct"):
         out["direct"] = _mi_json(mi_direct(tree), units)
@@ -373,8 +377,6 @@ def _cmd_mi(config: ExperimentConfig, tree) -> dict:
 
 
 def _cmd_mi_conditional(config: ExperimentConfig, tree) -> dict:
-    from .info import MIXTURE_ENUM_CAP, mixture_mi_profile, mi_direct, mi_sign_marginal
-
     pi = _parse_pi(config.pi, tree)
     profile = mixture_mi_profile(tree, pi, config.samples, config.seed)
     fixed = mi_direct(tree)
@@ -396,8 +398,6 @@ def _cmd_mi_conditional(config: ExperimentConfig, tree) -> dict:
 
 
 def _cmd_optimize_pi(config: ExperimentConfig, tree) -> dict:
-    from .info import optimize_pi
-
     best, curve = optimize_pi(tree, config.grid_step, config.samples, config.seed)
     if config.csv:
         rows = []
@@ -417,8 +417,6 @@ def _cmd_optimize_pi(config: ExperimentConfig, tree) -> dict:
 
 
 def _cmd_rate_check(config: ExperimentConfig, tree) -> dict:
-    from .synthesis import rate_region_check
-
     pi = _parse_pi(config.pi, tree)
     rates = _parse_rates(config)
     margins = rate_region_check(tree, rates, pi, samples=config.samples, seed=config.seed)
@@ -426,8 +424,6 @@ def _cmd_rate_check(config: ExperimentConfig, tree) -> dict:
 
 
 def _run_synthesis(config: ExperimentConfig, tree):
-    from .synthesis import build_codebooks, estimate_divergence
-
     pi = _parse_pi(config.pi, tree)
     rates = _parse_rates(config)
     codebook = build_codebooks(tree, rates, pi, config.seed)
@@ -435,8 +431,6 @@ def _run_synthesis(config: ExperimentConfig, tree):
 
 
 def _cmd_synthesize(config: ExperimentConfig, tree) -> dict:
-    from .synthesis import synthesize
-
     codebook, report = _run_synthesis(config, tree)
     if config.dump_csv:
         blocks = synthesize(tree, codebook, min(config.samples, 200), config.seed)
@@ -450,8 +444,6 @@ def _cmd_synthesize(config: ExperimentConfig, tree) -> dict:
 
 
 def _cmd_verify(config: ExperimentConfig, tree) -> dict:
-    from .synthesis import verify_encoding_constraints
-
     codebook, report = _run_synthesis(config, tree)
     checks = verify_encoding_constraints(tree, codebook, report, seed=config.seed,
                                          tv_threshold=config.tv_threshold)
@@ -463,15 +455,6 @@ def _cmd_verify(config: ExperimentConfig, tree) -> dict:
 
 
 def _cmd_report_all(config: ExperimentConfig, tree) -> dict:
-    from .info import MIXTURE_ENUM_CAP, mixture_mi_profile
-    from .signs import enumerate_equivalent_trees, verify_equivalence
-    from .synthesis import (
-        build_codebooks,
-        estimate_divergence,
-        frontier_rates,
-        verify_encoding_constraints,
-    )
-
     out: dict = {"validate": _cmd_validate(config, tree),
                  "covariance": _cmd_covariance(config, tree),
                  "sign_report": _cmd_sign_report(config, tree)}

@@ -103,7 +103,7 @@ def test_mi_conditional_leaves_out_the_sign_marginal_past_the_enumeration_cap(
     tree.write_text(lg.format_tree(_hidden_chain(k)))
     if k <= lg.info.MIXTURE_ENUM_CAP:
         # the gate is under test here, not the seconds-long 2^12-variant enumeration
-        monkeypatch.setattr(lg.info, "mi_sign_marginal",
+        monkeypatch.setattr(lgtree.cli, "mi_sign_marginal",
                             lambda *args: lg.info.MIResult(0.0, 0.0, "closed_form", 0))
     code, out, err = run_in_process("mi-conditional", tree, "--samples", "20000", "--seed", "7",
                                     "--deterministic")

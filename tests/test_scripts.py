@@ -105,3 +105,45 @@ def test_bench_pairs_record_writes_the_summary_as_json_per_workload(tmp_path):
         "parent": {"failed": 0, "attempted": 40, "correct_runs": 5, "runs": 5},
         "change": {"failed": 1, "attempted": 40, "correct_runs": 3, "runs": 5},
     }
+
+
+def test_bench_pairs_record_adds_the_machine_block_and_traced_per_layer_metrics(
+        tmp_path, monkeypatch):
+    # bench() stubbed with canned runs that, like bench/run.py, leave each
+    # untraced run's detail, machine block included, in bench/results/
+    pairs = _bench_pairs()
+    change_root = tmp_path / "change"
+    calls = []
+
+    def fake_bench(root, workload, seed, seconds, trace=0):
+        side = "change" if root == str(change_root) else "parent"
+        calls.append((side, trace))
+        if trace:
+            return {"correct": True, "attempted": 8, "failed": 0, "metrics": {
+                "info.mixture_mi_profile.self_s": {"value": 0.1 if side == "parent" else 0.09,
+                                                   "unit": "s"}}}
+        results = pathlib.Path(root, "bench", "results")
+        results.mkdir(parents=True, exist_ok=True)
+        run = sum(s == side for s, _ in calls)
+        (results / f"{workload}.json").write_text(json.dumps({"machine": {"side": side,
+                                                                          "run": run}}))
+        return pairs.last_json(_result_line(0.5 if side == "parent" else 0.4))
+
+    monkeypatch.setattr(pairs, "ROOT", str(change_root))
+    monkeypatch.setattr(pairs, "commit_of", lambda ref: "f" * 40)
+    monkeypatch.setattr(pairs, "export", lambda commit, into: None)
+    monkeypatch.setattr(pairs, "bench", fake_bench)
+    path = tmp_path / "bench.json"
+    assert pairs.main(["HEAD~1", "--workload", "soft_covering", "--seed", "3",
+                       "--seconds", "1", "--pairs", "3", "--record", str(path)]) == 0
+    # three alternating pairs, then one traced run per side
+    assert calls == [("parent", 0), ("change", 0), ("change", 0), ("parent", 0),
+                     ("parent", 0), ("change", 0), ("parent", 1), ("change", 1)]
+    entry = json.loads(path.read_text())["soft_covering"]
+    assert entry["parent"] == "f" * 40
+    assert entry["machine"] == {"side": "change", "run": 3}     # the change's last untraced run
+    assert entry["per_layer"] == {
+        "parent": {"info.mixture_mi_profile.self_s": {"value": 0.1, "unit": "s"}},
+        "change": {"info.mixture_mi_profile.self_s": {"value": 0.09, "unit": "s"}},
+    }
+    assert entry["metrics"]["wall_s"]["change_lower"] == 3
