@@ -507,8 +507,8 @@ class _PriorPlan:
     A group's term depends on the prior only through the group's own
     entries.  A group whose entries all lie in {0, 1} weights only the drawn
     flip, of ratio 1, so its term is exactly 0, and it is left out of the
-    sum.  Every other term is contracted at the first prior
-    with its entries and held in a slot until the last, so a grid contracts
+    sum.  Every other term is contracted at the first prior with its
+    entries and held in a slot until the last, so a grid contracts
     each group once per distinct value of its own entries outside {0, 1}
     (9 times for each of dumbbell's two groups on an 11 x 11 sweep), and a
     sweep whose entries never recur holds no terms.  ``steps`` holds, for

@@ -72,7 +72,10 @@ CODEWORD_ROWS = 2**12      # pair codewords drawn per slice, and innovation rows
 # thread, Xeon with AVX-512, median of 25) the evaluations took 74 ms in
 # blocks of 256 columns, 75, 78 and 81 ms in blocks of 128, 512 and 1024,
 # 68 and 80 ms with 2^16 and 2^18 cells, and 80 ms in slabs of whole rows
-# of components.
+# of components.  2^16 against 2^17 is not settled: interleaved timings of
+# the soft_covering benchmark's six star estimates (one BLAS thread, same
+# bytes) read 2^16 once as 10 % slower in total and twice, on a 2-core
+# Xeon with 2 MiB of L2 per core, as 9 and 15 % faster, led by N = 8.
 SLAB_CELLS = 2**17
 UNDERFLOW_LOG = -700.0     # a row's log-sum below this is recomputed with a max shift
 GEMM_COLUMNS = 16          # log-density components are padded to a multiple of this
@@ -835,9 +838,10 @@ def verify_encoding_constraints(
         # over G clusters the robust ratio is referred to t on G - 1 degrees
         # of freedom (Cameron and Miller, *J. Human Resources* 50(2), 2015);
         # the normal quantile over-rejects when few pairs are drawn
-        thr_lag = _family_t(n_dim * n_dim, max(groups - 1, 1))
+        lag_df = max(groups - 1, 1)
+        thr_lag = _family_t(n_dim * n_dim, lag_df)
         detail = ("max |t| of lag-1 symbol cross-covariance, cluster-robust over the drawn "
-                  f"pairs, family-adjusted 3-sigma Student-t level on {max(groups - 1, 1)} df")
+                  f"pairs, family-adjusted 3-sigma Student-t level on {lag_df} df")
     else:
         z_lag, thr_lag = 0.0, _family_z(n_dim * n_dim)
         detail = ("max |z| of lag-1 symbol cross-covariance, family-adjusted 3-sigma level "
